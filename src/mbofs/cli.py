@@ -13,6 +13,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import corpus as corpus_mod
+from .classifiers import ClassifierError
 from .harness import (
     CheckpointError,
     ExperimentConfig,
@@ -143,7 +144,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (PipelineError, CheckpointError, corpus_mod.CorpusError, HeuristicError) as exc:
+    except (PipelineError, CheckpointError, ClassifierError, corpus_mod.CorpusError,
+            HeuristicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -74,14 +74,18 @@ def info_gain(matrix: DocTermMatrix, feature: int) -> float:
 
 def ig_filter(matrix: DocTermMatrix, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Boolean mask of informative features, at most `cap` of them."""
+    return cap_mask(ig_scores(matrix), cap)
+
+
+def cap_mask(scores: IgScores, cap: int) -> np.ndarray:
+    """Mask of the informative features in `scores`, cut to the top `cap` by rank."""
     if cap < 1:
         raise FilterError("cap must be >= 1")
-    scores = ig_scores(matrix)
     informative = scores.gain > IG_TOLERANCE
     n_informative = int(informative.sum())
     if n_informative == 0:
         raise FilterError("no informative features")
-    mask = np.zeros(matrix.n_features, dtype=bool)
+    mask = np.zeros(len(scores.gain), dtype=bool)
     if n_informative <= cap:
         mask[informative] = True
     else:

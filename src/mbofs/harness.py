@@ -3,6 +3,7 @@ evaluate pipeline, mask/report serialization, and checkpointing."""
 
 from __future__ import annotations
 
+import base64
 import csv
 import io
 import json
@@ -28,7 +29,7 @@ from .mbo import (
 )
 from .pso import IterationRecord, Particle, PsoConfig, PsoSnapshot, PsoTrace, pso_select
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: PSO velocities as base64 float64
 
 
 class PipelineError(Exception):
@@ -64,7 +65,11 @@ class ExperimentConfig:
         """Flat key = value lines, UTF-8, '#' comments."""
         cfg = ExperimentConfig()
         types = {f.name: type(getattr(cfg, f.name)) for f in cfg.__dataclass_fields__.values()}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise PipelineError("config", f"cannot read {path}: {exc.strerror}") from exc
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -73,7 +78,12 @@ class ExperimentConfig:
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in types:
                 raise PipelineError("config", f"line {lineno}: unknown key {key!r}")
-            setattr(cfg, key, types[key](value))
+            try:
+                setattr(cfg, key, types[key](value))
+            except ValueError as exc:
+                raise PipelineError(
+                    "config", f"line {lineno}: bad value for {key}: {exc}"
+                ) from exc
         return cfg
 
     def validate(self):
@@ -228,12 +238,21 @@ def mbo_snapshot_from_json(d: dict) -> MboSnapshot:
     )
 
 
+def _velocity_to_json(v: np.ndarray) -> str:
+    """Base64 of the little-endian float64 bytes: exact, and shorter than a float list."""
+    return base64.b64encode(np.asarray(v, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _velocity_from_json(s: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(s), dtype="<f8").astype(np.float64)
+
+
 def pso_snapshot_to_json(snap: PsoSnapshot) -> dict:
     return {
         "particles": [
             {
                 "position": _mask_to_json(p.position),
-                "velocity": [float(v) for v in p.velocity],
+                "velocity": _velocity_to_json(p.velocity),
                 "pbest_mask": _mask_to_json(p.pbest_mask),
                 "pbest_fitness": p.pbest_fitness,
             }
@@ -251,7 +270,7 @@ def pso_snapshot_from_json(d: dict) -> PsoSnapshot:
     particles = [
         Particle(
             position=FeatureMask.from_bitstring(p["position"]),
-            velocity=np.array(p["velocity"]),
+            velocity=_velocity_from_json(p["velocity"]),
             pbest_mask=FeatureMask.from_bitstring(p["pbest_mask"]),
             pbest_fitness=p["pbest_fitness"],
         )
@@ -358,7 +377,7 @@ def run_experiment(
     try:
         t0 = time.monotonic()
         scores = filter_ig.ig_scores(matrix)
-        ig_mask = filter_ig.ig_filter(matrix, cap=config.ig_cap)
+        ig_mask = filter_ig.cap_mask(scores, cap=config.ig_cap)
     except filter_ig.FilterError as exc:
         raise PipelineError("ig", str(exc)) from exc
     ig_acc, ig_clf = evaluate_mask(matrix, ig_mask, config.eval_classifier,

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classifiers import cross_val_accuracy
+from .classifiers import NbFoldKernel, cross_val_accuracy
 from .corpus import DocTermMatrix
 
 
@@ -117,7 +117,8 @@ class FitnessFn:
 
     Fold seed is fixed for the whole run so every mask is scored on identical
     folds; values are memoized on the mask's bit pattern. Empty masks score 0.0
-    so engine selection logic stays total.
+    so engine selection logic stays total. NB is scored by an NbFoldKernel
+    built once here, which gives the same values as cross_val_accuracy.
     """
 
     def __init__(
@@ -135,6 +136,7 @@ class FitnessFn:
         self.memoize = memoize
         self._memo: dict[bytes, float] = {}
         self.evaluations = 0  # distinct CV runs, for trace/diagnostics
+        self._nb = NbFoldKernel(matrix, k, seed) if classifier == "nb" else None
 
     def __call__(self, mask: FeatureMask) -> float:
         if mask.popcount == 0:
@@ -143,9 +145,12 @@ class FitnessFn:
             cached = self._memo.get(mask.bits)
             if cached is not None:
                 return cached
-        value = cross_val_accuracy(
-            self.matrix, mask.to_array(), self.classifier, self.k, self.seed
-        ).mean_accuracy
+        if self._nb is not None:
+            value = self._nb.mean_accuracy(mask.to_array())
+        else:
+            value = cross_val_accuracy(
+                self.matrix, mask.to_array(), self.classifier, self.k, self.seed
+            ).mean_accuracy
         self.evaluations += 1
         if self.memoize:
             self._memo[mask.bits] = value

@@ -80,5 +80,28 @@ def test_select_resume_roundtrip(config_file, tmp_path, capsys):
     assert a == b
 
 
+def test_select_bad_config_value(config_file, capsys):
+    config_file.write_text(config_file.read_text().replace("folds = 5", "folds = abc"))
+    assert main(["select", "--method", "ig", "--config", str(config_file)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: [config] line 4: bad value for folds")
+
+
+def test_select_missing_config(tmp_path, capsys):
+    assert main(["select", "--config", str(tmp_path / "nope.cfg")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [config] cannot read")
+
+
+def test_select_class_smaller_than_folds(config_file, demo_tsv, capsys):
+    with demo_tsv.open("a", encoding="utf-8") as fh:
+        fh.write("rare\tmarker00 noise1\nrare\tmarker10 noise2\n")  # 2 docs < 5 folds
+    assert main(["select", "--method", "ig", "--config", str(config_file)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "fewer than k=5" in err[0]
+
+
 def test_report_missing_dir(tmp_path, capsys):
     assert main(["report", str(tmp_path)]) == 2

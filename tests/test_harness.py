@@ -14,6 +14,8 @@ from mbofs.harness import (
     load_mask,
     mbo_snapshot_from_json,
     mbo_snapshot_to_json,
+    pso_snapshot_from_json,
+    pso_snapshot_to_json,
     render_report,
     run_experiment,
     save_mask,
@@ -22,6 +24,7 @@ from mbofs.harness import (
 from mbofs.corpus import CorpusStats
 from mbofs.heuristic import FeatureMask, FitnessFn
 from mbofs.mbo import MboConfig, mbo_select
+from mbofs.pso import PsoConfig, pso_select
 from mbofs.synth import make_planted_matrix
 
 
@@ -94,9 +97,10 @@ class TestCheckpoint:
 
     def test_version_mismatch(self, tmp_path):
         p = tmp_path / "ck.json"
-        p.write_text(json.dumps({"format_version": 99, "fingerprint": "fp"}))
-        with pytest.raises(CheckpointError, match="version"):
-            checkpoint_load(p, "fp")
+        for version in (1, 99):  # 1: PSO velocities as float lists
+            p.write_text(json.dumps({"format_version": version, "fingerprint": "fp"}))
+            with pytest.raises(CheckpointError, match="version"):
+                checkpoint_load(p, "fp")
 
     def test_truncated(self, tmp_path):
         p = tmp_path / "ck.json"
@@ -129,6 +133,33 @@ class TestCheckpoint:
         res_best, _, _ = mbo_select(matrix, mask, cfg,
                                     fitness=FitnessFn(matrix, seed=5), resume=resumed)
         assert res_best == full_best
+
+    def test_pso_resume_matches_uninterrupted(self):
+        matrix, _ = make_planted_matrix(n_docs=80, n_features=60, n_informative=10, seed=3)
+        cfg = PsoConfig(seed=5, swarm_size=8, max_iterations=6, budget_seconds=120)
+        mask = FeatureMask.ones(60)
+
+        full_best, full_trace = pso_select(matrix, mask, cfg, fitness=FitnessFn(matrix, seed=5))
+
+        snaps = []
+
+        class Stop(Exception):
+            pass
+
+        def on_iteration(snap):
+            snaps.append(pso_snapshot_to_json(snap))  # serialize like the harness
+            if len(snaps) == 2:
+                raise Stop()
+
+        with pytest.raises(Stop):
+            pso_select(matrix, mask, cfg, fitness=FitnessFn(matrix, seed=5),
+                       on_iteration=on_iteration)
+        resumed = pso_snapshot_from_json(json.loads(json.dumps(snaps[-1])))
+        assert pso_snapshot_to_json(resumed) == snaps[-1]  # velocities round-trip exactly
+        res_best, res_trace = pso_select(matrix, mask, cfg,
+                                         fitness=FitnessFn(matrix, seed=5), resume=resumed)
+        assert res_best == full_best
+        assert res_trace.records[-1].gbest_fitness == full_trace.records[-1].gbest_fitness
 
 
 def _report():

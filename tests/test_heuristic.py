@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from mbofs.classifiers import NbFoldKernel, cross_val_accuracy, nb_train, stratified_folds
+from mbofs.corpus import DocTermMatrix
 from mbofs.heuristic import (
     ChangeSchedule,
     FeatureMask,
@@ -163,3 +166,61 @@ class TestFitness:
     def test_fixed_seed_repeatable(self, matrix):
         mask = FeatureMask.ones(matrix.n_features)
         assert FitnessFn(matrix, seed=5)(mask) == FitnessFn(matrix, seed=5)(mask)
+
+
+@st.composite
+def nb_problems(draw):
+    """Small non-negative matrix with zero rows and columns, a fold count k, every
+    class holding at least k rows, a fold seed and a non-empty mask."""
+    k = draw(st.sampled_from([2, 3, 5]))
+    sizes = draw(st.lists(st.integers(k, k + 6), min_size=2, max_size=4))
+    n_features = draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    rng.shuffle(labels)
+    n = len(labels)
+    # a few repeated values make equal class masses, and so score ties, likely
+    values = rng.choice([0.25, 0.5, 1.0, 2.0], size=(n, n_features))
+    values = np.where(rng.random((n, n_features)) < 0.5, values, rng.random((n, n_features)))
+    dense = values * (rng.random((n, n_features)) < draw(st.sampled_from([0.1, 0.4, 0.9])))
+    dense[rng.random(n) < 0.15] = 0.0
+    dense[:, rng.random(n_features) < 0.15] = 0.0
+    if draw(st.booleans()):  # duplicate rows across classes
+        for i in range(0, n - 1, 2):
+            dense[i + 1] = dense[i]
+    mask = rng.random(n_features) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    mask[rng.integers(n_features)] = True
+    matrix = DocTermMatrix(weights=sp.csr_matrix(dense), labels=labels)
+    return matrix, k, draw(st.integers(0, 1000)), mask
+
+
+class TestNbKernelOracle:
+    """FitnessFn's NB kernel against cross_val_accuracy, compared with ==."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(nb_problems())
+    def test_matches_cross_val_accuracy(self, problem):
+        matrix, k, seed, mask = problem
+        got = FitnessFn(matrix, k=k, seed=seed)(FeatureMask.from_array(mask))
+        assert got == cross_val_accuracy(matrix, mask, "nb", k, seed).mean_accuracy
+
+    @settings(max_examples=300, deadline=None)
+    @given(nb_problems())
+    def test_scores_bit_identical(self, problem):
+        # accuracies hide last-bit drift in the scores; the search needs none
+        matrix, k, seed, mask = problem
+        fold_of = stratified_folds(matrix.labels, k, seed).fold_of
+        for fold, got in enumerate(NbFoldKernel(matrix, k, seed).scores(mask)):
+            model = nb_train(matrix, mask, np.flatnonzero(fold_of != fold))
+            test = matrix.weights[np.flatnonzero(fold_of == fold)]
+            want = test[:, model.feature_indices] @ model.log_likelihoods.T + model.log_priors
+            np.testing.assert_array_equal(got, np.asarray(want))
+
+    def test_duplicated_rows_of_different_classes_tie(self):
+        # every row is the same document, in two equal classes: every score ties
+        x = np.tile([[0.5, 0.0, 2.0, 1.0]], (12, 1))
+        m = DocTermMatrix(weights=sp.csr_matrix(x), labels=np.arange(12) % 2)
+        mask = np.array([True, True, False, True])
+        got = FitnessFn(m, k=3, seed=1)(FeatureMask.from_array(mask))
+        assert got == cross_val_accuracy(m, mask, "nb", 3, 1).mean_accuracy
+        assert got == 0.5  # ties go to class 0
