@@ -103,21 +103,27 @@ def nb_predict(model: NbModel, row) -> int:
 
 
 def _nb_scores(model: NbModel, row) -> np.ndarray:
-    if sp.issparse(row):
-        row = np.asarray(row.todense()).ravel()
-    sel = np.asarray(row).ravel()[model.feature_indices]
-    return model.log_priors + model.log_likelihoods @ sel
+    return _nb_batch_scores(model, sp.csr_matrix(row).reshape(1, -1).tocsr())[0]
+
+
+def _nb_batch_scores(model: NbModel, rows: sp.csr_matrix) -> np.ndarray:
+    sel = rows[:, model.feature_indices]
+    return np.asarray(sel @ model.log_likelihoods.T + model.log_priors)
 
 
 def _nb_predict_batch(model: NbModel, rows: sp.csr_matrix) -> np.ndarray:
-    sel = rows[:, model.feature_indices]
-    scores = sel @ model.log_likelihoods.T + model.log_priors
-    return np.argmax(np.asarray(scores), axis=1)
+    return np.argmax(_nb_batch_scores(model, rows), axis=1)
+
+
+# Cap on one split-search block's (rows x columns x classes) elements, which
+# bounds the sort and class-ratio buffers of a node at a few MB.
+_SPLIT_BLOCK_ELEMENTS = 1 << 17
 
 
 def _gini_best_split(values: np.ndarray, labels: np.ndarray, n_classes: int):
     """Best (threshold, impurity) for one feature, or None if constant.
 
+    The per-feature reference that _best_split must match bit for bit.
     Thresholds are midpoints between consecutive distinct sorted values.
     """
     order = np.argsort(values, kind="stable")
@@ -145,6 +151,48 @@ def _gini_best_split(values: np.ndarray, labels: np.ndarray, n_classes: int):
     return threshold, float(weighted[best])
 
 
+def _best_split(x: np.ndarray, y: np.ndarray, n_classes: int):
+    """Lowest-impurity (impurity, feature, threshold) over all columns of x, or
+    None when every column is constant.
+
+    The presorted CART split search, vectorized over columns: each block of
+    columns is sorted once, and _gini_best_split's arithmetic runs on every
+    (column, cut) pair of the block at once, element for element. The class
+    ratios of each cut sit on the contiguous last axis of a (cuts, C) array, as
+    in _gini_best_split, so numpy sums them in the same order (pairwise once C
+    reaches 8, where a running sum over classes would differ in the last bit).
+    Cuts are listed column by column, lowest threshold first, so the first
+    minimum keeps the oracle's tie rules: the lowest threshold within a column,
+    then the lowest column.
+    """
+    cols = np.flatnonzero(x.max(axis=0) > x.min(axis=0))
+    n = len(y)
+    totals = np.bincount(y, minlength=n_classes)
+    width = max(1, _SPLIT_BLOCK_ELEMENTS // (n * n_classes))
+    best = None
+    for start in range(0, len(cols), width):
+        block = cols[start:start + width]
+        xt = x[:, block].T  # (columns, rows)
+        order = np.argsort(xt, axis=1, kind="stable")
+        v = np.take_along_axis(xt, order, axis=1)
+        ys = y[order]
+        col, pos = np.nonzero(v[:, :-1] < v[:, 1:])  # cut after sorted row `pos`
+        lc = np.empty((len(pos), n_classes))
+        for c in range(n_classes):
+            lc[:, c] = np.cumsum(ys == c, axis=1)[col, pos]
+        rc = totals - lc
+        nl = pos + 1.0
+        nr = n - nl
+        gini_l = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
+        gini_r = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
+        weighted = (nl * gini_l + nr * gini_r) / n
+        i = int(np.argmin(weighted))
+        if best is None or weighted[i] < best[0]:
+            j, b = col[i], pos[i]
+            best = (float(weighted[i]), int(block[j]), (v[j, b] + v[j, b + 1]) / 2.0)
+    return best
+
+
 def _dt_build(x: np.ndarray, y: np.ndarray, n_classes: int, depth: int,
               max_depth: int, min_split: int) -> DtNode:
     counts = np.bincount(y, minlength=n_classes)
@@ -152,14 +200,7 @@ def _dt_build(x: np.ndarray, y: np.ndarray, n_classes: int, depth: int,
     if depth >= max_depth or len(y) < min_split or counts.max() == len(y):
         return DtNode(feature=-1, threshold=0.0, left=None, right=None, klass=majority)
 
-    best = None  # (impurity, feature, threshold)
-    for j in range(x.shape[1]):
-        split = _gini_best_split(x[:, j], y, n_classes)
-        if split is None:
-            continue
-        threshold, impurity = split
-        if best is None or impurity < best[0]:
-            best = (impurity, j, threshold)
+    best = _best_split(x, y, n_classes)
     if best is None:
         return DtNode(feature=-1, threshold=0.0, left=None, right=None, klass=majority)
 
@@ -185,12 +226,8 @@ def dt_train(
 
 def dt_predict(model: DtModel, row) -> int:
     if sp.issparse(row):
-        row = np.asarray(row.todense()).ravel()
-    sel = np.asarray(row).ravel()[model.feature_indices]
-    node = model.root
-    while node.feature >= 0:
-        node = node.left if sel[node.feature] <= node.threshold else node.right
-    return node.klass
+        row = row.toarray()
+    return _dt_traverse(model.root, np.asarray(row).ravel()[model.feature_indices])
 
 
 def stratified_folds(labels, k: int, seed: int) -> FoldAssignment:

@@ -129,7 +129,12 @@ def cmd_report(args) -> int:
     report_path = Path(args.run_dir) / "report.json"
     if not report_path.exists():
         raise PipelineError("report", f"no report.json in {args.run_dir}")
-    report = RunReport.from_dict(json.loads(report_path.read_text(encoding="utf-8")))
+    try:
+        report = RunReport.from_dict(json.loads(report_path.read_text(encoding="utf-8")))
+    except OSError as exc:
+        raise PipelineError("report", f"cannot read {report_path}: {exc.strerror}") from exc
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON or UTF-8
+        raise PipelineError("report", f"malformed {report_path}: {exc!r}") from exc
     print(render_report(report, args.style), end="")
     return 0
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from dataclasses import dataclass
@@ -90,9 +91,13 @@ class DocTermMatrix:
         )
 
     def fingerprint(self) -> str:
-        """Cheap identity for checkpoint validation: shape + label multiset."""
-        counts = np.bincount(self.labels)
-        return f"{self.n_docs}x{self.n_features}:" + ",".join(map(str, counts))
+        """SHA-256 of the content: CSR shape, indptr, indices, data and labels."""
+        w = self.weights
+        digest = hashlib.sha256(f"{w.shape[0]}x{w.shape[1]}".encode())
+        for array, dtype in ((w.indptr, "<i8"), (w.indices, "<i8"), (w.data, "<f8"),
+                             (self.labels, "<i8")):
+            digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+        return digest.hexdigest()
 
 
 @dataclass(frozen=True)

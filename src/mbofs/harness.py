@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import base64
 import csv
+import hashlib
 import io
 import json
 import os
@@ -30,6 +31,9 @@ from .mbo import (
 from .pso import IterationRecord, Particle, PsoConfig, PsoSnapshot, PsoTrace, pso_select
 
 CHECKPOINT_VERSION = 2  # 2: PSO velocities as base64 float64
+# Config fields that change a search's trajectory; a checkpoint is bound to them.
+SEARCH_FIELDS = ("seed", "folds", "ig_cap", "flock_size", "neighbors",
+                 "base_fraction", "swarm_size", "pso_iterations")
 
 
 class PipelineError(Exception):
@@ -157,10 +161,18 @@ def save_mask(path, mask: np.ndarray):
 
 
 def load_mask(path) -> np.ndarray:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise PipelineError("mask", f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise PipelineError("mask", f"malformed mask file: {path}") from exc
     if len(lines) < 2 or not lines[0].startswith("M="):
         raise PipelineError("mask", f"malformed mask file: {path}")
-    m = int(lines[0][2:])
+    try:
+        m = int(lines[0][2:])
+    except ValueError as exc:
+        raise PipelineError("mask", f"bad universe size {lines[0]!r}: {path}") from exc
     bits = lines[1]
     if len(bits) != m or set(bits) - {"0", "1"}:
         raise PipelineError("mask", f"mask bits do not match M={m}: {path}")
@@ -301,6 +313,13 @@ def checkpoint_save(path, method: str, fingerprint: str, payload: dict):
     os.replace(tmp, path)
 
 
+def run_fingerprint(matrix: DocTermMatrix, config: ExperimentConfig) -> str:
+    """SHA-256 binding checkpoints to the corpus content and the search config."""
+    search = {name: getattr(config, name) for name in SEARCH_FIELDS}
+    payload = json.dumps({"matrix": matrix.fingerprint(), "search": search}, sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def checkpoint_load(path, fingerprint: str) -> tuple[str, dict]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -311,7 +330,7 @@ def checkpoint_load(path, fingerprint: str) -> tuple[str, dict]:
             f"checkpoint version {doc.get('format_version')} != {CHECKPOINT_VERSION}"
         )
     if doc.get("fingerprint") != fingerprint:
-        raise CheckpointError("checkpoint from a different corpus")
+        raise CheckpointError("checkpoint from a different corpus or search config")
     return doc["method"], doc["payload"]
 
 
@@ -362,7 +381,7 @@ def run_experiment(
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fingerprint = matrix.fingerprint()
+    fingerprint = run_fingerprint(matrix, config)
 
     methods: list[MethodResult] = []
 

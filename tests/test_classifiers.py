@@ -3,9 +3,15 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
+from mbofs import classifiers
 from mbofs.classifiers import (
     ClassifierError,
+    DtNode,
+    _best_split,
+    _dt_build,
+    _gini_best_split,
     cross_val_accuracy,
     dt_predict,
     dt_train,
@@ -14,6 +20,7 @@ from mbofs.classifiers import (
     stratified_folds,
 )
 from mbofs.corpus import DocTermMatrix
+from mbofs.synth import make_planted_matrix
 
 
 def dtm(dense, labels):
@@ -114,6 +121,86 @@ class TestDecisionTree:
             pred = [dt_predict(model, x[i]) for i in rows]
             accs.append(np.mean(np.array(pred) == y))
         assert all(a <= b + 1e-12 for a, b in zip(accs, accs[1:]))
+
+
+def _reference_split(x, y, n_classes):
+    """The per-feature loop over _gini_best_split: (impurity, feature, threshold)."""
+    best = None
+    for j in range(x.shape[1]):
+        split = _gini_best_split(x[:, j], y, n_classes)
+        if split is None:
+            continue
+        threshold, impurity = split
+        if best is None or impurity < best[0]:
+            best = (impurity, j, threshold)
+    return best
+
+
+def _reference_tree(x, y, n_classes, depth, max_depth, min_split):
+    """_dt_build with _reference_split as its split search. At every node it also
+    checks _best_split's (impurity, feature, threshold) against it, bit for bit:
+    a last-bit drift in an impurity need not change the tree."""
+    counts = np.bincount(y, minlength=n_classes)
+    majority = int(np.argmax(counts))
+    leaf = DtNode(feature=-1, threshold=0.0, left=None, right=None, klass=majority)
+    if depth >= max_depth or len(y) < min_split or counts.max() == len(y):
+        return leaf
+    best = _reference_split(x, y, n_classes)
+    assert _best_split(x, y, n_classes) == best
+    if best is None:
+        return leaf
+    _, j, threshold = best
+    go_left = x[:, j] <= threshold
+    grow = lambda rows: _reference_tree(x[rows], y[rows], n_classes, depth + 1,
+                                        max_depth, min_split)
+    return DtNode(feature=j, threshold=threshold, left=grow(go_left), right=grow(~go_left),
+                  klass=majority)
+
+
+@st.composite
+def tree_problems(draw):
+    """Rows x features with 2..12 classes: continuous or quantized values (ties,
+    duplicate values), all-zero and constant columns, rows repeated under other
+    labels; a tree depth, a split minimum and a split-search block size."""
+    n_classes = draw(st.integers(2, 12))
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([0, 2, 3, 5]))  # 0: continuous
+    x = rng.random((n, m))
+    if levels:
+        x = np.floor(x * levels) / levels
+    x *= rng.random((n, m)) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    x[:, rng.random(m) < 0.15] = 0.0
+    x[:, rng.random(m) < 0.15] = 0.5
+    y = rng.integers(0, n_classes, n)
+    if draw(st.booleans()):
+        for i in range(0, n - 1, 2):
+            x[i + 1] = x[i]
+    block = draw(st.sampled_from([1, 50, 200, classifiers._SPLIT_BLOCK_ELEMENTS]))
+    return x, y, n_classes, draw(st.integers(0, 12)), draw(st.integers(1, 5)), block
+
+
+class TestTreeOracle:
+    """_dt_build's vectorized split search against the per-feature loop, exact."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(tree_problems())
+    def test_matches_per_feature_loop(self, problem):
+        x, y, n_classes, max_depth, min_split, block = problem
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classifiers, "_SPLIT_BLOCK_ELEMENTS", block)  # 1: one column a block
+            assert _dt_build(x, y, n_classes, 0, max_depth, min_split) == _reference_tree(
+                x, y, n_classes, 0, max_depth, min_split)
+
+    def test_dt_train_on_planted_matrix(self):
+        matrix, _ = make_planted_matrix(n_docs=60, n_classes=9, n_features=40,
+                                        n_informative=12, seed=2)
+        mask = np.ones(40, dtype=bool)
+        rows = np.arange(48)
+        x = np.asarray(matrix.weights[rows].todense())
+        want = _reference_tree(x, matrix.labels[rows], 9, 0, 20, 2)
+        assert dt_train(matrix, mask, rows).root == want
 
 
 class TestStratifiedFolds:

@@ -105,3 +105,38 @@ def test_select_class_smaller_than_folds(config_file, demo_tsv, capsys):
 
 def test_report_missing_dir(tmp_path, capsys):
     assert main(["report", str(tmp_path)]) == 2
+
+
+def _one_error_line(capsys, prefix):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix), err
+
+
+def test_evaluate_bad_mask_universe(config_file, tmp_path, capsys):
+    mask = tmp_path / "mask.txt"
+    mask.write_text("M=abc\n0101\n")
+    assert main(["evaluate", "--mask", str(mask), "--config", str(config_file)]) == 2
+    _one_error_line(capsys, "error: [mask] bad universe size 'M=abc'")
+
+
+def test_evaluate_missing_mask(config_file, tmp_path, capsys):
+    assert main(["evaluate", "--mask", str(tmp_path / "missing.txt"),
+                 "--config", str(config_file)]) == 2
+    _one_error_line(capsys, "error: [mask] cannot read")
+
+
+def test_report_malformed_json(tmp_path, capsys):
+    (tmp_path / "report.json").write_text('{"corpus": ')
+    assert main(["report", str(tmp_path)]) == 2
+    _one_error_line(capsys, "error: [report] malformed")
+
+
+@pytest.mark.parametrize("doc", [
+    {"methods": [], "seed": 0, "config": {}},  # no corpus
+    {"corpus": {"n_features": 3}, "methods": [], "seed": 0, "config": {}},
+    [],
+])
+def test_report_incomplete(tmp_path, capsys, doc):
+    (tmp_path / "report.json").write_text(json.dumps(doc))
+    assert main(["report", str(tmp_path)]) == 2
+    _one_error_line(capsys, "error: [report] malformed")

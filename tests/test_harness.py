@@ -11,6 +11,7 @@ from mbofs.harness import (
     RunReport,
     checkpoint_load,
     checkpoint_save,
+    run_fingerprint,
     load_mask,
     mbo_snapshot_from_json,
     mbo_snapshot_to_json,
@@ -92,7 +93,7 @@ class TestCheckpoint:
     def test_fingerprint_mismatch(self, tmp_path):
         p = tmp_path / "ck.json"
         checkpoint_save(p, "mbo", "fp-a", {})
-        with pytest.raises(CheckpointError, match="different corpus"):
+        with pytest.raises(CheckpointError, match="different corpus or search config"):
             checkpoint_load(p, "fp-b")
 
     def test_version_mismatch(self, tmp_path):
@@ -249,3 +250,46 @@ class TestRunExperiment:
                                out_dir=str(tmp_path / "run"))
         with pytest.raises(PipelineError, match=r"\[load\]"):
             run_experiment(cfg)
+
+
+class TestCheckpointBinding:
+    """--resume against another corpus or search config is refused."""
+
+    def run(self, tmp_path, name, matrix, resume=None, **kw):
+        cfg = ExperimentConfig(ig_cap=30, method="mbo", flock_size=5, budget_seconds=60.0,
+                               out_dir=str(tmp_path / name), **kw)
+        return run_experiment(cfg, matrix=matrix, resume_path=resume)
+
+    def test_identical_config_resumes(self, tmp_path):
+        matrix, _ = make_planted_matrix(n_docs=80, n_features=60, n_informative=10, seed=3)
+        first = self.run(tmp_path, "a", matrix)
+        again = self.run(tmp_path, "b", matrix, resume=tmp_path / "a" / "checkpoint_mbo.json")
+        assert [(m.m_prime, m.accuracy) for m in again.methods] == [
+            (m.m_prime, m.accuracy) for m in first.methods]
+        assert (tmp_path / "a" / "mask_mbo.txt").read_bytes() == (
+            tmp_path / "b" / "mask_mbo.txt").read_bytes()
+
+    def test_same_shape_other_content_refused(self, tmp_path):
+        a, _ = make_planted_matrix(n_docs=80, n_features=60, n_informative=10, seed=3)
+        b, _ = make_planted_matrix(n_docs=80, n_features=60, n_informative=10, seed=4)
+        # the same shape and class sizes: only the content tells them apart
+        assert np.array_equal(np.bincount(a.labels), np.bincount(b.labels))
+        self.run(tmp_path, "a", a)
+        with pytest.raises(CheckpointError, match="different corpus or search config"):
+            self.run(tmp_path, "b", b, resume=tmp_path / "a" / "checkpoint_mbo.json")
+
+    def test_other_seed_refused(self, tmp_path):
+        matrix, _ = make_planted_matrix(n_docs=80, n_features=60, n_informative=10, seed=3)
+        self.run(tmp_path, "a", matrix)
+        with pytest.raises(CheckpointError, match="different corpus or search config"):
+            self.run(tmp_path, "b", matrix, resume=tmp_path / "a" / "checkpoint_mbo.json",
+                     seed=1)
+
+    def test_fingerprint_covers_search_fields(self):
+        matrix, _ = make_planted_matrix(n_docs=40, n_features=20, n_informative=5, seed=3)
+        base = run_fingerprint(matrix, ExperimentConfig())
+        assert run_fingerprint(matrix, ExperimentConfig(budget_seconds=5.0)) == base
+        for field, value in [("seed", 1), ("folds", 3), ("ig_cap", 10), ("flock_size", 9),
+                             ("neighbors", 2), ("base_fraction", 0.05), ("swarm_size", 10),
+                             ("pso_iterations", 7)]:
+            assert run_fingerprint(matrix, ExperimentConfig(**{field: value})) != base, field
