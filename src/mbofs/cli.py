@@ -12,7 +12,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import corpus as corpus_mod
 from .classifiers import ClassifierError
 from .harness import (
     CheckpointError,
@@ -20,6 +19,7 @@ from .harness import (
     PipelineError,
     RunReport,
     evaluate_mask,
+    load_input,
     load_mask,
     render_report,
     run_experiment,
@@ -66,27 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_pipeline(config: ExperimentConfig):
-    stopwords = (
-        corpus_mod.load_stopwords(config.stopwords_path)
-        if config.stopwords_path
-        else corpus_mod.DEFAULT_STOPWORDS
-    )
-    raw = corpus_mod.load_corpus(config.corpus_path, config.corpus_format)
-    vocab = corpus_mod.build_vocabulary(raw, stopwords)
-    matrix = corpus_mod.vectorize_tfidf(raw, vocab, stopwords)
-    return matrix
-
-
 def cmd_ingest(args) -> int:
-    stopwords = (
-        corpus_mod.load_stopwords(args.stopwords)
-        if args.stopwords
-        else corpus_mod.DEFAULT_STOPWORDS
-    )
-    raw = corpus_mod.load_corpus(args.path, args.format)
-    vocab = corpus_mod.build_vocabulary(raw, stopwords)
-    stats = corpus_mod.compute_stats(raw, vocab, stopwords)
+    _, _, stats = load_input(ExperimentConfig(
+        corpus_path=args.path, corpus_format=args.format, stopwords_path=args.stopwords))
     print(json.dumps(asdict(stats), indent=2))
     return 0
 
@@ -114,7 +96,7 @@ def cmd_select(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    matrix = _load_pipeline(config)
+    matrix, _, _ = load_input(config)
     mask = load_mask(args.mask)
     if len(mask) != matrix.n_features:
         raise PipelineError(
@@ -130,11 +112,12 @@ def cmd_report(args) -> int:
     if not report_path.exists():
         raise PipelineError("report", f"no report.json in {args.run_dir}")
     try:
-        report = RunReport.from_dict(json.loads(report_path.read_text(encoding="utf-8")))
+        doc = json.loads(report_path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise PipelineError("report", f"cannot read {report_path}: {exc.strerror}") from exc
-    except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON or UTF-8
+    except ValueError as exc:  # bad JSON or UTF-8
         raise PipelineError("report", f"malformed {report_path}: {exc!r}") from exc
+    report = RunReport.from_dict(doc)
     print(render_report(report, args.style), end="")
     return 0
 
@@ -149,8 +132,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (PipelineError, CheckpointError, ClassifierError, corpus_mod.CorpusError,
-            HeuristicError) as exc:
+    except (PipelineError, CheckpointError, ClassifierError, HeuristicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -118,9 +118,17 @@ def tokenize(text: str, stopwords=DEFAULT_STOPWORDS) -> list[str]:
     ]
 
 
+def _unreadable(path, exc: OSError | UnicodeDecodeError) -> CorpusError:
+    why = exc.strerror if isinstance(exc, OSError) else "not valid UTF-8"
+    return CorpusError(f"cannot read {path}: {why}")
+
+
 def load_stopwords(path) -> frozenset[str]:
     """One token per line, UTF-8."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from exc
     return frozenset(tok.strip().lower() for tok in lines if tok.strip())
 
 
@@ -128,25 +136,27 @@ def load_corpus(path, format: str = "tsv") -> Corpus:
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"corpus path does not exist: {path}")
-    if format == "tsv":
-        docs = []
-        with path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if "\t" not in line:
-                    raise CorpusError(f"malformed TSV line {lineno}: no tab")
-                label, text = line.split("\t", 1)
-                docs.append(RawDocument(label=label, text=text))
-    elif format in ("dirs", "class-dirs"):
-        docs = []
-        for class_dir in sorted(p for p in path.iterdir() if p.is_dir()):
-            for doc_file in sorted(p for p in class_dir.iterdir() if p.is_file()):
-                text = doc_file.read_text(encoding="utf-8", errors="replace")
-                docs.append(RawDocument(label=class_dir.name, text=text))
-    else:
-        raise CorpusError(f"unknown corpus format: {format!r}")
+    docs = []
+    try:
+        if format == "tsv":
+            with path.open(encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    line = line.rstrip("\n")
+                    if not line:
+                        continue
+                    if "\t" not in line:
+                        raise CorpusError(f"malformed TSV line {lineno}: no tab")
+                    label, text = line.split("\t", 1)
+                    docs.append(RawDocument(label=label, text=text))
+        elif format in ("dirs", "class-dirs"):
+            for class_dir in sorted(p for p in path.iterdir() if p.is_dir()):
+                for doc_file in sorted(p for p in class_dir.iterdir() if p.is_file()):
+                    text = doc_file.read_text(encoding="utf-8", errors="replace")
+                    docs.append(RawDocument(label=class_dir.name, text=text))
+        else:
+            raise CorpusError(f"unknown corpus format: {format!r}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from exc
     if not docs:
         raise CorpusError("zero documents")
     return Corpus.from_docs(docs)

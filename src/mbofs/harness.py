@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import base64
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,19 +20,10 @@ import numpy as np
 from . import classifiers, corpus as corpus_mod, filter_ig
 from .corpus import CorpusStats, DocTermMatrix
 from .heuristic import ChangeSchedule, FeatureMask, FitnessFn
-from .mbo import (
-    Bird,
-    Flock,
-    MboConfig,
-    MboSnapshot,
-    MboState,
-    RunTrace,
-    TourRecord,
-    mbo_select,
-)
-from .pso import IterationRecord, Particle, PsoConfig, PsoSnapshot, PsoTrace, pso_select
+from .mbo import MboConfig, MboSnapshot, mbo_select
+from .pso import PsoConfig, PsoSnapshot, pso_select
 
-CHECKPOINT_VERSION = 2  # 2: PSO velocities as base64 float64
+CHECKPOINT_VERSION = 3  # 2: PSO velocities as base64 float64; 3: traces as dataclasses
 # Config fields that change a search's trajectory; a checkpoint is bound to them.
 SEARCH_FIELDS = ("seed", "folds", "ig_cap", "flock_size", "neighbors",
                  "base_fraction", "swarm_size", "pso_iterations")
@@ -119,21 +112,14 @@ class RunReport:
     config: dict
 
     def to_dict(self) -> dict:
-        return {
-            "corpus": asdict(self.corpus),
-            "methods": [asdict(m) for m in self.methods],
-            "seed": self.seed,
-            "config": self.config,
-        }
+        return _encode(self)
 
     @staticmethod
     def from_dict(d: dict) -> "RunReport":
-        return RunReport(
-            corpus=CorpusStats(**d["corpus"]),
-            methods=[MethodResult(**m) for m in d["methods"]],
-            seed=d["seed"],
-            config=d["config"],
-        )
+        try:
+            return _decode(RunReport, d)
+        except (KeyError, TypeError) as exc:
+            raise PipelineError("report", f"malformed report: {exc!r}") from exc
 
 
 def evaluate_mask(
@@ -189,114 +175,56 @@ def save_mask_sidecar(path, mask: np.ndarray, terms: list[str] | None, gain: np.
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints
+# Snapshot and report codec, checkpoints
 
 
-def _mask_to_json(mask: FeatureMask) -> str:
-    return mask.to_bitstring()
+def _encode(value):
+    """JSON form of a snapshot or report: masks as 0/1 strings, float arrays as
+    base64 of little-endian float64 (exact, and shorter than a float list),
+    dataclasses as objects with one key per field."""
+    if isinstance(value, FeatureMask):
+        return value.to_bitstring()
+    if isinstance(value, np.ndarray):
+        return base64.b64encode(np.asarray(value, dtype="<f8").tobytes()).decode("ascii")
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    return value
 
 
-def _flock_to_json(flock: Flock) -> dict:
-    bird = lambda b: {"mask": _mask_to_json(b.mask), "fitness": b.fitness}
-    return {
-        "leader": bird(flock.leader),
-        "left": [bird(b) for b in flock.left],
-        "right": [bird(b) for b in flock.right],
-    }
-
-
-def _flock_from_json(d: dict) -> Flock:
-    bird = lambda b: Bird(mask=FeatureMask.from_bitstring(b["mask"]), fitness=b["fitness"])
-    return Flock(
-        leader=bird(d["leader"]),
-        left=tuple(bird(b) for b in d["left"]),
-        right=tuple(bird(b) for b in d["right"]),
-    )
+def _decode(hint, value):
+    """Inverse of _encode, led by the type hints; a value of the wrong type raises TypeError."""
+    if hint is FeatureMask:
+        return FeatureMask.from_bitstring(value)
+    if hint is np.ndarray:
+        return np.frombuffer(base64.b64decode(value), dtype="<f8").astype(np.float64)
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        return hint(**{f.name: _decode(hints[f.name], value[f.name])
+                       for f in dataclasses.fields(hint)})
+    origin = typing.get_origin(hint)
+    if origin in (list, tuple):
+        return origin(_decode(typing.get_args(hint)[0], v) for v in value)
+    if not isinstance(value, (int, float) if hint is float else hint) or isinstance(value, bool):
+        raise TypeError(f"expected {hint.__name__}, got {value!r}")
+    return float(value) if hint is float else value
 
 
 def mbo_snapshot_to_json(snap: MboSnapshot) -> dict:
-    s = snap.state
-    return {
-        "state": {
-            "f_max": s.f_max,
-            "b_max": _mask_to_json(s.b_max),
-            "f1": s.f1,
-            "f2": s.f2,
-            "f3": s.f3,
-            "counter": s.counter,
-        },
-        "flock": _flock_to_json(snap.flock),
-        "elapsed_seconds": snap.elapsed_seconds,
-        "trace": [asdict(r) for r in snap.trace.records],
-    }
+    return _encode(snap)
 
 
 def mbo_snapshot_from_json(d: dict) -> MboSnapshot:
-    s = d["state"]
-    state = MboState(
-        f_max=s["f_max"],
-        b_max=FeatureMask.from_bitstring(s["b_max"]),
-        f1=s["f1"],
-        f2=s["f2"],
-        f3=s["f3"],
-        counter=s["counter"],
-    )
-    trace = RunTrace(records=[TourRecord(**r) for r in d["trace"]])
-    return MboSnapshot(
-        state=state,
-        flock=_flock_from_json(d["flock"]),
-        elapsed_seconds=d["elapsed_seconds"],
-        trace=trace,
-    )
-
-
-def _velocity_to_json(v: np.ndarray) -> str:
-    """Base64 of the little-endian float64 bytes: exact, and shorter than a float list."""
-    return base64.b64encode(np.asarray(v, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _velocity_from_json(s: str) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(s), dtype="<f8").astype(np.float64)
+    return _decode(MboSnapshot, d)
 
 
 def pso_snapshot_to_json(snap: PsoSnapshot) -> dict:
-    return {
-        "particles": [
-            {
-                "position": _mask_to_json(p.position),
-                "velocity": _velocity_to_json(p.velocity),
-                "pbest_mask": _mask_to_json(p.pbest_mask),
-                "pbest_fitness": p.pbest_fitness,
-            }
-            for p in snap.particles
-        ],
-        "gbest_mask": _mask_to_json(snap.gbest_mask),
-        "gbest_fitness": snap.gbest_fitness,
-        "iteration": snap.iteration,
-        "elapsed_seconds": snap.elapsed_seconds,
-        "trace": [asdict(r) for r in snap.trace.records],
-    }
+    return _encode(snap)
 
 
 def pso_snapshot_from_json(d: dict) -> PsoSnapshot:
-    particles = [
-        Particle(
-            position=FeatureMask.from_bitstring(p["position"]),
-            velocity=_velocity_from_json(p["velocity"]),
-            pbest_mask=FeatureMask.from_bitstring(p["pbest_mask"]),
-            pbest_fitness=p["pbest_fitness"],
-        )
-        for p in d["particles"]
-    ]
-    trace = PsoTrace(records=[IterationRecord(**r) for r in d["trace"]])
-    return PsoSnapshot(
-        particles=particles,
-        gbest_mask=FeatureMask.from_bitstring(d["gbest_mask"]),
-        gbest_fitness=d["gbest_fitness"],
-        iteration=d["iteration"],
-        elapsed_seconds=d["elapsed_seconds"],
-        trace=trace,
-    )
+    return _decode(PsoSnapshot, d)
 
 
 def checkpoint_save(path, method: str, fingerprint: str, payload: dict):
@@ -345,6 +273,22 @@ def _expand_mask(reduced_mask: FeatureMask, ig_columns: np.ndarray, universe: in
     return full
 
 
+def load_input(config: ExperimentConfig) -> tuple[DocTermMatrix, list[str], CorpusStats]:
+    """The corpus the config names, as a TF-IDF matrix, its terms and its statistics."""
+    try:
+        stopwords = (
+            corpus_mod.load_stopwords(config.stopwords_path)
+            if config.stopwords_path
+            else corpus_mod.DEFAULT_STOPWORDS
+        )
+        raw = corpus_mod.load_corpus(config.corpus_path, config.corpus_format)
+        vocab = corpus_mod.build_vocabulary(raw, stopwords)
+        matrix = corpus_mod.vectorize_tfidf(raw, vocab, stopwords)
+        return matrix, vocab.term_list(), corpus_mod.compute_stats(raw, vocab, stopwords)
+    except corpus_mod.CorpusError as exc:
+        raise PipelineError("load", str(exc)) from exc
+
+
 def run_experiment(
     config: ExperimentConfig,
     matrix: DocTermMatrix | None = None,
@@ -357,19 +301,7 @@ def run_experiment(
     (synthetic benchmarks); otherwise the corpus is loaded from config."""
     config.validate()
     if matrix is None:
-        try:
-            stopwords = (
-                corpus_mod.load_stopwords(config.stopwords_path)
-                if config.stopwords_path
-                else corpus_mod.DEFAULT_STOPWORDS
-            )
-            raw = corpus_mod.load_corpus(config.corpus_path, config.corpus_format)
-            vocab = corpus_mod.build_vocabulary(raw, stopwords)
-            matrix = corpus_mod.vectorize_tfidf(raw, vocab, stopwords)
-            terms = vocab.term_list()
-            stats = corpus_mod.compute_stats(raw, vocab, stopwords)
-        except corpus_mod.CorpusError as exc:
-            raise PipelineError("load", str(exc)) from exc
+        matrix, terms, stats = load_input(config)
     if stats is None:
         stats = CorpusStats(
             n_features=matrix.n_features,
@@ -418,71 +350,47 @@ def run_experiment(
         if resume_path:
             resume_method, resume_payload = checkpoint_load(resume_path, fingerprint)
 
-        if config.method in ("mbo", "all"):
-            mbo_cfg = MboConfig(
-                flock_size=config.flock_size,
-                neighbors=config.neighbors,
-                schedule=schedule,
-                budget_seconds=config.budget_seconds,
-                seed=config.seed,
-            )
-            ckpt_path = out_dir / "checkpoint_mbo.json"
-            on_tour = lambda snap: checkpoint_save(
-                ckpt_path, "mbo", fingerprint, mbo_snapshot_to_json(snap)
-            )
-            resume = (
-                mbo_snapshot_from_json(resume_payload)
-                if resume_method == "mbo"
-                else None
-            )
-            best, _state, trace = mbo_select(
-                reduced, input_mask, mbo_cfg, fitness=fitness,
-                resume=resume, on_tour=on_tour,
-            )
-            full = _expand_mask(best, ig_columns, matrix.n_features)
-            acc, clf = evaluate_mask(matrix, full, config.eval_classifier,
-                                     config.folds, config.seed)
-            methods.append(MethodResult("mbo", int(full.sum()), acc, clf,
-                                        trace.elapsed_seconds, trace.termination))
-            save_mask(out_dir / "mask_mbo.txt", full)
-            save_mask_sidecar(out_dir / "mask_mbo_features.csv", full, terms, scores.gain)
-            _write_trace(out_dir / "trace_mbo.txt", [
-                f"tour={r.counter} change={r.change} f_max={r.f_max!r} elapsed_ms={r.elapsed_ms:.1f}"
-                for r in trace.records
-            ])
-
-        if config.method in ("pso", "all"):
-            pso_cfg = PsoConfig(
-                swarm_size=config.swarm_size,
-                max_iterations=config.pso_iterations,
-                schedule=schedule,
-                budget_seconds=config.budget_seconds,
-                seed=config.seed,
-            )
-            ckpt_path = out_dir / "checkpoint_pso.json"
-            on_iter = lambda snap: checkpoint_save(
-                ckpt_path, "pso", fingerprint, pso_snapshot_to_json(snap)
-            )
-            resume = (
-                pso_snapshot_from_json(resume_payload)
-                if resume_method == "pso"
-                else None
-            )
-            best, trace = pso_select(
-                reduced, input_mask, pso_cfg, fitness=fitness,
-                resume=resume, on_iteration=on_iter,
+        # built per call, so the engine and codec names are looked up at run time
+        engines = {
+            "mbo": (
+                lambda resume, on_step: mbo_select(
+                    reduced, input_mask,
+                    MboConfig(flock_size=config.flock_size, neighbors=config.neighbors,
+                              schedule=schedule, budget_seconds=config.budget_seconds,
+                              seed=config.seed),
+                    fitness=fitness, resume=resume, on_tour=on_step)[::2],  # (mask, trace)
+                mbo_snapshot_to_json, mbo_snapshot_from_json,
+                lambda r: f"tour={r.counter} change={r.change} f_max={r.f_max!r} "
+                          f"elapsed_ms={r.elapsed_ms:.1f}",
+            ),
+            "pso": (
+                lambda resume, on_step: pso_select(
+                    reduced, input_mask,
+                    PsoConfig(swarm_size=config.swarm_size,
+                              max_iterations=config.pso_iterations, schedule=schedule,
+                              budget_seconds=config.budget_seconds, seed=config.seed),
+                    fitness=fitness, resume=resume, on_iteration=on_step),
+                pso_snapshot_to_json, pso_snapshot_from_json,
+                lambda r: f"iteration={r.iteration} gbest={r.gbest_fitness!r} "
+                          f"elapsed_ms={r.elapsed_ms:.1f}",
+            ),
+        }
+        for name, (select, to_json, from_json, trace_line) in engines.items():
+            if config.method not in (name, "all"):
+                continue
+            ckpt_path = out_dir / f"checkpoint_{name}.json"
+            best, trace = select(
+                from_json(resume_payload) if resume_method == name else None,
+                lambda snap: checkpoint_save(ckpt_path, name, fingerprint, to_json(snap)),
             )
             full = _expand_mask(best, ig_columns, matrix.n_features)
             acc, clf = evaluate_mask(matrix, full, config.eval_classifier,
                                      config.folds, config.seed)
-            methods.append(MethodResult("pso", int(full.sum()), acc, clf,
+            methods.append(MethodResult(name, int(full.sum()), acc, clf,
                                         trace.elapsed_seconds, trace.termination))
-            save_mask(out_dir / "mask_pso.txt", full)
-            save_mask_sidecar(out_dir / "mask_pso_features.csv", full, terms, scores.gain)
-            _write_trace(out_dir / "trace_pso.txt", [
-                f"iteration={r.iteration} gbest={r.gbest_fitness!r} elapsed_ms={r.elapsed_ms:.1f}"
-                for r in trace.records
-            ])
+            save_mask(out_dir / f"mask_{name}.txt", full)
+            save_mask_sidecar(out_dir / f"mask_{name}_features.csv", full, terms, scores.gain)
+            _write_trace(out_dir / f"trace_{name}.txt", [trace_line(r) for r in trace.records])
 
     report = RunReport(corpus=stats, methods=methods, seed=config.seed,
                        config=asdict(config))

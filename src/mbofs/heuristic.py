@@ -1,8 +1,10 @@
 """Shared search machinery: bit-vector solutions, neighbor moves, scheduled
-change counts, derived RNG streams, and the memoized cross-validation fitness."""
+change counts, derived RNG streams, the memoized cross-validation fitness, and
+the search loop both engines run under."""
 
 from __future__ import annotations
 
+import time
 import zlib
 from dataclasses import dataclass, replace
 
@@ -14,6 +16,9 @@ from .corpus import DocTermMatrix
 
 class HeuristicError(Exception):
     pass
+
+
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -44,7 +49,7 @@ class FeatureMask:
         return sum(self.bits)
 
     def to_bitstring(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
+        return self.bits.translate(_BIT_CHARS).decode("ascii")
 
     @staticmethod
     def from_bitstring(s: str) -> "FeatureMask":
@@ -127,13 +132,11 @@ class FitnessFn:
         classifier: str = "nb",
         k: int = 5,
         seed: int = 0,
-        memoize: bool = True,
     ):
         self.matrix = matrix
         self.classifier = classifier
         self.k = k
         self.seed = seed
-        self.memoize = memoize
         self._memo: dict[bytes, float] = {}
         self.evaluations = 0  # distinct CV runs, for trace/diagnostics
         self._nb = NbFoldKernel(matrix, k, seed) if classifier == "nb" else None
@@ -141,10 +144,9 @@ class FitnessFn:
     def __call__(self, mask: FeatureMask) -> float:
         if mask.popcount == 0:
             return 0.0
-        if self.memoize:
-            cached = self._memo.get(mask.bits)
-            if cached is not None:
-                return cached
+        cached = self._memo.get(mask.bits)
+        if cached is not None:
+            return cached
         if self._nb is not None:
             value = self._nb.mean_accuracy(mask.to_array())
         else:
@@ -152,6 +154,29 @@ class FitnessFn:
                 self.matrix, mask.to_array(), self.classifier, self.k, self.seed
             ).mean_accuracy
         self.evaluations += 1
-        if self.memoize:
-            self._memo[mask.bits] = value
+        self._memo[mask.bits] = value
         return value
+
+
+def run_search(snapshot, step, stop, budget_seconds: float, on_step=None):
+    """Advance an engine's live snapshot until its stop rule or the budget ends it.
+
+    The snapshot carries `elapsed_seconds` (time already spent, nonzero on
+    resume) and a `trace` with `termination` and `elapsed_seconds`. Each round
+    checks `stop(snapshot)` (a termination reason or None) before the budget,
+    then runs `step(snapshot, clock)`, one tour or iteration in place, with
+    `clock()` giving the elapsed seconds, and hands the snapshot to `on_step`.
+    """
+    start = time.monotonic()
+    already = snapshot.elapsed_seconds
+    clock = lambda: already + (time.monotonic() - start)
+    while (reason := stop(snapshot)) is None:
+        if clock() >= budget_seconds:
+            reason = "budget"
+            break
+        step(snapshot, clock)
+        snapshot.elapsed_seconds = clock()
+        if on_step is not None:
+            on_step(snapshot)
+    snapshot.trace.termination = reason
+    snapshot.trace.elapsed_seconds = clock()

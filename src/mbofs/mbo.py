@@ -10,8 +10,7 @@ steps the best bird swaps places with the leader. The run stops on stagnation
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .corpus import DocTermMatrix
 from .heuristic import (
@@ -22,6 +21,7 @@ from .heuristic import (
     RngStream,
     change_count,
     generate_neighbor,
+    run_search,
 )
 
 STEPS_PER_TOUR = 10
@@ -170,12 +170,19 @@ def reorder(flock: Flock) -> Flock:
 
 @dataclass
 class MboSnapshot:
-    """Everything needed to resume a run at a tour boundary."""
+    """The search's live state; everything needed to resume at a tour boundary."""
 
     state: MboState
     flock: Flock
     elapsed_seconds: float
     trace: RunTrace
+
+
+def _stop_rule(snap: MboSnapshot) -> str | None:
+    s = snap.state
+    if s.counter >= 3 and s.f1 == s.f3:
+        return "stagnation"
+    return "max-tours" if s.counter >= MAX_TOURS else None
 
 
 def mbo_select(
@@ -199,26 +206,18 @@ def mbo_select(
     rng = RngStream(config.seed)
     m_prime = input_mask.popcount
 
-    if resume is not None:
-        state = resume.state
-        flock = resume.flock
-        trace = resume.trace
-        already_elapsed = resume.elapsed_seconds
-    else:
+    snap = resume
+    if snap is None:
         f0 = fitness(input_mask)
-        state = MboState(f_max=f0, b_max=input_mask, f1=f0, f2=f0, f3=f0)
-        flock = initialize_flock(input_mask, config, rng.child("flock"), fitness)
-        trace = RunTrace()
-        already_elapsed = 0.0
+        snap = MboSnapshot(
+            state=MboState(f_max=f0, b_max=input_mask, f1=f0, f2=f0, f3=f0),
+            flock=initialize_flock(input_mask, config, rng.child("flock"), fitness),
+            elapsed_seconds=0.0,
+            trace=RunTrace(),
+        )
 
-    start = time.monotonic()
-    elapsed = lambda: already_elapsed + (time.monotonic() - start)
-
-    out_of_budget = False
-    while (state.counter < 3 or state.f1 != state.f3) and state.counter < MAX_TOURS:
-        if elapsed() >= config.budget_seconds:
-            out_of_budget = True
-            break
+    def tour(snap: MboSnapshot, clock):
+        state, flock = snap.state, snap.flock
         change = change_count(state.counter, m_prime, config.schedule)
         tour_rng = rng.child("tour", state.counter)
         for step in range(STEPS_PER_TOUR):
@@ -227,20 +226,10 @@ def mbo_select(
             if best.fitness > state.f_max:
                 state.f_max = best.fitness
                 state.b_max = best.mask
-        flock = reorder(flock)
+        snap.flock = reorder(flock)
         state.f1, state.f2, state.f3 = state.f_max, state.f1, state.f2
         state.counter += 1
-        trace.records.append(
-            TourRecord(state.counter, change, state.f_max, elapsed() * 1000.0)
-        )
-        if on_tour is not None:
-            on_tour(MboSnapshot(state=state, flock=flock, elapsed_seconds=elapsed(), trace=trace))
+        snap.trace.records.append(TourRecord(state.counter, change, state.f_max, clock() * 1000.0))
 
-    if out_of_budget:
-        trace.termination = "budget"
-    elif state.counter >= 3 and state.f1 == state.f3:
-        trace.termination = "stagnation"
-    else:
-        trace.termination = "max-tours"
-    trace.elapsed_seconds = elapsed()
-    return state.b_max, state, trace
+    run_search(snap, tour, _stop_rule, config.budget_seconds, on_tour)
+    return snap.state.b_max, snap.state, snap.trace

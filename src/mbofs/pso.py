@@ -9,7 +9,6 @@ bit is resampled to 1 with probability sigmoid(velocity).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,7 @@ from .heuristic import (
     RngStream,
     change_count,
     generate_neighbor,
+    run_search,
 )
 
 
@@ -64,6 +64,8 @@ class PsoTrace:
 
 @dataclass
 class PsoSnapshot:
+    """The search's live state; everything needed to resume at an iteration boundary."""
+
     particles: list[Particle]
     gbest_mask: FeatureMask
     gbest_fitness: float
@@ -113,33 +115,25 @@ def pso_select(
         fitness = FitnessFn(matrix, classifier="nb", seed=config.seed)
     rng = RngStream(config.seed)
 
-    if resume is not None:
-        particles = resume.particles
-        gbest_mask, gbest_fitness = resume.gbest_mask, resume.gbest_fitness
-        start_iter = resume.iteration
-        trace = resume.trace
-        already_elapsed = resume.elapsed_seconds
-    else:
+    snap = resume
+    if snap is None:
         particles = _init_swarm(input_mask, config, rng.child("swarm"), fitness)
         best = max(range(len(particles)), key=lambda i: (particles[i].pbest_fitness, -i))
-        gbest_mask = particles[best].pbest_mask
-        gbest_fitness = particles[best].pbest_fitness
-        start_iter = 0
-        trace = PsoTrace()
-        already_elapsed = 0.0
+        snap = PsoSnapshot(
+            particles=particles,
+            gbest_mask=particles[best].pbest_mask,
+            gbest_fitness=particles[best].pbest_fitness,
+            iteration=0,
+            elapsed_seconds=0.0,
+            trace=PsoTrace(),
+        )
 
-    start = time.monotonic()
-    elapsed = lambda: already_elapsed + (time.monotonic() - start)
-
-    out_of_budget = False
-    for it in range(start_iter, config.max_iterations):
-        if elapsed() >= config.budget_seconds:
-            out_of_budget = True
-            break
+    def iteration(snap: PsoSnapshot, clock):
+        it = snap.iteration
         frac = it / max(config.max_iterations - 1, 1)
         w = config.w_start + (config.w_end - config.w_start) * frac
-        gbest_bits = gbest_mask.to_array().astype(float)
-        for i, p in enumerate(particles):
+        gbest_bits = snap.gbest_mask.to_array().astype(float)
+        for i, p in enumerate(snap.particles):
             gen = rng.child("iter", it).child("particle", i).generator()
             x = p.position.to_array().astype(float)
             pb = p.pbest_mask.to_array().astype(float)
@@ -156,23 +150,13 @@ def pso_select(
                 p.pbest_mask = p.position
                 p.pbest_fitness = f
         # gbest reduction at the iteration barrier, in particle-index order
-        for p in particles:
-            if p.pbest_fitness > gbest_fitness:
-                gbest_fitness = p.pbest_fitness
-                gbest_mask = p.pbest_mask
-        trace.records.append(IterationRecord(it + 1, gbest_fitness, elapsed() * 1000.0))
-        if on_iteration is not None:
-            on_iteration(
-                PsoSnapshot(
-                    particles=particles,
-                    gbest_mask=gbest_mask,
-                    gbest_fitness=gbest_fitness,
-                    iteration=it + 1,
-                    elapsed_seconds=elapsed(),
-                    trace=trace,
-                )
-            )
+        for p in snap.particles:
+            if p.pbest_fitness > snap.gbest_fitness:
+                snap.gbest_fitness = p.pbest_fitness
+                snap.gbest_mask = p.pbest_mask
+        snap.iteration = it + 1
+        snap.trace.records.append(IterationRecord(it + 1, snap.gbest_fitness, clock() * 1000.0))
 
-    trace.termination = "budget" if out_of_budget else "max-iterations"
-    trace.elapsed_seconds = elapsed()
-    return gbest_mask, trace
+    stop = lambda s: "max-iterations" if s.iteration >= config.max_iterations else None
+    run_search(snap, iteration, stop, config.budget_seconds, on_iteration)
+    return snap.gbest_mask, snap.trace

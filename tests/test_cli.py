@@ -131,12 +131,53 @@ def test_report_malformed_json(tmp_path, capsys):
     _one_error_line(capsys, "error: [report] malformed")
 
 
+_CORPUS = {"n_features": 3, "n_instances": 4, "n_classes": 2,
+           "avg_words_per_instance": 1.0, "avg_word_length": 2.0}
+_ROW = {"name": "ig", "m_prime": 2, "accuracy": 0.5, "classifier": "nb",
+        "elapsed_s": 0.1, "status": "ok"}
+_REPORT = {"corpus": _CORPUS, "methods": [_ROW], "seed": 0, "config": {}}
+
+
+def test_report_well_formed(tmp_path, capsys):
+    (tmp_path / "report.json").write_text(json.dumps(_REPORT))
+    assert main(["report", str(tmp_path)]) == 0
+    assert "50.0" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("doc", [
     {"methods": [], "seed": 0, "config": {}},  # no corpus
     {"corpus": {"n_features": 3}, "methods": [], "seed": 0, "config": {}},
     [],
+    {**_REPORT, "methods": [{**_ROW, "accuracy": "high"}]},
+    {**_REPORT, "methods": [{**_ROW, "m_prime": "12"}]},
+    {**_REPORT, "corpus": {**_CORPUS, "n_classes": None}},
+    {**_REPORT, "seed": "0"},
 ])
 def test_report_incomplete(tmp_path, capsys, doc):
     (tmp_path / "report.json").write_text(json.dumps(doc))
     assert main(["report", str(tmp_path)]) == 2
     _one_error_line(capsys, "error: [report] malformed")
+
+
+@pytest.mark.parametrize("command", ["ingest", "select", "evaluate"])
+@pytest.mark.parametrize("case", ["missing-stopwords", "dirs-on-a-file", "not-utf8"])
+def test_unreadable_corpus_input(config_file, demo_tsv, tmp_path, capsys, command, case):
+    corpus, fmt, stopwords = str(demo_tsv), "tsv", ""
+    if case == "missing-stopwords":
+        stopwords = str(tmp_path / "missing-stopwords.txt")
+    elif case == "dirs-on-a-file":
+        fmt = "dirs"
+    else:
+        corpus = str(tmp_path / "latin1.tsv")
+        (tmp_path / "latin1.tsv").write_bytes(b"class0\tcaf\xe9 au lait\n")
+    with config_file.open("a", encoding="utf-8") as fh:  # later keys win
+        fh.write(f"corpus_path = {corpus}\ncorpus_format = {fmt}\n"
+                 f"stopwords_path = {stopwords}\n")
+    argv = {
+        "ingest": ["ingest", corpus, "--format", fmt, "--stopwords", stopwords],
+        "select": ["select", "--method", "ig", "--config", str(config_file)],
+        "evaluate": ["evaluate", "--mask", str(tmp_path / "mask.txt"),
+                     "--config", str(config_file)],
+    }[command]
+    assert main(argv) == 2
+    _one_error_line(capsys, "error: [load] cannot read")

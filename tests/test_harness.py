@@ -1,4 +1,6 @@
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,7 +100,7 @@ class TestCheckpoint:
 
     def test_version_mismatch(self, tmp_path):
         p = tmp_path / "ck.json"
-        for version in (1, 99):  # 1: PSO velocities as float lists
+        for version in (1, 2, 99):  # 1: velocities as float lists; 2: traces as bare record lists
             p.write_text(json.dumps({"format_version": version, "fingerprint": "fp"}))
             with pytest.raises(CheckpointError, match="version"):
                 checkpoint_load(p, "fp")
@@ -161,6 +163,22 @@ class TestCheckpoint:
                                          fitness=FitnessFn(matrix, seed=5), resume=resumed)
         assert res_best == full_best
         assert res_trace.records[-1].gbest_fitness == full_trace.records[-1].gbest_fitness
+
+
+def test_snapshot_codec_roundtrip_exact():
+    """Both snapshot types survive JSON text unchanged, trace and velocities included."""
+    matrix, _ = make_planted_matrix(n_docs=60, n_features=40, n_informative=8, seed=3)
+    mask = FeatureMask.ones(40)
+    docs = {}
+    mbo_select(matrix, mask, MboConfig(seed=1, flock_size=5, budget_seconds=60),
+               on_tour=lambda snap: docs.update(mbo=mbo_snapshot_to_json(snap)))
+    pso_select(matrix, mask, PsoConfig(seed=1, swarm_size=4, max_iterations=3),
+               on_iteration=lambda snap: docs.update(pso=pso_snapshot_to_json(snap)))
+    for name, to_json, from_json in [("mbo", mbo_snapshot_to_json, mbo_snapshot_from_json),
+                                     ("pso", pso_snapshot_to_json, pso_snapshot_from_json)]:
+        back = from_json(json.loads(json.dumps(docs[name])))
+        assert to_json(back) == docs[name], name
+        assert back.trace.records and back.elapsed_seconds > 0.0
 
 
 def _report():
@@ -293,3 +311,21 @@ class TestCheckpointBinding:
                              ("neighbors", 2), ("base_fraction", 0.05), ("swarm_size", 10),
                              ("pso_iterations", 7)]:
             assert run_fingerprint(matrix, ExperimentConfig(**{field: value})) != base, field
+
+
+def test_benchmark_hooks_see_engines_and_checkpoints(monkeypatch, tmp_path):
+    """perfbench/layers.py wraps these names at run time; each must still record a span."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    layers = importlib.import_module("layers")
+    rec = importlib.import_module("tracer").Recorder()
+    matrix, _ = make_planted_matrix(n_docs=60, n_features=40, n_informative=8, seed=3)
+    cfg = ExperimentConfig(ig_cap=20, method="all", eval_classifier="nb", flock_size=5,
+                           swarm_size=6, pso_iterations=3, out_dir=str(tmp_path / "run"))
+    layers.install(rec)
+    try:
+        run_experiment(cfg, matrix=matrix)
+    finally:
+        rec.uninstall()
+    names = {span[0] for span in rec.spans}
+    assert {"mbo.mbo_select", "pso.pso_select", "harness.mbo_snapshot_to_json",
+            "harness.pso_snapshot_to_json", "harness.checkpoint_save"} <= names

@@ -157,11 +157,13 @@ class TestFitness:
         rng = np.random.default_rng(4)
         masks = [FeatureMask.from_array(rng.random(matrix.n_features) < 0.5)
                  for _ in range(10)]
-        memo = FitnessFn(matrix, seed=3, memoize=True)
-        plain = FitnessFn(matrix, seed=3, memoize=False)
+        masks.append(FeatureMask.zeros(matrix.n_features))  # scores 0.0, never evaluated
+        fit = FitnessFn(matrix, seed=3)
         for m in masks + masks:  # revisit to hit the cache
-            assert memo(m) == plain(m)
-        assert memo.evaluations < plain.evaluations
+            want = (cross_val_accuracy(matrix, m.to_array(), "nb", 5, 3).mean_accuracy
+                    if m.popcount else 0.0)
+            assert fit(m) == want
+        assert fit.evaluations == len({m.bits for m in masks if m.popcount})
 
     def test_fixed_seed_repeatable(self, matrix):
         mask = FeatureMask.ones(matrix.n_features)

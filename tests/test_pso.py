@@ -31,41 +31,46 @@ class TestSigmoid:
 
 
 class TestPsoSelect:
-    def run(self, matrix, seed=0, iters=8, **kw):
+    def run(self, matrix, seed=0, iters=8, on_iteration=None, **kw):
         fit = FitnessFn(matrix, seed=seed)
         mask = FeatureMask.ones(matrix.n_features)
         cfg = PsoConfig(seed=seed, max_iterations=iters, swarm_size=10,
                         budget_seconds=120, **kw)
-        snapshots = []
         best, trace = pso_select(matrix, mask, cfg, fitness=fit,
-                                 on_iteration=snapshots.append)
-        return fit, mask, best, trace, snapshots, cfg
+                                 on_iteration=on_iteration)
+        return fit, mask, best, trace, cfg
 
     def test_gbest_floor_is_input(self, small_matrix):
-        fit, mask, best, trace, _, _ = self.run(small_matrix)
+        fit, mask, best, trace, _ = self.run(small_matrix)
         assert fit(best) >= fit(mask)
 
     def test_gbest_trace_non_decreasing(self, small_matrix):
-        _, _, _, trace, _, _ = self.run(small_matrix, seed=1)
+        _, _, _, trace, _ = self.run(small_matrix, seed=1)
         g = [r.gbest_fitness for r in trace.records]
         assert all(a <= b for a, b in zip(g, g[1:]))
 
+    # The callback gets the live snapshot, whose particles change in place, so
+    # these tests record values at callback time rather than keep snapshots.
+
     def test_velocity_clamped(self, small_matrix):
-        _, _, _, _, snapshots, cfg = self.run(small_matrix, seed=2)
-        for snap in snapshots:
-            for p in snap.particles:
-                assert np.all(np.abs(p.velocity) <= cfg.v_max + 1e-12)
+        peaks = []
+        record = lambda snap: peaks.append(max(np.abs(p.velocity).max() for p in snap.particles))
+        _, _, _, _, cfg = self.run(small_matrix, seed=2, on_iteration=record)
+        assert len(peaks) == 8
+        assert max(peaks) <= cfg.v_max + 1e-12
 
     def test_pbest_non_decreasing(self, small_matrix):
-        _, _, _, _, snapshots, _ = self.run(small_matrix, seed=3)
-        by_particle = list(zip(*[[p.pbest_fitness for p in s.particles]
-                                 for s in snapshots]))
+        rows = []
+        record = lambda snap: rows.append([p.pbest_fitness for p in snap.particles])
+        self.run(small_matrix, seed=3, on_iteration=record)
+        by_particle = list(zip(*rows))
         for series in by_particle:
             assert all(a <= b for a, b in zip(series, series[1:]))
+        assert any(series[0] < series[-1] for series in by_particle)  # pbests moved
 
     def test_deterministic(self, small_matrix):
-        _, _, b1, t1, _, _ = self.run(small_matrix, seed=4)
-        _, _, b2, t2, _, _ = self.run(small_matrix, seed=4)
+        _, _, b1, t1, _ = self.run(small_matrix, seed=4)
+        _, _, b2, t2, _ = self.run(small_matrix, seed=4)
         assert b1 == b2
         assert [r.gbest_fitness for r in t1.records] == [
             r.gbest_fitness for r in t2.records
