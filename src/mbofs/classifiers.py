@@ -279,73 +279,65 @@ def cross_val_accuracy(
     )
 
 
-@dataclass(frozen=True)
-class _NbFold:
-    test_rows: sp.csr_matrix  # the fold's test rows, all M columns
-    test_labels: np.ndarray
-    class_mass: np.ndarray  # (M, C) summed TF-IDF mass of the training rows
-    log_mass: np.ndarray  # (M, C) log(class_mass + alpha)
-    log_priors: np.ndarray  # (C,)
-
-
 class NbFoldKernel:
     """Stratified k-fold multinomial-NB accuracy on folds fixed up front.
 
-    Everything but the column choice is built once per fold: the class-mass
-    matrix over all M columns, its smoothed logs, the log priors and the test
-    rows. A mask then costs a column gather and one sparse product per fold.
-    The log-likelihoods are kept at full width with 0.0 in the unselected
-    columns, so every score sums the same terms in the same order as
-    cross_val_accuracy(..., "nb"), plus exact +0.0 terms: accuracies, argmax
-    ties included, are bit-identical to it.
+    Everything but the column choice is built once for all k folds. The
+    training class mass over all M columns (nb_train's expression, with the
+    fold's own rows as exact +0.0 terms) and its smoothed logs are (M, k*C)
+    tables whose column f*C + c holds fold f and class c. Every document sits
+    in one CSR matrix with column j of row i moved to j*k + fold(i), so its
+    product with the (M*k, C) view of the log-likelihoods scores each row with
+    its own fold's model, from the same nonzeros in the same order as that
+    fold's test rows times its (M, C) block. A mask then costs one column sum
+    over the selected rows of the mass, one masked subtract and one sparse
+    product. Unselected columns carry 0.0 log-likelihoods, so every score
+    sums the same terms in the same order as cross_val_accuracy(..., "nb"),
+    plus exact +0.0 terms: accuracies, argmax ties included, are
+    bit-identical to it.
     """
 
     def __init__(self, matrix: DocTermMatrix, k: int = 5, seed: int = 0,
                  alpha: float = 1.0):
-        folds = stratified_folds(matrix.labels, k, seed)
-        all_rows = np.arange(matrix.n_docs)
-        n_classes = matrix.n_classes
-        self.alpha = alpha
-        self.folds: list[_NbFold] = []
-        for fold in range(k):
-            test = all_rows[folds.fold_of == fold]
-            train = all_rows[folds.fold_of != fold]
-            labels = matrix.labels[train]
-            onehot = np.zeros((len(train), n_classes))
-            onehot[np.arange(len(train)), labels] = 1.0
-            # nb_train's expression over all columns, stored as (M, C): a mask's
-            # rows, transposed, then have nb_train's (C, M') Fortran layout,
-            # which numpy sums sequentially along M'. A C-ordered copy would be
-            # summed pairwise and could differ in the last bit.
-            mass = np.ascontiguousarray(np.asarray(onehot.T @ matrix.weights[train]).T)
-            counts = np.bincount(labels, minlength=n_classes).astype(float)
-            with np.errstate(divide="ignore"):
-                log_priors = np.log(counts / len(train))
-            self.folds.append(_NbFold(
-                test_rows=matrix.weights[test],
-                test_labels=matrix.labels[test],
-                class_mass=mass,
-                log_mass=np.log(mass + alpha),
-                log_priors=log_priors,
-            ))
+        n, n_classes = matrix.n_docs, matrix.n_classes
+        self.fold_of = stratified_folds(matrix.labels, k, seed).fold_of
+        self.labels = matrix.labels
+        self.n_test = np.bincount(self.fold_of, minlength=k)
+        self.n_classes, self.alpha = n_classes, alpha
+        onehot = np.zeros((n, k, n_classes))  # [i, f, c]: a training row of class c in fold f
+        onehot[np.arange(n), :, matrix.labels] = 1.0
+        onehot[np.arange(n), self.fold_of, :] = 0.0
+        onehot = onehot.reshape(n, k * n_classes)
+        self.mass = np.ascontiguousarray(np.asarray(onehot.T @ matrix.weights).T)
+        self.log_mass = np.log(self.mass + alpha)
+        counts = onehot.sum(axis=0).reshape(k, n_classes)
+        with np.errstate(divide="ignore"):
+            self.row_priors = np.log(counts / counts.sum(axis=1, keepdims=True))[self.fold_of]
+        w = matrix.weights
+        fold_of_nz = np.repeat(self.fold_of, np.diff(w.indptr))
+        self.rows = sp.csr_matrix((w.data, w.indices * k + fold_of_nz, w.indptr),
+                                  shape=(n, w.shape[1] * k))
+
+    def _scores(self, mask) -> np.ndarray:
+        """(N, C) NB scores of every document under its own fold's model."""
+        cols = _mask_columns(mask)
+        where = np.asarray(mask, dtype=bool)[:, None]
+        # numpy adds the (M', k*C) rows one after another, sequentially along M'
+        # as nb_train's (C, M') sum; summing along a contiguous M' axis would be
+        # pairwise and could differ in the last bit
+        totals = self.mass[cols].sum(axis=0) + self.alpha * len(cols)
+        log_likelihoods = np.subtract(self.log_mass, np.log(totals), where=where,
+                                      out=np.zeros_like(self.log_mass))
+        return self.rows @ log_likelihoods.reshape(-1, self.n_classes) + self.row_priors
 
     def scores(self, mask) -> list[np.ndarray]:
         """Per fold, the (test rows, C) NB scores cross_val_accuracy computes."""
-        cols = _mask_columns(mask)
-        out = []
-        for f in self.folds:
-            totals = f.class_mass[cols].T.sum(axis=1, keepdims=True) + self.alpha * len(cols)
-            log_likelihoods = np.zeros_like(f.log_mass)
-            log_likelihoods[cols] = f.log_mass[cols] - np.log(totals).T
-            out.append(np.asarray(f.test_rows @ log_likelihoods + f.log_priors))
-        return out
+        s = self._scores(mask)
+        return [s[self.fold_of == f] for f in range(len(self.n_test))]
 
     def mean_accuracy(self, mask) -> float:
-        accs = [
-            float(np.mean(np.argmax(s, axis=1) == f.test_labels))
-            for s, f in zip(self.scores(mask), self.folds)
-        ]
-        return float(np.mean(accs))
+        hits = np.argmax(self._scores(mask), axis=1) == self.labels
+        return float(np.mean(np.bincount(self.fold_of, weights=hits) / self.n_test))
 
 
 def _dt_traverse(node: DtNode, sel: np.ndarray) -> int:

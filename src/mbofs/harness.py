@@ -19,7 +19,7 @@ import numpy as np
 
 from . import classifiers, corpus as corpus_mod, filter_ig
 from .corpus import CorpusStats, DocTermMatrix
-from .heuristic import ChangeSchedule, FeatureMask, FitnessFn
+from .heuristic import ChangeSchedule, FeatureMask, FitnessFn, HeuristicError
 from .mbo import MboConfig, MboSnapshot, mbo_select
 from .pso import PsoConfig, PsoSnapshot, pso_select
 
@@ -195,10 +195,12 @@ def _encode(value):
 
 def _decode(hint, value):
     """Inverse of _encode, led by the type hints; a value of the wrong type raises TypeError."""
+    if hint in (FeatureMask, np.ndarray) and not isinstance(value, str):
+        raise TypeError(f"expected a string for {hint.__name__}, got {value!r}")
     if hint is FeatureMask:
         return FeatureMask.from_bitstring(value)
     if hint is np.ndarray:
-        return np.frombuffer(base64.b64decode(value), dtype="<f8").astype(np.float64)
+        return np.frombuffer(base64.b64decode(value, validate=True), dtype="<f8").astype(np.float64)
     if dataclasses.is_dataclass(hint):
         hints = typing.get_type_hints(hint)
         return hint(**{f.name: _decode(hints[f.name], value[f.name])
@@ -209,6 +211,20 @@ def _decode(hint, value):
     if not isinstance(value, (int, float) if hint is float else hint) or isinstance(value, bool):
         raise TypeError(f"expected {hint.__name__}, got {value!r}")
     return float(value) if hint is float else value
+
+
+def _lengths(value):
+    """The universe of every mask and the length of every array in a snapshot."""
+    if isinstance(value, FeatureMask):
+        yield value.universe
+    elif isinstance(value, np.ndarray):
+        yield len(value)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _lengths(getattr(value, f.name))
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _lengths(v)
 
 
 def mbo_snapshot_to_json(snap: MboSnapshot) -> dict:
@@ -251,15 +267,20 @@ def run_fingerprint(matrix: DocTermMatrix, config: ExperimentConfig) -> str:
 def checkpoint_load(path, fingerprint: str) -> tuple[str, dict]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise CheckpointError(f"unreadable checkpoint: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CheckpointError("malformed checkpoint: not a JSON object")
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {doc.get('format_version')} != {CHECKPOINT_VERSION}"
         )
     if doc.get("fingerprint") != fingerprint:
         raise CheckpointError("checkpoint from a different corpus or search config")
-    return doc["method"], doc["payload"]
+    try:
+        return doc["method"], doc["payload"]
+    except KeyError as exc:
+        raise CheckpointError(f"malformed checkpoint: no {exc} field") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +400,17 @@ def run_experiment(
             if config.method not in (name, "all"):
                 continue
             ckpt_path = out_dir / f"checkpoint_{name}.json"
+            resume = None
+            if resume_method == name:
+                try:
+                    resume = from_json(resume_payload)
+                except (KeyError, TypeError, ValueError, HeuristicError) as exc:
+                    raise CheckpointError(f"malformed {name} checkpoint: {exc!r}") from exc
+                if set(_lengths(resume)) - {len(ig_columns)}:
+                    raise CheckpointError(f"malformed {name} checkpoint: masks and "
+                                          f"velocities must have {len(ig_columns)} entries")
             best, trace = select(
-                from_json(resume_payload) if resume_method == name else None,
+                resume,
                 lambda snap: checkpoint_save(ckpt_path, name, fingerprint, to_json(snap)),
             )
             full = _expand_mask(best, ig_columns, matrix.n_features)

@@ -19,6 +19,7 @@ class HeuristicError(Exception):
 
 
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+_CHAR_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -46,16 +47,17 @@ class FeatureMask:
 
     @property
     def popcount(self) -> int:
-        return sum(self.bits)
+        return self.bits.count(1)
 
     def to_bitstring(self) -> str:
         return self.bits.translate(_BIT_CHARS).decode("ascii")
 
     @staticmethod
     def from_bitstring(s: str) -> "FeatureMask":
-        return FeatureMask(
-            bits=bytes(1 if ch == "1" else 0 for ch in s), universe=len(s)
-        )
+        raw = s.encode("ascii", "replace")  # anything else becomes "?"
+        if raw.translate(None, b"01"):
+            raise HeuristicError("mask bit string holds characters other than 0 and 1")
+        return FeatureMask(bits=raw.translate(_CHAR_BITS), universe=len(raw))
 
 
 def flip(mask: FeatureMask, position: int) -> FeatureMask:

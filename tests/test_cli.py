@@ -181,3 +181,43 @@ def test_unreadable_corpus_input(config_file, demo_tsv, tmp_path, capsys, comman
     }[command]
     assert main(argv) == 2
     _one_error_line(capsys, "error: [load] cannot read")
+
+
+def _edit_json(edit):
+    def corrupt(path):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    return corrupt
+
+
+def _leader_mask(edit):
+    def corrupt(doc):
+        leader = doc["payload"]["flock"]["leader"]
+        leader["mask"] = edit(leader["mask"])
+    return _edit_json(corrupt)
+
+
+@pytest.mark.parametrize("method, corrupt", [
+    ("mbo", lambda p: p.write_bytes(b"\xff" + p.read_bytes())),  # not UTF-8
+    ("mbo", lambda p: p.write_text(json.dumps([json.loads(p.read_text())]))),  # a JSON array
+    ("mbo", _edit_json(lambda doc: doc["payload"].update(flock=5))),
+    ("mbo", _edit_json(lambda doc: doc["payload"].pop("state"))),
+    ("mbo", _leader_mask(lambda bits: "x" + bits[1:])),
+    ("mbo", _leader_mask(lambda bits: bits[1:])),
+    ("pso", _edit_json(lambda doc: doc["payload"]["particles"][0].update(velocity="!!!!"))),
+    ("pso", _edit_json(lambda doc: doc["payload"]["particles"][0].update(
+        velocity="AAAAAAAAAAA="))),  # one float
+    ("mbo", _edit_json(lambda doc: doc.pop("payload"))),
+], ids=["not-utf8", "json-array", "flock-not-object", "no-state", "mask-not-bits",
+        "mask-too-short", "velocity-not-base64", "velocity-too-short", "no-payload"])
+def test_select_resume_malformed_checkpoint(config_file, tmp_path, capsys, method, corrupt):
+    assert main(["select", "--method", method, "--config", str(config_file),
+                 "--out", str(tmp_path / "u")]) == 0
+    checkpoint = tmp_path / "u" / f"checkpoint_{method}.json"
+    corrupt(checkpoint)
+    capsys.readouterr()
+    assert main(["select", "--method", method, "--config", str(config_file),
+                 "--out", str(tmp_path / "r"), "--resume", str(checkpoint)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "checkpoint" in err[0], err

@@ -329,3 +329,8 @@ def test_benchmark_hooks_see_engines_and_checkpoints(monkeypatch, tmp_path):
     names = {span[0] for span in rec.spans}
     assert {"mbo.mbo_select", "pso.pso_select", "harness.mbo_snapshot_to_json",
             "harness.pso_snapshot_to_json", "harness.checkpoint_save"} <= names
+    # the search's NB fitness time is read from these spans
+    tree = importlib.import_module("tracer").SpanTree(rec.spans)
+    fitness_calls = tree.named("heuristic.FitnessFn.__call__")
+    for engine in ("mbo.mbo_select", "pso.pso_select"):
+        assert any(tree.under(i, engine) for i in fitness_calls), engine

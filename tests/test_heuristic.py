@@ -28,6 +28,17 @@ class TestFeatureMask:
         assert m.universe == 10
         assert m.popcount == 5
 
+    @given(st.lists(st.booleans(), max_size=64))
+    def test_bitstring_roundtrip_any(self, bits):
+        m = FeatureMask.from_array(bits)
+        assert m.popcount == sum(bits)
+        assert FeatureMask.from_bitstring(m.to_bitstring()) == m
+
+    @pytest.mark.parametrize("s", ["0120", "1 0", "10\n", "x", "\x00\x01", "1\u0661", "0\ud800"])
+    def test_bitstring_rejects_other_characters(self, s):
+        with pytest.raises(HeuristicError, match="other than 0 and 1"):
+            FeatureMask.from_bitstring(s)
+
     def test_array_roundtrip(self):
         arr = np.array([True, False, True])
         m = FeatureMask.from_array(arr)
@@ -172,10 +183,11 @@ class TestFitness:
 
 @st.composite
 def nb_problems(draw):
-    """Small non-negative matrix with zero rows and columns, a fold count k, every
-    class holding at least k rows, a fold seed and a non-empty mask."""
+    """Small non-negative matrix with zero rows and columns, 2-6 classes each
+    holding at least k rows (so the kernel's k*C table reaches 30 columns), a
+    fold count k, a fold seed and a non-empty mask."""
     k = draw(st.sampled_from([2, 3, 5]))
-    sizes = draw(st.lists(st.integers(k, k + 6), min_size=2, max_size=4))
+    sizes = draw(st.lists(st.integers(k, k + 6), min_size=2, max_size=6))
     n_features = draw(st.integers(1, 14))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     labels = np.repeat(np.arange(len(sizes)), sizes)
