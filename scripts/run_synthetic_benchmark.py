@@ -50,7 +50,7 @@ def main():
         fitness = FitnessFn(reduced, classifier="nb", k=5, seed=seed)
         base = fitness(input_mask)
         best, state, trace = mbo_select(
-            reduced, input_mask,
+            input_mask,
             MboConfig(seed=seed, budget_seconds=args.budget_seconds),
             fitness=fitness,
         )
@@ -60,7 +60,7 @@ def main():
         reductions.append(input_mask.popcount - best.popcount)
         if not args.skip_pso:
             pso_best, pso_trace = pso_select(
-                reduced, input_mask,
+                input_mask,
                 PsoConfig(seed=seed, budget_seconds=args.budget_seconds),
                 fitness=fitness,
             )

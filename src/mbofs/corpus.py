@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +54,7 @@ class Corpus:
 class Vocabulary:
     terms: dict[str, int]  # term -> contiguous index, first-appearance order
     df: np.ndarray  # document frequency per index
+    doc_terms: tuple[list[int], ...]  # per document, its tokens' indices in token order
 
     @property
     def n_terms(self) -> int:
@@ -163,28 +165,28 @@ def load_corpus(path, format: str = "tsv") -> Corpus:
 
 
 def build_vocabulary(corpus: Corpus, stopwords=DEFAULT_STOPWORDS) -> Vocabulary:
+    """The one tokenization pass: terms, document frequencies and each
+    document's term indices, which vectorize_tfidf and compute_stats read."""
     terms: dict[str, int] = {}
-    df_counts: list[int] = []
-    for doc in corpus.docs:
-        seen: set[str] = set()
-        for tok in tokenize(doc.text, stopwords):
-            if tok in seen:
-                continue
-            seen.add(tok)
-            idx = terms.get(tok)
-            if idx is None:
-                terms[tok] = len(terms)
-                df_counts.append(1)
-            else:
-                df_counts[idx] += 1
+    doc_terms = tuple(
+        [terms.setdefault(tok, len(terms)) for tok in tokenize(doc.text, stopwords)]
+        for doc in corpus.docs
+    )
     if not terms:
         raise CorpusError("vocabulary empty after filtering")
-    return Vocabulary(terms=terms, df=np.asarray(df_counts, dtype=np.int64))
+    df = np.zeros(len(terms), dtype=np.int64)
+    for row in doc_terms:
+        df[list(set(row))] += 1
+    return Vocabulary(terms=terms, df=df, doc_terms=doc_terms)
 
 
-def vectorize_tfidf(
-    corpus: Corpus, vocab: Vocabulary, stopwords=DEFAULT_STOPWORDS
-) -> DocTermMatrix:
+def _doc_terms(corpus: Corpus, vocab: Vocabulary) -> tuple[list[int], ...]:
+    if len(vocab.doc_terms) != len(corpus.docs):
+        raise CorpusError("vocabulary was built from a different corpus")
+    return vocab.doc_terms
+
+
+def vectorize_tfidf(corpus: Corpus, vocab: Vocabulary) -> DocTermMatrix:
     """tf * (ln((1+N)/(1+df)) + 1), rows L2-normalized; zero rows left zero."""
     n = len(corpus.docs)
     m = vocab.n_terms
@@ -194,14 +196,9 @@ def vectorize_tfidf(
     indices: list[int] = []
     data: list[float] = []
     class_of = {c: i for i, c in enumerate(corpus.classes)}
-    labels = np.empty(n, dtype=np.int64)
-    for row, doc in enumerate(corpus.docs):
-        labels[row] = class_of[doc.label]
-        counts: dict[int, int] = {}
-        for tok in tokenize(doc.text, stopwords):
-            idx = vocab.terms.get(tok)
-            if idx is not None:
-                counts[idx] = counts.get(idx, 0) + 1
+    labels = np.array([class_of[doc.label] for doc in corpus.docs], dtype=np.int64)
+    for row in _doc_terms(corpus, vocab):
+        counts = Counter(row)
         row_idx = sorted(counts)
         row_w = [counts[i] * idf[i] for i in row_idx]
         norm = math.sqrt(sum(w * w for w in row_w))
@@ -217,17 +214,13 @@ def vectorize_tfidf(
     return DocTermMatrix(weights=weights, labels=labels)
 
 
-def compute_stats(
-    corpus: Corpus, vocab: Vocabulary, stopwords=DEFAULT_STOPWORDS
-) -> CorpusStats:
+def compute_stats(corpus: Corpus, vocab: Vocabulary) -> CorpusStats:
     if not corpus.docs:
         raise CorpusError("empty corpus")
-    n_words = 0
-    n_chars = 0
-    for doc in corpus.docs:
-        toks = tokenize(doc.text, stopwords)
-        n_words += len(toks)
-        n_chars += sum(len(t) for t in toks)
+    term_length = [len(t) for t in vocab.term_list()]
+    rows = _doc_terms(corpus, vocab)
+    n_words = sum(len(row) for row in rows)
+    n_chars = sum(term_length[i] for row in rows for i in row)
     n = len(corpus.docs)
     return CorpusStats(
         n_features=vocab.n_terms,

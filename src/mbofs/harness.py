@@ -86,12 +86,20 @@ class ExperimentConfig:
     def validate(self):
         if self.folds < 2:
             raise PipelineError("config", "folds must be >= 2")
-        if self.budget_seconds <= 0:
+        if not self.budget_seconds > 0:  # NaN fails too
             raise PipelineError("config", "budget_seconds must be > 0")
         if self.ig_cap < 1:
             raise PipelineError("config", "ig_cap must be >= 1")
+        if self.seed < 0:
+            raise PipelineError("config", "seed must be >= 0")
+        if self.swarm_size < 1:
+            raise PipelineError("config", "swarm_size must be >= 1")
+        if not 0 <= self.base_fraction <= 1:
+            raise PipelineError("config", "base_fraction must be in [0, 1]")
         if self.method not in ("ig", "mbo", "pso", "all"):
             raise PipelineError("config", f"unknown method {self.method!r}")
+        if self.eval_classifier not in ("nb", "dt", "best"):
+            raise PipelineError("config", f"unknown eval_classifier {self.eval_classifier!r}")
 
 
 @dataclass
@@ -142,7 +150,7 @@ def evaluate_mask(
 
 def save_mask(path, mask: np.ndarray):
     """First line M=<universe>, second line the bits as {0,1} characters."""
-    bits = "".join("1" if b else "0" for b in mask)
+    bits = FeatureMask.from_array(mask).to_bitstring()
     Path(path).write_text(f"M={len(mask)}\n{bits}\n", encoding="utf-8")
 
 
@@ -159,10 +167,13 @@ def load_mask(path) -> np.ndarray:
         m = int(lines[0][2:])
     except ValueError as exc:
         raise PipelineError("mask", f"bad universe size {lines[0]!r}: {path}") from exc
-    bits = lines[1]
-    if len(bits) != m or set(bits) - {"0", "1"}:
+    try:
+        mask = FeatureMask.from_bitstring(lines[1])
+    except HeuristicError:
+        mask = None
+    if mask is None or mask.universe != m:
         raise PipelineError("mask", f"mask bits do not match M={m}: {path}")
-    return np.array([ch == "1" for ch in bits])
+    return mask.to_array()
 
 
 def save_mask_sidecar(path, mask: np.ndarray, terms: list[str] | None, gain: np.ndarray):
@@ -304,8 +315,8 @@ def load_input(config: ExperimentConfig) -> tuple[DocTermMatrix, list[str], Corp
         )
         raw = corpus_mod.load_corpus(config.corpus_path, config.corpus_format)
         vocab = corpus_mod.build_vocabulary(raw, stopwords)
-        matrix = corpus_mod.vectorize_tfidf(raw, vocab, stopwords)
-        return matrix, vocab.term_list(), corpus_mod.compute_stats(raw, vocab, stopwords)
+        matrix = corpus_mod.vectorize_tfidf(raw, vocab)
+        return matrix, vocab.term_list(), corpus_mod.compute_stats(raw, vocab)
     except corpus_mod.CorpusError as exc:
         raise PipelineError("load", str(exc)) from exc
 
@@ -335,6 +346,12 @@ def run_experiment(
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fingerprint = run_fingerprint(matrix, config)
+    resume_method, resume_payload = (None, None)
+    if resume_path:
+        resume_method, resume_payload = checkpoint_load(resume_path, fingerprint)
+        if resume_method not in ("mbo", "pso") or config.method not in (resume_method, "all"):
+            raise CheckpointError(
+                f"{resume_method!r} checkpoint cannot resume method {config.method!r}")
 
     methods: list[MethodResult] = []
 
@@ -367,15 +384,11 @@ def run_experiment(
         fitness = FitnessFn(reduced, classifier="nb", k=config.folds, seed=config.seed)
         schedule = ChangeSchedule(base_fraction=config.base_fraction)
 
-        resume_method, resume_payload = (None, None)
-        if resume_path:
-            resume_method, resume_payload = checkpoint_load(resume_path, fingerprint)
-
         # built per call, so the engine and codec names are looked up at run time
         engines = {
             "mbo": (
                 lambda resume, on_step: mbo_select(
-                    reduced, input_mask,
+                    input_mask,
                     MboConfig(flock_size=config.flock_size, neighbors=config.neighbors,
                               schedule=schedule, budget_seconds=config.budget_seconds,
                               seed=config.seed),
@@ -386,7 +399,7 @@ def run_experiment(
             ),
             "pso": (
                 lambda resume, on_step: pso_select(
-                    reduced, input_mask,
+                    input_mask,
                     PsoConfig(swarm_size=config.swarm_size,
                               max_iterations=config.pso_iterations, schedule=schedule,
                               budget_seconds=config.budget_seconds, seed=config.seed),

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corpus import DocTermMatrix
 from .heuristic import (
     ChangeSchedule,
     FeatureMask,
@@ -186,10 +185,9 @@ def _stop_rule(snap: MboSnapshot) -> str | None:
 
 
 def mbo_select(
-    matrix: DocTermMatrix,
     input_mask: FeatureMask,
     config: MboConfig,
-    fitness: FitnessFn | None = None,
+    fitness: FitnessFn,
     resume: MboSnapshot | None = None,
     on_tour=None,
 ) -> tuple[FeatureMask, MboState, RunTrace]:
@@ -201,8 +199,6 @@ def mbo_select(
     """
     if input_mask.popcount < 1:
         raise HeuristicError("input mask must select at least one feature")
-    if fitness is None:
-        fitness = FitnessFn(matrix, classifier="nb", seed=config.seed)
     rng = RngStream(config.seed)
     m_prime = input_mask.popcount
 

@@ -8,12 +8,10 @@ bit is resampled to 1 with probability sigmoid(velocity).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import DocTermMatrix
 from .heuristic import (
     ChangeSchedule,
     FeatureMask,
@@ -74,12 +72,9 @@ class PsoSnapshot:
     trace: PsoTrace
 
 
-def sigmoid(v: float) -> float:
-    if v >= 0:
-        z = math.exp(-v)
-        return 1.0 / (1.0 + z)
-    z = math.exp(v)
-    return z / (1.0 + z)
+def sigmoid(v: np.ndarray) -> np.ndarray:
+    """The transfer function: the probability that a bit is resampled to 1."""
+    return 1.0 / (1.0 + np.exp(-v))
 
 
 def _init_swarm(
@@ -102,17 +97,14 @@ def _init_swarm(
 
 
 def pso_select(
-    matrix: DocTermMatrix,
     input_mask: FeatureMask,
     config: PsoConfig,
-    fitness: FitnessFn | None = None,
+    fitness: FitnessFn,
     resume: PsoSnapshot | None = None,
     on_iteration=None,
 ) -> tuple[FeatureMask, PsoTrace]:
     if input_mask.popcount < 1:
         raise HeuristicError("input mask must select at least one feature")
-    if fitness is None:
-        fitness = FitnessFn(matrix, classifier="nb", seed=config.seed)
     rng = RngStream(config.seed)
 
     snap = resume
@@ -141,8 +133,7 @@ def pso_select(
             r2 = gen.random(len(x))
             v = w * p.velocity + config.c1 * r1 * (pb - x) + config.c2 * r2 * (gbest_bits - x)
             np.clip(v, -config.v_max, config.v_max, out=v)
-            probs = 1.0 / (1.0 + np.exp(-v))
-            new_bits = gen.random(len(x)) < probs
+            new_bits = gen.random(len(x)) < sigmoid(v)
             p.velocity = v
             p.position = FeatureMask.from_array(new_bits)
             f = fitness(p.position)  # empty positions score 0.0 by convention

@@ -88,7 +88,7 @@ def sweep(planted):
         fitness = FitnessFn(reduced, classifier="nb", k=5, seed=seed)
         base = fitness(input_mask)
         best, state, trace = mbo_select(
-            reduced, input_mask, MboConfig(seed=seed, budget_seconds=90),
+            input_mask, MboConfig(seed=seed, budget_seconds=90),
             fitness=fitness,
         )
         runs.append({
@@ -240,13 +240,13 @@ def test_criterion_8_pso_baseline_integrity(planted, tmp_path):
     peaks = []  # the snapshot is live state, so record at callback time
     fitness = FitnessFn(reduced, classifier="nb", k=5, seed=0)
     best1, trace1 = pso_select(
-        reduced, input_mask, cfg, fitness=fitness,
+        input_mask, cfg, fitness=fitness,
         on_iteration=lambda s: peaks.append(max(np.abs(p.velocity).max() for p in s.particles)))
     g = [r.gbest_fitness for r in trace1.records]
     non_decreasing = all(a <= b for a, b in zip(g, g[1:]))
     clamped = len(peaks) == cfg.max_iterations and max(peaks) <= cfg.v_max + 1e-12
     best2, trace2 = pso_select(
-        reduced, input_mask, cfg, fitness=FitnessFn(reduced, k=5, seed=0))
+        input_mask, cfg, fitness=FitnessFn(reduced, k=5, seed=0))
     deterministic = best1 == best2 and g == [r.gbest_fitness for r in trace2.records]
     within_budget = trace1.termination == "max-iterations"
 
@@ -297,7 +297,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
     matrix, _ = make_planted_matrix(n_docs=80, n_features=60, n_informative=10, seed=3)
     mask = FeatureMask.ones(60)
     mcfg = MboConfig(seed=5, flock_size=5, budget_seconds=120)
-    full_best, _, _ = mbo_select(matrix, mask, mcfg, fitness=FitnessFn(matrix, seed=5))
+    full_best, _, _ = mbo_select(mask, mcfg, fitness=FitnessFn(matrix, seed=5))
     snaps = []
 
     class Killed(Exception):
@@ -309,10 +309,10 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
             raise Killed()
 
     with pytest.raises(Killed):
-        mbo_select(matrix, mask, mcfg, fitness=FitnessFn(matrix, seed=5),
+        mbo_select(mask, mcfg, fitness=FitnessFn(matrix, seed=5),
                    on_tour=on_tour)
     resumed_state = mbo_snapshot_from_json(json.loads(snaps[-1]))
-    resumed_best, _, _ = mbo_select(matrix, mask, mcfg,
+    resumed_best, _, _ = mbo_select(mask, mcfg,
                                     fitness=FitnessFn(matrix, seed=5),
                                     resume=resumed_state)
     resume_ok = resumed_best == full_best
@@ -331,7 +331,7 @@ def test_criterion_10_corpus_stats_and_loader_agreement(tmp_path):
     ]
     corpus = Corpus.from_docs(RawDocument(label=l, text=t) for l, t in docs)
     vocab = build_vocabulary(corpus, set())
-    stats = compute_stats(corpus, vocab, set())
+    stats = compute_stats(corpus, vocab)
     # hand counts: 3+4+5+4+3 = 19 tokens over 5 docs, all terms distinct
     token_lens = [len(w) for _, t in docs for w in t.split()]
     stats_ok = (
@@ -355,8 +355,8 @@ def test_criterion_10_corpus_stats_and_loader_agreement(tmp_path):
         (root / l / f"{i:03d}.txt").write_text(t)
     c_tsv = load_corpus(tsv, "tsv")
     c_dirs = load_corpus(root, "dirs")
-    m_tsv = vectorize_tfidf(c_tsv, build_vocabulary(c_tsv, set()), set())
-    m_dirs = vectorize_tfidf(c_dirs, build_vocabulary(c_dirs, set()), set())
+    m_tsv = vectorize_tfidf(c_tsv, build_vocabulary(c_tsv, set()))
+    m_dirs = vectorize_tfidf(c_dirs, build_vocabulary(c_dirs, set()))
     loaders_agree = (
         [d.label for d in c_tsv.docs] == [d.label for d in c_dirs.docs]
         and [d.text for d in c_tsv.docs] == [d.text.rstrip("\n") for d in c_dirs.docs]

@@ -88,6 +88,20 @@ def test_select_bad_config_value(config_file, capsys):
     assert err[0].startswith("error: [config] line 4: bad value for folds")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("seed = -1", "seed must be >= 0"),
+    ("swarm_size = 0", "swarm_size must be >= 1"),
+    ("swarm_size = -3", "swarm_size must be >= 1"),
+    ("base_fraction = nan", "base_fraction must be in [0, 1]"),
+    ("eval_classifier = NB", "unknown eval_classifier 'NB'"),
+])
+def test_select_config_value_out_of_range(config_file, capsys, line, message):
+    with config_file.open("a", encoding="utf-8") as fh:  # later keys win
+        fh.write(line + "\n")
+    assert main(["select", "--method", "all", "--config", str(config_file)]) == 2
+    _one_error_line(capsys, f"error: [config] {message}")
+
+
 def test_select_missing_config(tmp_path, capsys):
     assert main(["select", "--config", str(tmp_path / "nope.cfg")]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -221,3 +235,18 @@ def test_select_resume_malformed_checkpoint(config_file, tmp_path, capsys, metho
                  "--out", str(tmp_path / "r"), "--resume", str(checkpoint)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "checkpoint" in err[0], err
+
+
+@pytest.mark.parametrize("written_by, resumed_as", [("pso", "mbo"), ("mbo", "pso"),
+                                                    ("mbo", "ig")])
+def test_select_resume_other_engine_checkpoint(config_file, tmp_path, capsys,
+                                               written_by, resumed_as):
+    assert main(["select", "--method", written_by, "--config", str(config_file),
+                 "--out", str(tmp_path / "u")]) == 0
+    checkpoint = tmp_path / "u" / f"checkpoint_{written_by}.json"
+    capsys.readouterr()
+    assert main(["select", "--method", resumed_as, "--config", str(config_file),
+                 "--out", str(tmp_path / "r"), "--resume", str(checkpoint)]) == 2
+    _one_error_line(capsys, f"error: '{written_by}' checkpoint cannot resume method "
+                            f"'{resumed_as}'")
+    assert not (tmp_path / "r" / "report.json").exists()

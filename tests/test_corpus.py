@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mbofs import corpus as corpus_mod
 from mbofs.corpus import (
     Corpus,
     CorpusError,
+    CorpusStats,
     RawDocument,
     build_vocabulary,
     compute_stats,
@@ -15,6 +17,7 @@ from mbofs.corpus import (
     tokenize,
     vectorize_tfidf,
 )
+from mbofs.harness import ExperimentConfig, load_input
 
 
 def make_corpus(pairs):
@@ -86,12 +89,18 @@ class TestVocabulary:
         with pytest.raises(CorpusError, match="empty"):
             build_vocabulary(make_corpus([("a", "the the")]), {"the"})
 
+    def test_doc_terms_in_token_order(self):
+        c = make_corpus([("a", "dog cat the dog"), ("b", "the"), ("a", "fish cat")])
+        v = build_vocabulary(c, {"the"})
+        assert v.terms == {"dog": 0, "cat": 1, "fish": 2}
+        assert v.doc_terms == ([0, 1, 0], [], [2, 1])
+
 
 class TestTfidf:
     def test_idf_everywhere_is_one(self):
         c = make_corpus([("a", "cat"), ("b", "cat")])
         v = build_vocabulary(c, set())
-        m = vectorize_tfidf(c, v, set())
+        m = vectorize_tfidf(c, v)
         # df = N so idf = ln(1)+1 = 1; single-term rows normalize to 1.0
         assert m.weights[0, 0] == pytest.approx(1.0)
 
@@ -100,7 +109,7 @@ class TestTfidf:
         v = build_vocabulary(c, set())
         idf_cat = math.log((1 + 2) / (1 + 1)) + 1
         assert idf_cat == pytest.approx(1.405465, abs=1e-6)
-        m = vectorize_tfidf(c, v, set())
+        m = vectorize_tfidf(c, v)
         w = m.weights[0].toarray().ravel()
         expected = np.array([idf_cat, 1.0])
         expected /= np.linalg.norm(expected)
@@ -109,7 +118,7 @@ class TestTfidf:
     def test_row_norms(self):
         c = make_corpus([("a", "x1 x2 x3 x1"), ("b", "x2 x4"), ("a", "")])
         v = build_vocabulary(c, set())
-        m = vectorize_tfidf(c, v, set())
+        m = vectorize_tfidf(c, v)
         dense = m.weights.toarray()
         assert np.linalg.norm(dense[0]) == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.norm(dense[1]) == pytest.approx(1.0, abs=1e-9)
@@ -119,8 +128,8 @@ class TestTfidf:
     def test_deterministic(self):
         c = make_corpus([("a", "cat dog"), ("b", "dog fish"), ("a", "cat")])
         v = build_vocabulary(c, set())
-        m1 = vectorize_tfidf(c, v, set())
-        m2 = vectorize_tfidf(c, v, set())
+        m1 = vectorize_tfidf(c, v)
+        m2 = vectorize_tfidf(c, v)
         assert (m1.weights != m2.weights).nnz == 0
         np.testing.assert_array_equal(m1.labels, m2.labels)
 
@@ -143,7 +152,7 @@ class TestTfidf:
         n = len(c.docs)
         assert np.all(v.df >= 1)
         assert np.all(v.df <= n)
-        m = vectorize_tfidf(c, v, set())
+        m = vectorize_tfidf(c, v)
         norms = np.sqrt(np.asarray(m.weights.multiply(m.weights).sum(axis=1))).ravel()
         for nrm in norms:
             assert nrm == pytest.approx(1.0, abs=1e-9) or nrm == 0.0
@@ -153,14 +162,14 @@ class TestStats:
     def test_avg_words(self):
         c = make_corpus([("a", "one two three"), ("b", "v w1 x2 y3 z4 q5")])
         v = build_vocabulary(c, set())
-        s = compute_stats(c, v, set())
+        s = compute_stats(c, v)
         # "v" is dropped by the length filter: 3 and 5 tokens
         assert s.avg_words_per_instance == pytest.approx(4.0)
 
     def test_avg_word_length(self):
         c = make_corpus([("a", "cat door")])
         v = build_vocabulary(c, set())
-        s = compute_stats(c, v, set())
+        s = compute_stats(c, v)
         assert s.avg_word_length == pytest.approx(3.5)
 
 
@@ -168,3 +177,50 @@ def test_load_stopwords(tmp_path):
     p = tmp_path / "stop.txt"
     p.write_text("The\nand\n\n  of \n")
     assert load_stopwords(p) == {"the", "and", "of"}
+
+
+def test_vocabulary_from_another_corpus_refused():
+    v = build_vocabulary(make_corpus([("a", "cat dog")]), set())
+    other = make_corpus([("a", "cat"), ("b", "dog")])
+    for build in (vectorize_tfidf, compute_stats):
+        with pytest.raises(CorpusError, match="different corpus"):
+            build(other, v)
+
+
+# A small corpus with case, punctuation, digits, repeated words, stopwords,
+# one-letter tokens, non-ASCII letters and a document that is all stopwords.
+SMALL_TSV = (
+    "sport\tThe match was won in the final minute; the crowd roared!\n"
+    "sport\tA late goal, a roaring crowd, and the cup: won 2-1.\n"
+    "tech\tNew GPU drivers ship; the GPU runs 40% faster on Linux-6.\n"
+    "tech\tDrivers, drivers, drivers: the kernel team ships again.\n"
+    "food\tBake the bread at 220C for 30 minutes, then rest the bread.\n"
+    "food\tIt is what it is.\n"
+    "food\tFresh bread and caf\u00e9 au lait \u2014 na\u00efve pleasures.\n"
+)
+
+
+@pytest.fixture
+def small_config(tmp_path):
+    path = tmp_path / "small.tsv"
+    path.write_text(SMALL_TSV, encoding="utf-8")
+    return ExperimentConfig(corpus_path=str(path))
+
+
+def test_load_input_tokenizes_each_document_once(small_config, monkeypatch):
+    calls = []
+    real = corpus_mod.tokenize
+    monkeypatch.setattr(corpus_mod, "tokenize", lambda *a: calls.append(a) or real(*a))
+    matrix, _, _ = load_input(small_config)
+    assert len(calls) == matrix.n_docs == 7
+
+
+def test_small_corpus_matrix_and_stats_pinned(small_config):
+    """Values of the earlier design, which tokenized each document three times."""
+    matrix, terms, stats = load_input(small_config)
+    assert matrix.fingerprint() == (
+        "6d58b08a9cce787700aff56448b914018824b1713a00924a7f46e7d80d44f0d3")
+    assert stats == CorpusStats(n_features=35, n_instances=7, n_classes=3,
+                                avg_words_per_instance=6.142857142857143,
+                                avg_word_length=4.5813953488372094)
+    assert len(terms) == 35 and matrix.weights.nnz == 39

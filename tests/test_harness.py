@@ -55,9 +55,20 @@ class TestConfig:
             ExperimentConfig.from_file(p)
 
     def test_validation(self):
-        cfg = ExperimentConfig(folds=1)
-        with pytest.raises(PipelineError, match="folds"):
-            cfg.validate()
+        for field, value in [
+            ("folds", 1), ("seed", -1), ("swarm_size", 0), ("swarm_size", -2),
+            ("base_fraction", float("nan")), ("base_fraction", -0.1), ("base_fraction", 1.5),
+            ("budget_seconds", float("nan")), ("eval_classifier", "NB"),
+        ]:
+            with pytest.raises(PipelineError, match=field):
+                ExperimentConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 0), ("swarm_size", 1), ("base_fraction", 0.0), ("base_fraction", 1.0),
+        ("eval_classifier", "nb"), ("eval_classifier", "dt"),
+    ])
+    def test_validation_accepts_edges(self, field, value):
+        ExperimentConfig(**{field: value}).validate()
 
 
 class TestMaskFiles:
@@ -65,14 +76,15 @@ class TestMaskFiles:
         mask = np.array([True, False, True, True, False])
         p = tmp_path / "m.txt"
         save_mask(p, mask)
-        assert p.read_text().splitlines()[0] == "M=5"
+        assert p.read_text(encoding="utf-8") == "M=5\n10110\n"
         np.testing.assert_array_equal(load_mask(p), mask)
 
     def test_malformed(self, tmp_path):
         p = tmp_path / "m.txt"
-        p.write_text("M=4\n101\n")
-        with pytest.raises(PipelineError, match="mask bits"):
-            load_mask(p)
+        for bits in ["101", "10x1", "10 1", "1\u066101", "1\u00b901", "????"]:
+            p.write_text(f"M=4\n{bits}\n", encoding="utf-8")
+            with pytest.raises(PipelineError, match="mask bits do not match M=4"):
+                load_mask(p)
 
     def test_sidecar(self, tmp_path):
         p = tmp_path / "side.csv"
@@ -117,7 +129,7 @@ class TestCheckpoint:
         cfg = MboConfig(seed=5, flock_size=5, budget_seconds=120)
         mask = FeatureMask.ones(60)
 
-        full_best, _, _ = mbo_select(matrix, mask, cfg, fitness=FitnessFn(matrix, seed=5))
+        full_best, _, _ = mbo_select(mask, cfg, fitness=FitnessFn(matrix, seed=5))
 
         snaps = []
 
@@ -130,10 +142,10 @@ class TestCheckpoint:
                 raise Stop()
 
         with pytest.raises(Stop):
-            mbo_select(matrix, mask, cfg, fitness=FitnessFn(matrix, seed=5),
+            mbo_select(mask, cfg, fitness=FitnessFn(matrix, seed=5),
                        on_tour=on_tour)
         resumed = mbo_snapshot_from_json(snaps[-1])
-        res_best, _, _ = mbo_select(matrix, mask, cfg,
+        res_best, _, _ = mbo_select(mask, cfg,
                                     fitness=FitnessFn(matrix, seed=5), resume=resumed)
         assert res_best == full_best
 
@@ -142,7 +154,7 @@ class TestCheckpoint:
         cfg = PsoConfig(seed=5, swarm_size=8, max_iterations=6, budget_seconds=120)
         mask = FeatureMask.ones(60)
 
-        full_best, full_trace = pso_select(matrix, mask, cfg, fitness=FitnessFn(matrix, seed=5))
+        full_best, full_trace = pso_select(mask, cfg, fitness=FitnessFn(matrix, seed=5))
 
         snaps = []
 
@@ -155,11 +167,11 @@ class TestCheckpoint:
                 raise Stop()
 
         with pytest.raises(Stop):
-            pso_select(matrix, mask, cfg, fitness=FitnessFn(matrix, seed=5),
+            pso_select(mask, cfg, fitness=FitnessFn(matrix, seed=5),
                        on_iteration=on_iteration)
         resumed = pso_snapshot_from_json(json.loads(json.dumps(snaps[-1])))
         assert pso_snapshot_to_json(resumed) == snaps[-1]  # velocities round-trip exactly
-        res_best, res_trace = pso_select(matrix, mask, cfg,
+        res_best, res_trace = pso_select(mask, cfg,
                                          fitness=FitnessFn(matrix, seed=5), resume=resumed)
         assert res_best == full_best
         assert res_trace.records[-1].gbest_fitness == full_trace.records[-1].gbest_fitness
@@ -170,9 +182,11 @@ def test_snapshot_codec_roundtrip_exact():
     matrix, _ = make_planted_matrix(n_docs=60, n_features=40, n_informative=8, seed=3)
     mask = FeatureMask.ones(40)
     docs = {}
-    mbo_select(matrix, mask, MboConfig(seed=1, flock_size=5, budget_seconds=60),
+    mbo_select(mask, MboConfig(seed=1, flock_size=5, budget_seconds=60),
+               fitness=FitnessFn(matrix, seed=1),
                on_tour=lambda snap: docs.update(mbo=mbo_snapshot_to_json(snap)))
-    pso_select(matrix, mask, PsoConfig(seed=1, swarm_size=4, max_iterations=3),
+    pso_select(mask, PsoConfig(seed=1, swarm_size=4, max_iterations=3),
+               fitness=FitnessFn(matrix, seed=1),
                on_iteration=lambda snap: docs.update(pso=pso_snapshot_to_json(snap)))
     for name, to_json, from_json in [("mbo", mbo_snapshot_to_json, mbo_snapshot_from_json),
                                      ("pso", pso_snapshot_to_json, pso_snapshot_from_json)]:

@@ -119,14 +119,15 @@ class TestMboSelect:
         fit = FitnessFn(small_matrix, seed=0)
         mask = FeatureMask.ones(60)
         best, state, trace = mbo_select(
-            small_matrix, mask, MboConfig(seed=1, budget_seconds=60), fitness=fit
+            mask, MboConfig(seed=1, budget_seconds=60), fitness=fit
         )
         assert state.f_max >= fit(mask)
         assert fit(best) == state.f_max
 
     def test_trace_non_decreasing(self, small_matrix):
+        cfg = MboConfig(seed=2, budget_seconds=60)
         _, _, trace = mbo_select(
-            small_matrix, FeatureMask.ones(60), MboConfig(seed=2, budget_seconds=60)
+            FeatureMask.ones(60), cfg, fitness=FitnessFn(small_matrix, seed=cfg.seed)
         )
         fs = [r.f_max for r in trace.records]
         assert all(a <= b for a, b in zip(fs, fs[1:]))
@@ -143,7 +144,7 @@ class TestMboSelect:
         m = DocTermMatrix(weights=sp.csr_matrix(x), labels=y)
         mask = FeatureMask.from_bitstring("11000")
         fit = FitnessFn(m, seed=0)
-        best, state, trace = mbo_select(m, mask, MboConfig(seed=0), fitness=fit)
+        best, state, trace = mbo_select(mask, MboConfig(seed=0), fitness=fit)
         assert trace.termination == "stagnation"
         assert state.counter == 3
         assert fit(best) == 1.0
@@ -151,8 +152,8 @@ class TestMboSelect:
     def test_deterministic(self, small_matrix):
         cfg = MboConfig(seed=9, budget_seconds=60)
         mask = FeatureMask.ones(60)
-        b1, s1, t1 = mbo_select(small_matrix, mask, cfg)
-        b2, s2, t2 = mbo_select(small_matrix, mask, cfg)
+        b1, s1, t1 = mbo_select(mask, cfg, fitness=FitnessFn(small_matrix, seed=cfg.seed))
+        b2, s2, t2 = mbo_select(mask, cfg, fitness=FitnessFn(small_matrix, seed=cfg.seed))
         assert b1 == b2
         assert s1.f_max == s2.f_max
         assert [(r.counter, r.change, r.f_max) for r in t1.records] == [
@@ -161,7 +162,8 @@ class TestMboSelect:
 
     def test_empty_input_rejected(self, small_matrix):
         with pytest.raises(HeuristicError):
-            mbo_select(small_matrix, FeatureMask.zeros(60), MboConfig(seed=0))
+            mbo_select(FeatureMask.zeros(60), MboConfig(seed=0),
+                       fitness=FitnessFn(small_matrix, seed=0))
 
     def test_steps_per_tour_is_ten(self):
         assert STEPS_PER_TOUR == 10

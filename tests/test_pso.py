@@ -13,21 +13,24 @@ def small_matrix():
 
 
 class TestSigmoid:
+    """pso.sigmoid is the transfer the iteration applies to each velocity vector."""
+
     def test_zero(self):
-        assert sigmoid(0.0) == 0.5
+        assert sigmoid(np.zeros(3)).tolist() == [0.5, 0.5, 0.5]
 
     def test_vmax(self):
-        assert sigmoid(6.0) == pytest.approx(0.997527, abs=1e-6)
+        v_max = PsoConfig().v_max
+        np.testing.assert_allclose(sigmoid(np.array([-v_max, v_max])),
+                                   [0.002473, 0.997527], atol=1e-6)
 
     def test_symmetry(self):
-        for v in (-7.0, -1.3, 0.4, 2.0, 5.5):
-            assert sigmoid(v) + sigmoid(-v) == pytest.approx(1.0, abs=1e-12)
+        vs = np.array([-7.0, -1.3, 0.4, 2.0, 5.5])
+        np.testing.assert_allclose(sigmoid(vs) + sigmoid(-vs), 1.0, atol=1e-12)
 
     def test_monotone(self):
-        vs = np.linspace(-10, 10, 50)
-        out = [sigmoid(v) for v in vs]
-        assert all(a < b for a, b in zip(out, out[1:]))
-        assert all(0.0 < s < 1.0 for s in out)
+        out = sigmoid(np.linspace(-10, 10, 50))
+        assert np.all(np.diff(out) > 0)
+        assert np.all((0.0 < out) & (out < 1.0))
 
 
 class TestPsoSelect:
@@ -36,7 +39,7 @@ class TestPsoSelect:
         mask = FeatureMask.ones(matrix.n_features)
         cfg = PsoConfig(seed=seed, max_iterations=iters, swarm_size=10,
                         budget_seconds=120, **kw)
-        best, trace = pso_select(matrix, mask, cfg, fitness=fit,
+        best, trace = pso_select(mask, cfg, fitness=fit,
                                  on_iteration=on_iteration)
         return fit, mask, best, trace, cfg
 
@@ -80,10 +83,11 @@ class TestPsoSelect:
         fit = FitnessFn(small_matrix, seed=0)
         cfg = PsoConfig(seed=0, max_iterations=100, swarm_size=10,
                         budget_seconds=1e-9)
-        _, trace = pso_select(small_matrix, FeatureMask.ones(60), cfg, fitness=fit)
+        _, trace = pso_select(FeatureMask.ones(60), cfg, fitness=fit)
         assert trace.termination == "budget"
         assert trace.records == []
 
     def test_empty_input_rejected(self, small_matrix):
         with pytest.raises(HeuristicError):
-            pso_select(small_matrix, FeatureMask.zeros(60), PsoConfig(seed=0))
+            pso_select(FeatureMask.zeros(60), PsoConfig(seed=0),
+                       fitness=FitnessFn(small_matrix, seed=0))
