@@ -180,12 +180,6 @@ def build_vocabulary(corpus: Corpus, stopwords=DEFAULT_STOPWORDS) -> Vocabulary:
     return Vocabulary(terms=terms, df=df, doc_terms=doc_terms)
 
 
-def _doc_terms(corpus: Corpus, vocab: Vocabulary) -> tuple[list[int], ...]:
-    if len(vocab.doc_terms) != len(corpus.docs):
-        raise CorpusError("vocabulary was built from a different corpus")
-    return vocab.doc_terms
-
-
 def vectorize_tfidf(corpus: Corpus, vocab: Vocabulary) -> DocTermMatrix:
     """tf * (ln((1+N)/(1+df)) + 1), rows L2-normalized; zero rows left zero."""
     n = len(corpus.docs)
@@ -197,7 +191,7 @@ def vectorize_tfidf(corpus: Corpus, vocab: Vocabulary) -> DocTermMatrix:
     data: list[float] = []
     class_of = {c: i for i, c in enumerate(corpus.classes)}
     labels = np.array([class_of[doc.label] for doc in corpus.docs], dtype=np.int64)
-    for row in _doc_terms(corpus, vocab):
+    for row in vocab.doc_terms:
         counts = Counter(row)
         row_idx = sorted(counts)
         row_w = [counts[i] * idf[i] for i in row_idx]
@@ -218,7 +212,7 @@ def compute_stats(corpus: Corpus, vocab: Vocabulary) -> CorpusStats:
     if not corpus.docs:
         raise CorpusError("empty corpus")
     term_length = [len(t) for t in vocab.term_list()]
-    rows = _doc_terms(corpus, vocab)
+    rows = vocab.doc_terms
     n_words = sum(len(row) for row in rows)
     n_chars = sum(term_length[i] for row in rows for i in row)
     n = len(corpus.docs)

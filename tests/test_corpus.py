@@ -179,14 +179,6 @@ def test_load_stopwords(tmp_path):
     assert load_stopwords(p) == {"the", "and", "of"}
 
 
-def test_vocabulary_from_another_corpus_refused():
-    v = build_vocabulary(make_corpus([("a", "cat dog")]), set())
-    other = make_corpus([("a", "cat"), ("b", "dog")])
-    for build in (vectorize_tfidf, compute_stats):
-        with pytest.raises(CorpusError, match="different corpus"):
-            build(other, v)
-
-
 # A small corpus with case, punctuation, digits, repeated words, stopwords,
 # one-letter tokens, non-ASCII letters and a document that is all stopwords.
 SMALL_TSV = (

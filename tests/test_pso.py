@@ -21,11 +21,11 @@ class TestSigmoid:
     def test_vmax(self):
         v_max = PsoConfig().v_max
         np.testing.assert_allclose(sigmoid(np.array([-v_max, v_max])),
-                                   [0.002473, 0.997527], atol=1e-6)
+                                   [0.002473, 0.997527], rtol=0, atol=1e-6)
 
     def test_symmetry(self):
         vs = np.array([-7.0, -1.3, 0.4, 2.0, 5.5])
-        np.testing.assert_allclose(sigmoid(vs) + sigmoid(-vs), 1.0, atol=1e-12)
+        np.testing.assert_allclose(sigmoid(vs) + sigmoid(-vs), 1.0, rtol=0, atol=1e-12)
 
     def test_monotone(self):
         out = sigmoid(np.linspace(-10, 10, 50))
