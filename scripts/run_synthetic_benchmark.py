@@ -1,32 +1,38 @@
 #!/usr/bin/env python3
-"""Seed sweep on the planted-features benchmark: IG baseline vs MBO vs PSO.
+"""Seed sweep on the planted-features benchmark: the paper's two claims.
+
+Each search seed runs the whole pipeline through `run_experiment` on one
+planted matrix: IG prefilter, MBO and PSO seeded from the IG mask, NB
+evaluation. Per seed it prints the MBO - PSO accuracy gap and the share of the
+IG-selected features that MBO removed. No run reaches the budget, so every
+run ends on its own stop rule and the output does not depend on machine speed.
 
 Example:
-    python3 scripts/run_synthetic_benchmark.py --seeds 5 --budget-seconds 60
+    python3 scripts/run_synthetic_benchmark.py --seeds 10
 """
 
 import argparse
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from mbofs.filter_ig import ig_filter
-from mbofs.heuristic import FeatureMask, FitnessFn
-from mbofs.mbo import MboConfig, mbo_select
-from mbofs.pso import PsoConfig, pso_select
+from mbofs.harness import ExperimentConfig, run_experiment
 from mbofs.synth import make_planted_matrix
 
+BUDGET_SECONDS = 1e6  # a run at these sizes ends on its stop rule within seconds
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seeds", type=int, default=10)
-    parser.add_argument("--budget-seconds", type=float, default=90.0)
     parser.add_argument("--ig-cap", type=int, default=500)
     parser.add_argument("--n-docs", type=int, default=500)
     parser.add_argument("--n-features", type=int, default=2000)
     parser.add_argument("--n-informative", type=int, default=50)
     parser.add_argument("--data-seed", type=int, default=1)
-    parser.add_argument("--skip-pso", action="store_true")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     matrix, _ = make_planted_matrix(
         n_docs=args.n_docs,
@@ -34,41 +40,26 @@ def main():
         n_informative=args.n_informative,
         seed=args.data_seed,
     )
-    ig_mask = ig_filter(matrix, cap=args.ig_cap)
-    reduced = matrix.restrict_columns(np.flatnonzero(ig_mask))
-    input_mask = FeatureMask.ones(reduced.n_features)
-    print(f"corpus {matrix.n_docs}x{matrix.n_features}, "
-          f"IG kept {input_mask.popcount} features")
+    print(f"corpus {matrix.n_docs}x{matrix.n_features}, ig_cap {args.ig_cap}")
+    print(f"{'seed':>4}  {'ig_acc':>7}  {'mbo_acc':>7}  {'pso_acc':>7}  {'gap':>7}  "
+          f"{'ig_M':>5}  {'mbo_M':>5}  {'removed':>7}  mbo_end")
 
-    header = f"{'seed':>4}  {'ig_acc':>7}  {'mbo_acc':>7}  {'mbo_M':>6}  {'tours':>5}"
-    if not args.skip_pso:
-        header += f"  {'pso_acc':>7}  {'pso_M':>6}"
-    print(header)
+    gaps, removed = [], []
+    with tempfile.TemporaryDirectory() as out:
+        for seed in range(args.seeds):
+            config = ExperimentConfig(method="all", ig_cap=args.ig_cap, seed=seed,
+                                      eval_classifier="nb", budget_seconds=BUDGET_SECONDS,
+                                      out_dir=str(Path(out) / f"seed{seed}"))
+            rows = {m.name: m for m in run_experiment(config, matrix=matrix).methods}
+            ig, mbo, pso = rows["ig"], rows["mbo"], rows["pso"]
+            gaps.append(mbo.accuracy - pso.accuracy)
+            removed.append(1.0 - mbo.m_prime / ig.m_prime)
+            print(f"{seed:>4}  {ig.accuracy:7.4f}  {mbo.accuracy:7.4f}  {pso.accuracy:7.4f}  "
+                  f"{gaps[-1]:+7.4f}  {ig.m_prime:>5}  {mbo.m_prime:>5}  "
+                  f"{removed[-1]:7.1%}  {mbo.status}", flush=True)
 
-    gains, reductions = [], []
-    for seed in range(args.seeds):
-        fitness = FitnessFn(reduced, classifier="nb", k=5, seed=seed)
-        base = fitness(input_mask)
-        best, state, trace = mbo_select(
-            input_mask,
-            MboConfig(seed=seed, budget_seconds=args.budget_seconds),
-            fitness=fitness,
-        )
-        row = (f"{seed:>4}  {base:7.4f}  {state.f_max:7.4f}  "
-               f"{best.popcount:>6}  {state.counter:>5}")
-        gains.append(state.f_max - base)
-        reductions.append(input_mask.popcount - best.popcount)
-        if not args.skip_pso:
-            pso_best, pso_trace = pso_select(
-                input_mask,
-                PsoConfig(seed=seed, budget_seconds=args.budget_seconds),
-                fitness=fitness,
-            )
-            row += f"  {fitness(pso_best):7.4f}  {pso_best.popcount:>6}"
-        print(row, flush=True)
-
-    print(f"\nmean MBO gain over IG: {100 * np.mean(gains):.2f}pp; "
-          f"mean features removed: {np.mean(reductions):.0f}")
+    print(f"\nmean MBO - PSO accuracy gap: {100 * np.mean(gaps):+.2f}pp; "
+          f"mean share of IG features MBO removed: {np.mean(removed):.1%}")
 
 
 if __name__ == "__main__":

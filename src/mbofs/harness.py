@@ -92,14 +92,26 @@ class ExperimentConfig:
             raise PipelineError("config", "ig_cap must be >= 1")
         if self.seed < 0:
             raise PipelineError("config", "seed must be >= 0")
-        if self.swarm_size < 1:
-            raise PipelineError("config", "swarm_size must be >= 1")
-        if not 0 <= self.base_fraction <= 1:
-            raise PipelineError("config", "base_fraction must be in [0, 1]")
         if self.method not in ("ig", "mbo", "pso", "all"):
             raise PipelineError("config", f"unknown method {self.method!r}")
         if self.eval_classifier not in ("nb", "dt", "best"):
             raise PipelineError("config", f"unknown eval_classifier {self.eval_classifier!r}")
+        try:  # every engine's fields, whatever the method
+            self.engine_configs()
+        except HeuristicError as exc:
+            raise PipelineError("config", str(exc)) from exc
+
+    def engine_configs(self) -> dict[str, MboConfig | PsoConfig]:
+        """Each search engine's config; each one checks the range of its own fields."""
+        schedule = ChangeSchedule(base_fraction=self.base_fraction)
+        return {
+            "mbo": MboConfig(flock_size=self.flock_size, neighbors=self.neighbors,
+                             schedule=schedule, budget_seconds=self.budget_seconds,
+                             seed=self.seed),
+            "pso": PsoConfig(swarm_size=self.swarm_size, max_iterations=self.pso_iterations,
+                             schedule=schedule, budget_seconds=self.budget_seconds,
+                             seed=self.seed),
+        }
 
 
 @dataclass
@@ -382,34 +394,13 @@ def run_experiment(
         input_mask = FeatureMask.ones(len(ig_columns))
         # one fitness fn (fold seed + memo table) shared by both engines
         fitness = FitnessFn(reduced, classifier="nb", k=config.folds, seed=config.seed)
-        schedule = ChangeSchedule(base_fraction=config.base_fraction)
 
         # built per call, so the engine and codec names are looked up at run time
         engines = {
-            "mbo": (
-                lambda resume, on_step: mbo_select(
-                    input_mask,
-                    MboConfig(flock_size=config.flock_size, neighbors=config.neighbors,
-                              schedule=schedule, budget_seconds=config.budget_seconds,
-                              seed=config.seed),
-                    fitness=fitness, resume=resume, on_tour=on_step)[::2],  # (mask, trace)
-                mbo_snapshot_to_json, mbo_snapshot_from_json,
-                lambda r: f"tour={r.counter} change={r.change} f_max={r.f_max!r} "
-                          f"elapsed_ms={r.elapsed_ms:.1f}",
-            ),
-            "pso": (
-                lambda resume, on_step: pso_select(
-                    input_mask,
-                    PsoConfig(swarm_size=config.swarm_size,
-                              max_iterations=config.pso_iterations, schedule=schedule,
-                              budget_seconds=config.budget_seconds, seed=config.seed),
-                    fitness=fitness, resume=resume, on_iteration=on_step),
-                pso_snapshot_to_json, pso_snapshot_from_json,
-                lambda r: f"iteration={r.iteration} gbest={r.gbest_fitness!r} "
-                          f"elapsed_ms={r.elapsed_ms:.1f}",
-            ),
+            "mbo": (mbo_select, mbo_snapshot_to_json, mbo_snapshot_from_json),
+            "pso": (pso_select, pso_snapshot_to_json, pso_snapshot_from_json),
         }
-        for name, (select, to_json, from_json, trace_line) in engines.items():
+        for name, (select, to_json, from_json) in engines.items():
             if config.method not in (name, "all"):
                 continue
             ckpt_path = out_dir / f"checkpoint_{name}.json"
@@ -423,8 +414,8 @@ def run_experiment(
                     raise CheckpointError(f"malformed {name} checkpoint: masks and "
                                           f"velocities must have {len(ig_columns)} entries")
             best, trace = select(
-                resume,
-                lambda snap: checkpoint_save(ckpt_path, name, fingerprint, to_json(snap)),
+                input_mask, config.engine_configs()[name], fitness, resume=resume,
+                on_step=lambda snap: checkpoint_save(ckpt_path, name, fingerprint, to_json(snap)),
             )
             full = _expand_mask(best, ig_columns, matrix.n_features)
             acc, clf = evaluate_mask(matrix, full, config.eval_classifier,
@@ -433,7 +424,7 @@ def run_experiment(
                                         trace.elapsed_seconds, trace.termination))
             save_mask(out_dir / f"mask_{name}.txt", full)
             save_mask_sidecar(out_dir / f"mask_{name}_features.csv", full, terms, scores.gain)
-            _write_trace(out_dir / f"trace_{name}.txt", [trace_line(r) for r in trace.records])
+            _write_trace(out_dir / f"trace_{name}.txt", [r.trace_line() for r in trace.records])
 
     report = RunReport(corpus=stats, methods=methods, seed=config.seed,
                        config=asdict(config))
@@ -444,7 +435,7 @@ def run_experiment(
 
 
 def _write_trace(path, lines: list[str]):
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def render_report(report: RunReport, style: str = "table") -> str:

@@ -94,12 +94,15 @@ class RngStream:
 @dataclass(frozen=True)
 class ChangeSchedule:
     base_fraction: float = 0.02
-    floor: int = 1
+
+    def __post_init__(self):
+        if not 0 <= self.base_fraction <= 1:  # NaN fails too
+            raise HeuristicError("base_fraction must be in [0, 1]")
 
 
 def change_count(counter: int, m_prime: int, schedule: ChangeSchedule) -> int:
     """Geometric decay per tour: broad moves early, single flips late."""
-    return max(schedule.floor, int(schedule.base_fraction * m_prime / 2**counter))
+    return max(1, int(schedule.base_fraction * m_prime / 2**counter))
 
 
 def generate_neighbor(

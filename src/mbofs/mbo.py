@@ -74,7 +74,7 @@ class MboConfig:
         if self.flock_size < 3 or self.flock_size % 2 == 0:
             raise HeuristicError("flock_size must be odd and >= 3")
         if self.neighbors < 3:
-            raise HeuristicError("need at least 3 neighbors per bird")
+            raise HeuristicError("neighbors must be >= 3")
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,11 @@ class TourRecord:
     change: int
     f_max: float
     elapsed_ms: float
+
+    def trace_line(self) -> str:
+        """This tour's line in trace_mbo.txt."""
+        return (f"tour={self.counter} change={self.change} f_max={self.f_max!r} "
+                f"elapsed_ms={self.elapsed_ms:.1f}")
 
 
 @dataclass
@@ -108,12 +113,9 @@ def initialize_flock(
     return Flock(leader=leader, left=tuple(left), right=tuple(right))
 
 
-def _best_two(pool: list[Bird]) -> tuple[Bird, Bird | None]:
-    """Highest-fitness bird and runner-up; ties go to the earliest candidate."""
-    order = sorted(range(len(pool)), key=lambda i: (-pool[i].fitness, i))
-    best = pool[order[0]]
-    second = pool[order[1]] if len(pool) > 1 else None
-    return best, second
+def _ranked(pool: list[Bird]) -> list[Bird]:
+    """The pool, best fitness first; the sort is stable, so ties go to the earliest."""
+    return sorted(pool, key=lambda b: -b.fitness)
 
 
 def fly(
@@ -129,28 +131,17 @@ def fly(
             ns.append(Bird(mask=mask, fitness=fitness(mask)))
         neighbor_sets.append(ns)
 
-    leader_pool = [birds[0], *neighbor_sets[0]]
-    order = sorted(range(len(leader_pool)), key=lambda i: (-leader_pool[i].fitness, i))
-    new_leader = leader_pool[order[0]]
-    shares = {  # (wing, depth) -> inherited candidate
-        ("left", 0): leader_pool[order[1]],
-        ("right", 0): leader_pool[order[2]],
-    }
-
-    wings = {"left": flock.left, "right": flock.right}
-    new_wings: dict[str, tuple[Bird, ...]] = {}
-    for wing, members in wings.items():
-        offset = 1 if wing == "left" else 1 + len(flock.left)
+    new_leader, *shares = _ranked([birds[0], *neighbor_sets[0]])[:3]
+    wings = []
+    offset = 1  # index of the wing's first bird in birds
+    for members, share in zip((flock.left, flock.right), shares):
         out = []
         for depth, bird in enumerate(members):
-            pool = [bird, *neighbor_sets[offset + depth], shares[(wing, depth)]]
-            best, second = _best_two(pool)
+            best, share = _ranked([bird, *neighbor_sets[offset + depth], share])[:2]
             out.append(best)
-            if depth + 1 < len(members):
-                shares[(wing, depth + 1)] = second
-        new_wings[wing] = tuple(out)
-
-    return Flock(leader=new_leader, left=new_wings["left"], right=new_wings["right"])
+        wings.append(tuple(out))
+        offset += len(members)
+    return Flock(leader=new_leader, left=wings[0], right=wings[1])
 
 
 def find_best_bird(flock: Flock) -> Bird:
@@ -189,9 +180,10 @@ def mbo_select(
     config: MboConfig,
     fitness: FitnessFn,
     resume: MboSnapshot | None = None,
-    on_tour=None,
-) -> tuple[FeatureMask, MboState, RunTrace]:
-    """Run the full search from (or resuming toward) the input mask.
+    on_step=None,
+) -> tuple[FeatureMask, RunTrace]:
+    """Run the full search from (or resuming toward) the input mask; return the
+    best mask and the trace. `on_step` gets the live snapshot after each tour.
 
     The returned mask never scores below the input: the global best is
     initialized to the input itself, so a failed search falls back to the
@@ -227,5 +219,5 @@ def mbo_select(
         state.counter += 1
         snap.trace.records.append(TourRecord(state.counter, change, state.f_max, clock() * 1000.0))
 
-    run_search(snap, tour, _stop_rule, config.budget_seconds, on_tour)
-    return snap.state.b_max, snap.state, snap.trace
+    run_search(snap, tour, _stop_rule, config.budget_seconds, on_step)
+    return snap.state.b_max, snap.trace

@@ -24,18 +24,24 @@ from .heuristic import (
 )
 
 
+W_START = 0.9  # inertia at the first iteration, decaying linearly to W_END
+W_END = 0.4
+C1 = 2.0  # cognitive (pbest) weight
+C2 = 2.0  # social (gbest) weight
+V_MAX = 6.0  # velocities are clamped to [-V_MAX, V_MAX]
+
+
 @dataclass(frozen=True)
 class PsoConfig:
     swarm_size: int = 30
-    w_start: float = 0.9
-    w_end: float = 0.4
-    c1: float = 2.0
-    c2: float = 2.0
-    v_max: float = 6.0
     max_iterations: int = 100
     schedule: ChangeSchedule = field(default_factory=ChangeSchedule)
     budget_seconds: float = 600.0
     seed: int = 0
+
+    def __post_init__(self):
+        if self.swarm_size < 1:
+            raise HeuristicError("swarm_size must be >= 1")
 
 
 @dataclass
@@ -51,6 +57,11 @@ class IterationRecord:
     iteration: int
     gbest_fitness: float
     elapsed_ms: float
+
+    def trace_line(self) -> str:
+        """This iteration's line in trace_pso.txt."""
+        return (f"iteration={self.iteration} gbest={self.gbest_fitness!r} "
+                f"elapsed_ms={self.elapsed_ms:.1f}")
 
 
 @dataclass
@@ -101,8 +112,10 @@ def pso_select(
     config: PsoConfig,
     fitness: FitnessFn,
     resume: PsoSnapshot | None = None,
-    on_iteration=None,
+    on_step=None,
 ) -> tuple[FeatureMask, PsoTrace]:
+    """Run the swarm from (or resuming toward) the input mask; return the global
+    best mask and the trace. `on_step` gets the live snapshot after each iteration."""
     if input_mask.popcount < 1:
         raise HeuristicError("input mask must select at least one feature")
     rng = RngStream(config.seed)
@@ -123,7 +136,7 @@ def pso_select(
     def iteration(snap: PsoSnapshot, clock):
         it = snap.iteration
         frac = it / max(config.max_iterations - 1, 1)
-        w = config.w_start + (config.w_end - config.w_start) * frac
+        w = W_START + (W_END - W_START) * frac
         gbest_bits = snap.gbest_mask.to_array().astype(float)
         for i, p in enumerate(snap.particles):
             gen = rng.child("iter", it).child("particle", i).generator()
@@ -131,8 +144,8 @@ def pso_select(
             pb = p.pbest_mask.to_array().astype(float)
             r1 = gen.random(len(x))
             r2 = gen.random(len(x))
-            v = w * p.velocity + config.c1 * r1 * (pb - x) + config.c2 * r2 * (gbest_bits - x)
-            np.clip(v, -config.v_max, config.v_max, out=v)
+            v = w * p.velocity + C1 * r1 * (pb - x) + C2 * r2 * (gbest_bits - x)
+            np.clip(v, -V_MAX, V_MAX, out=v)
             new_bits = gen.random(len(x)) < sigmoid(v)
             p.velocity = v
             p.position = FeatureMask.from_array(new_bits)
@@ -149,5 +162,5 @@ def pso_select(
         snap.trace.records.append(IterationRecord(it + 1, snap.gbest_fitness, clock() * 1000.0))
 
     stop = lambda s: "max-iterations" if s.iteration >= config.max_iterations else None
-    run_search(snap, iteration, stop, config.budget_seconds, on_iteration)
+    run_search(snap, iteration, stop, config.budget_seconds, on_step)
     return snap.gbest_mask, snap.trace

@@ -52,7 +52,7 @@ from mbofs.mbo import (
     mbo_select,
     reorder,
 )
-from mbofs.pso import PsoConfig, pso_select
+from mbofs.pso import V_MAX, PsoConfig, pso_select
 from mbofs.synth import make_planted_matrix
 
 from tests.test_filter_ig import brute_force_ig
@@ -87,14 +87,14 @@ def sweep(planted):
     for seed in range(10):
         fitness = FitnessFn(reduced, classifier="nb", k=5, seed=seed)
         base = fitness(input_mask)
-        best, state, trace = mbo_select(
+        best, trace = mbo_select(
             input_mask, MboConfig(seed=seed, budget_seconds=90),
             fitness=fitness,
         )
         runs.append({
             "seed": seed,
             "base": base,
-            "f_max": state.f_max,
+            "f_max": trace.records[-1].f_max,
             "best_fitness": fitness(best),
             "m_prime": best.popcount,
         })
@@ -241,10 +241,10 @@ def test_criterion_8_pso_baseline_integrity(planted, tmp_path):
     fitness = FitnessFn(reduced, classifier="nb", k=5, seed=0)
     best1, trace1 = pso_select(
         input_mask, cfg, fitness=fitness,
-        on_iteration=lambda s: peaks.append(max(np.abs(p.velocity).max() for p in s.particles)))
+        on_step=lambda s: peaks.append(max(np.abs(p.velocity).max() for p in s.particles)))
     g = [r.gbest_fitness for r in trace1.records]
     non_decreasing = all(a <= b for a, b in zip(g, g[1:]))
-    clamped = len(peaks) == cfg.max_iterations and max(peaks) <= cfg.v_max + 1e-12
+    clamped = len(peaks) == cfg.max_iterations and max(peaks) <= V_MAX + 1e-12
     best2, trace2 = pso_select(
         input_mask, cfg, fitness=FitnessFn(reduced, k=5, seed=0))
     deterministic = best1 == best2 and g == [r.gbest_fitness for r in trace2.records]
@@ -297,24 +297,23 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
     matrix, _ = make_planted_matrix(n_docs=80, n_features=60, n_informative=10, seed=3)
     mask = FeatureMask.ones(60)
     mcfg = MboConfig(seed=5, flock_size=5, budget_seconds=120)
-    full_best, _, _ = mbo_select(mask, mcfg, fitness=FitnessFn(matrix, seed=5))
+    full_best, _ = mbo_select(mask, mcfg, fitness=FitnessFn(matrix, seed=5))
     snaps = []
 
     class Killed(Exception):
         pass
 
-    def on_tour(snap):
+    def on_step(snap):
         snaps.append(json.dumps(mbo_snapshot_to_json(snap)))
         if len(snaps) == 2:
             raise Killed()
 
     with pytest.raises(Killed):
-        mbo_select(mask, mcfg, fitness=FitnessFn(matrix, seed=5),
-                   on_tour=on_tour)
+        mbo_select(mask, mcfg, fitness=FitnessFn(matrix, seed=5), on_step=on_step)
     resumed_state = mbo_snapshot_from_json(json.loads(snaps[-1]))
-    resumed_best, _, _ = mbo_select(mask, mcfg,
-                                    fitness=FitnessFn(matrix, seed=5),
-                                    resume=resumed_state)
+    resumed_best, _ = mbo_select(mask, mcfg,
+                                 fitness=FitnessFn(matrix, seed=5),
+                                 resume=resumed_state)
     resume_ok = resumed_best == full_best
 
     report_line(9, "byte-identical masks, identical accuracies, resume == "

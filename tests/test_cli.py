@@ -66,6 +66,7 @@ def test_select_budget_expiry_exit_code(config_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "-" in out  # budget row renders as a dash
     assert (tmp_path / "b" / "report.json").exists()  # partial results written
+    assert (tmp_path / "b" / "trace_pso.txt").read_text(encoding="utf-8") == ""  # no iterations
 
 
 def test_select_resume_roundtrip(config_file, tmp_path, capsys):
@@ -94,12 +95,25 @@ def test_select_bad_config_value(config_file, capsys):
     ("swarm_size = -3", "swarm_size must be >= 1"),
     ("base_fraction = nan", "base_fraction must be in [0, 1]"),
     ("eval_classifier = NB", "unknown eval_classifier 'NB'"),
+    ("flock_size = 4", "flock_size must be odd and >= 3"),
+    ("neighbors = 2", "neighbors must be >= 3"),
 ])
-def test_select_config_value_out_of_range(config_file, capsys, line, message):
+def test_select_config_value_out_of_range(config_file, tmp_path, capsys, line, message):
     with config_file.open("a", encoding="utf-8") as fh:  # later keys win
         fh.write(line + "\n")
     assert main(["select", "--method", "all", "--config", str(config_file)]) == 2
     _one_error_line(capsys, f"error: [config] {message}")
+    assert not (tmp_path / "run" / "mask_ig.txt").exists()  # refused before any work
+
+
+@pytest.mark.parametrize("method", ["ig", "mbo", "pso"])
+def test_select_search_field_checked_for_every_method(config_file, tmp_path, capsys, method):
+    # an MBO-only field is checked even when MBO does not run
+    with config_file.open("a", encoding="utf-8") as fh:
+        fh.write("neighbors = 2\n")
+    assert main(["select", "--method", method, "--config", str(config_file)]) == 2
+    _one_error_line(capsys, "error: [config] neighbors must be >= 3")
+    assert not (tmp_path / "run" / "mask_ig.txt").exists()
 
 
 def test_select_missing_config(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import importlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -59,13 +60,15 @@ class TestConfig:
             ("folds", 1), ("seed", -1), ("swarm_size", 0), ("swarm_size", -2),
             ("base_fraction", float("nan")), ("base_fraction", -0.1), ("base_fraction", 1.5),
             ("budget_seconds", float("nan")), ("eval_classifier", "NB"),
+            ("flock_size", 4), ("flock_size", 1), ("neighbors", 2),
         ]:
             with pytest.raises(PipelineError, match=field):
                 ExperimentConfig(**{field: value}).validate()
 
     @pytest.mark.parametrize("field, value", [
         ("seed", 0), ("swarm_size", 1), ("base_fraction", 0.0), ("base_fraction", 1.0),
-        ("eval_classifier", "nb"), ("eval_classifier", "dt"),
+        ("eval_classifier", "nb"), ("eval_classifier", "dt"), ("flock_size", 3),
+        ("neighbors", 3),
     ])
     def test_validation_accepts_edges(self, field, value):
         ExperimentConfig(**{field: value}).validate()
@@ -129,23 +132,22 @@ class TestCheckpoint:
         cfg = MboConfig(seed=5, flock_size=5, budget_seconds=120)
         mask = FeatureMask.ones(60)
 
-        full_best, _, _ = mbo_select(mask, cfg, fitness=FitnessFn(matrix, seed=5))
+        full_best, _ = mbo_select(mask, cfg, fitness=FitnessFn(matrix, seed=5))
 
         snaps = []
 
         class Stop(Exception):
             pass
 
-        def on_tour(snap):
+        def on_step(snap):
             snaps.append(mbo_snapshot_to_json(snap))  # serialize like the harness
             if len(snaps) == 2:
                 raise Stop()
 
         with pytest.raises(Stop):
-            mbo_select(mask, cfg, fitness=FitnessFn(matrix, seed=5),
-                       on_tour=on_tour)
+            mbo_select(mask, cfg, fitness=FitnessFn(matrix, seed=5), on_step=on_step)
         resumed = mbo_snapshot_from_json(snaps[-1])
-        res_best, _, _ = mbo_select(mask, cfg,
+        res_best, _ = mbo_select(mask, cfg,
                                     fitness=FitnessFn(matrix, seed=5), resume=resumed)
         assert res_best == full_best
 
@@ -161,14 +163,13 @@ class TestCheckpoint:
         class Stop(Exception):
             pass
 
-        def on_iteration(snap):
+        def on_step(snap):
             snaps.append(pso_snapshot_to_json(snap))  # serialize like the harness
             if len(snaps) == 2:
                 raise Stop()
 
         with pytest.raises(Stop):
-            pso_select(mask, cfg, fitness=FitnessFn(matrix, seed=5),
-                       on_iteration=on_iteration)
+            pso_select(mask, cfg, fitness=FitnessFn(matrix, seed=5), on_step=on_step)
         resumed = pso_snapshot_from_json(json.loads(json.dumps(snaps[-1])))
         assert pso_snapshot_to_json(resumed) == snaps[-1]  # velocities round-trip exactly
         res_best, res_trace = pso_select(mask, cfg,
@@ -184,10 +185,10 @@ def test_snapshot_codec_roundtrip_exact():
     docs = {}
     mbo_select(mask, MboConfig(seed=1, flock_size=5, budget_seconds=60),
                fitness=FitnessFn(matrix, seed=1),
-               on_tour=lambda snap: docs.update(mbo=mbo_snapshot_to_json(snap)))
+               on_step=lambda snap: docs.update(mbo=mbo_snapshot_to_json(snap)))
     pso_select(mask, PsoConfig(seed=1, swarm_size=4, max_iterations=3),
                fitness=FitnessFn(matrix, seed=1),
-               on_iteration=lambda snap: docs.update(pso=pso_snapshot_to_json(snap)))
+               on_step=lambda snap: docs.update(pso=pso_snapshot_to_json(snap)))
     for name, to_json, from_json in [("mbo", mbo_snapshot_to_json, mbo_snapshot_from_json),
                                      ("pso", pso_snapshot_to_json, pso_snapshot_from_json)]:
         back = from_json(json.loads(json.dumps(docs[name])))
@@ -276,6 +277,27 @@ class TestRunExperiment:
         a = (tmp_path / "a" / "mask_mbo.txt").read_bytes()
         b = (tmp_path / "b" / "mask_mbo.txt").read_bytes()
         assert a == b
+
+    def test_trace_files_match_readme_format(self, demo_tsv, tmp_path):
+        # perfbench/checks.py parses f_max= and perfbench/run.py counts tours as lines
+        run_experiment(self.config(demo_tsv, tmp_path))
+        run = tmp_path / "run"
+        mbo = json.loads((run / "checkpoint_mbo.json").read_text(encoding="utf-8"))
+        pso = json.loads((run / "checkpoint_pso.json").read_text(encoding="utf-8"))
+        for engine, pattern, steps in [
+            ("mbo", r"tour=(\d+) change=[1-9]\d* f_max=(\S+) elapsed_ms=\d+\.\d",
+             mbo["payload"]["state"]["counter"]),
+            ("pso", r"iteration=(\d+) gbest=(\S+) elapsed_ms=\d+\.\d",
+             pso["payload"]["iteration"]),
+        ]:
+            lines = (run / f"trace_{engine}.txt").read_text(encoding="utf-8").splitlines()
+            assert len(lines) == steps > 0, engine  # one line per tour or iteration
+            for n, line in enumerate(lines, 1):
+                match = re.fullmatch(pattern, line)
+                assert match, line
+                assert int(match[1]) == n
+                assert match[2] == repr(float(match[2])), line  # repr, not rounded
+        assert pso["payload"]["iteration"] == 5  # pso_iterations
 
     def test_missing_corpus_is_pipeline_error(self, tmp_path):
         cfg = ExperimentConfig(corpus_path=str(tmp_path / "nope.tsv"),

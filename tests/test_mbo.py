@@ -118,15 +118,15 @@ class TestMboSelect:
     def test_output_never_below_input(self, small_matrix):
         fit = FitnessFn(small_matrix, seed=0)
         mask = FeatureMask.ones(60)
-        best, state, trace = mbo_select(
+        best, trace = mbo_select(
             mask, MboConfig(seed=1, budget_seconds=60), fitness=fit
         )
-        assert state.f_max >= fit(mask)
-        assert fit(best) == state.f_max
+        assert trace.records[-1].f_max >= fit(mask)
+        assert fit(best) == trace.records[-1].f_max
 
     def test_trace_non_decreasing(self, small_matrix):
         cfg = MboConfig(seed=2, budget_seconds=60)
-        _, _, trace = mbo_select(
+        _, trace = mbo_select(
             FeatureMask.ones(60), cfg, fitness=FitnessFn(small_matrix, seed=cfg.seed)
         )
         fs = [r.f_max for r in trace.records]
@@ -144,18 +144,18 @@ class TestMboSelect:
         m = DocTermMatrix(weights=sp.csr_matrix(x), labels=y)
         mask = FeatureMask.from_bitstring("11000")
         fit = FitnessFn(m, seed=0)
-        best, state, trace = mbo_select(mask, MboConfig(seed=0), fitness=fit)
+        best, trace = mbo_select(mask, MboConfig(seed=0), fitness=fit)
         assert trace.termination == "stagnation"
-        assert state.counter == 3
+        assert len(trace.records) == 3
         assert fit(best) == 1.0
 
     def test_deterministic(self, small_matrix):
         cfg = MboConfig(seed=9, budget_seconds=60)
         mask = FeatureMask.ones(60)
-        b1, s1, t1 = mbo_select(mask, cfg, fitness=FitnessFn(small_matrix, seed=cfg.seed))
-        b2, s2, t2 = mbo_select(mask, cfg, fitness=FitnessFn(small_matrix, seed=cfg.seed))
+        b1, t1 = mbo_select(mask, cfg, fitness=FitnessFn(small_matrix, seed=cfg.seed))
+        b2, t2 = mbo_select(mask, cfg, fitness=FitnessFn(small_matrix, seed=cfg.seed))
         assert b1 == b2
-        assert s1.f_max == s2.f_max
+        assert t1.records[-1].f_max == t2.records[-1].f_max
         assert [(r.counter, r.change, r.f_max) for r in t1.records] == [
             (r.counter, r.change, r.f_max) for r in t2.records
         ]

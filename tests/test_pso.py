@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mbofs.heuristic import FeatureMask, FitnessFn, HeuristicError
-from mbofs.pso import PsoConfig, pso_select, sigmoid
+from mbofs.pso import V_MAX, PsoConfig, pso_select, sigmoid
 from mbofs.synth import make_planted_matrix
 
 
@@ -19,8 +19,7 @@ class TestSigmoid:
         assert sigmoid(np.zeros(3)).tolist() == [0.5, 0.5, 0.5]
 
     def test_vmax(self):
-        v_max = PsoConfig().v_max
-        np.testing.assert_allclose(sigmoid(np.array([-v_max, v_max])),
+        np.testing.assert_allclose(sigmoid(np.array([-V_MAX, V_MAX])),
                                    [0.002473, 0.997527], rtol=0, atol=1e-6)
 
     def test_symmetry(self):
@@ -34,13 +33,12 @@ class TestSigmoid:
 
 
 class TestPsoSelect:
-    def run(self, matrix, seed=0, iters=8, on_iteration=None, **kw):
+    def run(self, matrix, seed=0, iters=8, on_step=None, **kw):
         fit = FitnessFn(matrix, seed=seed)
         mask = FeatureMask.ones(matrix.n_features)
         cfg = PsoConfig(seed=seed, max_iterations=iters, swarm_size=10,
                         budget_seconds=120, **kw)
-        best, trace = pso_select(mask, cfg, fitness=fit,
-                                 on_iteration=on_iteration)
+        best, trace = pso_select(mask, cfg, fitness=fit, on_step=on_step)
         return fit, mask, best, trace, cfg
 
     def test_gbest_floor_is_input(self, small_matrix):
@@ -58,14 +56,14 @@ class TestPsoSelect:
     def test_velocity_clamped(self, small_matrix):
         peaks = []
         record = lambda snap: peaks.append(max(np.abs(p.velocity).max() for p in snap.particles))
-        _, _, _, _, cfg = self.run(small_matrix, seed=2, on_iteration=record)
+        self.run(small_matrix, seed=2, on_step=record)
         assert len(peaks) == 8
-        assert max(peaks) <= cfg.v_max + 1e-12
+        assert max(peaks) <= V_MAX + 1e-12
 
     def test_pbest_non_decreasing(self, small_matrix):
         rows = []
         record = lambda snap: rows.append([p.pbest_fitness for p in snap.particles])
-        self.run(small_matrix, seed=3, on_iteration=record)
+        self.run(small_matrix, seed=3, on_step=record)
         by_particle = list(zip(*rows))
         for series in by_particle:
             assert all(a <= b for a, b in zip(series, series[1:]))
