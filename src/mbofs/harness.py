@@ -27,6 +27,9 @@ CHECKPOINT_VERSION = 3  # 2: PSO velocities as base64 float64; 3: traces as data
 # Config fields that change a search's trajectory; a checkpoint is bound to them.
 SEARCH_FIELDS = ("seed", "folds", "ig_cap", "flock_size", "neighbors",
                  "base_fraction", "swarm_size", "pso_iterations")
+# Least wall time between two checkpoint writes of one search; the last step is
+# always written when the search returns.
+CHECKPOINT_INTERVAL_S = 5.0
 
 
 class PipelineError(Exception):
@@ -267,7 +270,7 @@ def pso_snapshot_from_json(d: dict) -> PsoSnapshot:
 
 
 def checkpoint_save(path, method: str, fingerprint: str, payload: dict):
-    """Atomic write (temp + rename) so a crash never leaves a torn file."""
+    """Atomic write (synced temp + rename) so a crash never leaves a torn file."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "method": method,
@@ -276,8 +279,34 @@ def checkpoint_save(path, method: str, fingerprint: str, payload: dict):
     }
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(doc), encoding="utf-8")
+    with tmp.open("w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc))
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+class _CheckpointWriter:
+    """One search's `on_step`: writes the live snapshot once CHECKPOINT_INTERVAL_S
+    has passed since the search started or since the last write. `flush()`, called
+    after the search returns, writes the last step if it is not on disk yet.
+    Nothing is written on an exception: a snapshot caught mid-step is torn."""
+
+    def __init__(self, write):
+        self._write = write  # snapshot -> None; encodes only when called
+        self._last = time.monotonic()
+        self._pending = None
+
+    def __call__(self, snapshot):
+        self._pending = snapshot
+        if time.monotonic() - self._last >= CHECKPOINT_INTERVAL_S:
+            self.flush()
+
+    def flush(self):
+        if self._pending is not None:
+            self._write(self._pending)
+            self._pending = None
+            self._last = time.monotonic()
 
 
 def run_fingerprint(matrix: DocTermMatrix, config: ExperimentConfig) -> str:
@@ -413,10 +442,11 @@ def run_experiment(
                 if set(_lengths(resume)) - {len(ig_columns)}:
                     raise CheckpointError(f"malformed {name} checkpoint: masks and "
                                           f"velocities must have {len(ig_columns)} entries")
-            best, trace = select(
-                input_mask, config.engine_configs()[name], fitness, resume=resume,
-                on_step=lambda snap: checkpoint_save(ckpt_path, name, fingerprint, to_json(snap)),
-            )
+            writer = _CheckpointWriter(
+                lambda snap: checkpoint_save(ckpt_path, name, fingerprint, to_json(snap)))
+            best, trace = select(input_mask, config.engine_configs()[name], fitness,
+                                 resume=resume, on_step=writer)
+            writer.flush()
             full = _expand_mask(best, ig_columns, matrix.n_features)
             acc, clf = evaluate_mask(matrix, full, config.eval_classifier,
                                      config.folds, config.seed)

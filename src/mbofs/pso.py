@@ -42,6 +42,8 @@ class PsoConfig:
     def __post_init__(self):
         if self.swarm_size < 1:
             raise HeuristicError("swarm_size must be >= 1")
+        if self.max_iterations < 1:
+            raise HeuristicError("pso_iterations must be >= 1")
 
 
 @dataclass

@@ -97,6 +97,8 @@ def test_select_bad_config_value(config_file, capsys):
     ("eval_classifier = NB", "unknown eval_classifier 'NB'"),
     ("flock_size = 4", "flock_size must be odd and >= 3"),
     ("neighbors = 2", "neighbors must be >= 3"),
+    ("pso_iterations = 0", "pso_iterations must be >= 1"),
+    ("pso_iterations = -5", "pso_iterations must be >= 1"),
 ])
 def test_select_config_value_out_of_range(config_file, tmp_path, capsys, line, message):
     with config_file.open("a", encoding="utf-8") as fh:  # later keys win

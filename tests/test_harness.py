@@ -1,6 +1,7 @@
 import importlib
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from mbofs.harness import (
     save_mask,
     save_mask_sidecar,
 )
+from mbofs import harness
 from mbofs.corpus import CorpusStats
 from mbofs.heuristic import FeatureMask, FitnessFn
 from mbofs.mbo import MboConfig, mbo_select
@@ -61,6 +63,7 @@ class TestConfig:
             ("base_fraction", float("nan")), ("base_fraction", -0.1), ("base_fraction", 1.5),
             ("budget_seconds", float("nan")), ("eval_classifier", "NB"),
             ("flock_size", 4), ("flock_size", 1), ("neighbors", 2),
+            ("pso_iterations", 0), ("pso_iterations", -5),
         ]:
             with pytest.raises(PipelineError, match=field):
                 ExperimentConfig(**{field: value}).validate()
@@ -68,7 +71,7 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("seed", 0), ("swarm_size", 1), ("base_fraction", 0.0), ("base_fraction", 1.0),
         ("eval_classifier", "nb"), ("eval_classifier", "dt"), ("flock_size", 3),
-        ("neighbors", 3),
+        ("neighbors", 3), ("pso_iterations", 1),
     ])
     def test_validation_accepts_edges(self, field, value):
         ExperimentConfig(**{field: value}).validate()
@@ -230,26 +233,28 @@ class TestRenderReport:
             render_report(_report(), "xml")
 
 
+def _demo_config(demo_tsv, tmp_path, **kw):
+    base = dict(
+        corpus_path=str(demo_tsv),
+        corpus_format="tsv",
+        ig_cap=30,
+        method="all",
+        folds=5,
+        seed=0,
+        budget_seconds=60.0,
+        flock_size=5,
+        swarm_size=8,
+        pso_iterations=5,
+        out_dir=str(tmp_path / "run"),
+    )
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
 class TestRunExperiment:
-    def config(self, demo_tsv, tmp_path, **kw):
-        base = dict(
-            corpus_path=str(demo_tsv),
-            corpus_format="tsv",
-            ig_cap=30,
-            method="all",
-            folds=5,
-            seed=0,
-            budget_seconds=60.0,
-            flock_size=5,
-            swarm_size=8,
-            pso_iterations=5,
-            out_dir=str(tmp_path / "run"),
-        )
-        base.update(kw)
-        return ExperimentConfig(**base)
 
     def test_ig_only(self, demo_tsv, tmp_path):
-        report = run_experiment(self.config(demo_tsv, tmp_path, method="ig"))
+        report = run_experiment(_demo_config(demo_tsv, tmp_path, method="ig"))
         names = [m.name for m in report.methods]
         assert names == ["raw", "ig"]
         ig = report.methods[1]
@@ -258,7 +263,7 @@ class TestRunExperiment:
         assert (tmp_path / "run" / "report.json").exists()
 
     def test_all_methods_and_guarantee(self, demo_tsv, tmp_path):
-        report = run_experiment(self.config(demo_tsv, tmp_path))
+        report = run_experiment(_demo_config(demo_tsv, tmp_path))
         by_name = {m.name: m for m in report.methods}
         assert set(by_name) == {"raw", "ig", "mbo", "pso"}
         ig_mask = load_mask(tmp_path / "run" / "mask_ig.txt")
@@ -269,8 +274,8 @@ class TestRunExperiment:
             assert np.all(ig_mask[mask])  # engines stay inside the IG universe
 
     def test_deterministic_reports(self, demo_tsv, tmp_path):
-        r1 = run_experiment(self.config(demo_tsv, tmp_path, out_dir=str(tmp_path / "a")))
-        r2 = run_experiment(self.config(demo_tsv, tmp_path, out_dir=str(tmp_path / "b")))
+        r1 = run_experiment(_demo_config(demo_tsv, tmp_path, out_dir=str(tmp_path / "a")))
+        r2 = run_experiment(_demo_config(demo_tsv, tmp_path, out_dir=str(tmp_path / "b")))
         for m1, m2 in zip(r1.methods, r2.methods):
             assert (m1.name, m1.m_prime, m1.accuracy, m1.classifier) == (
                 m2.name, m2.m_prime, m2.accuracy, m2.classifier)
@@ -280,7 +285,7 @@ class TestRunExperiment:
 
     def test_trace_files_match_readme_format(self, demo_tsv, tmp_path):
         # perfbench/checks.py parses f_max= and perfbench/run.py counts tours as lines
-        run_experiment(self.config(demo_tsv, tmp_path))
+        run_experiment(_demo_config(demo_tsv, tmp_path))
         run = tmp_path / "run"
         mbo = json.loads((run / "checkpoint_mbo.json").read_text(encoding="utf-8"))
         pso = json.loads((run / "checkpoint_pso.json").read_text(encoding="utf-8"))
@@ -304,6 +309,86 @@ class TestRunExperiment:
                                out_dir=str(tmp_path / "run"))
         with pytest.raises(PipelineError, match=r"\[load\]"):
             run_experiment(cfg)
+
+
+def _trace_lines(run, engine):
+    return len((run / f"trace_{engine}.txt").read_text(encoding="utf-8").splitlines())
+
+
+class TestCheckpointCadence:
+    """The harness writes a search's checkpoint on a clock, and its last step once."""
+
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        """The method of every checkpoint_save call, in order."""
+        calls = []
+        save = harness.checkpoint_save
+
+        def counting(path, method, fingerprint, payload):
+            calls.append(method)
+            save(path, method, fingerprint, payload)
+
+        monkeypatch.setattr(harness, "checkpoint_save", counting)
+        return calls
+
+    def test_interval_zero_writes_every_step(self, demo_tsv, tmp_path, monkeypatch, writes):
+        monkeypatch.setattr(harness, "CHECKPOINT_INTERVAL_S", 0.0)
+        run_experiment(_demo_config(demo_tsv, tmp_path))
+        for engine in ("mbo", "pso"):
+            assert writes.count(engine) == _trace_lines(tmp_path / "run", engine) > 1, engine
+
+    def test_default_interval_writes_last_step_once(self, demo_tsv, tmp_path, writes):
+        run_experiment(_demo_config(demo_tsv, tmp_path))
+        run = tmp_path / "run"
+        assert writes == ["mbo", "pso"]
+        mbo = json.loads((run / "checkpoint_mbo.json").read_text(encoding="utf-8"))
+        pso = json.loads((run / "checkpoint_pso.json").read_text(encoding="utf-8"))
+        assert mbo["payload"]["state"]["counter"] == _trace_lines(run, "mbo") > 1
+        assert pso["payload"]["iteration"] == _trace_lines(run, "pso") == 5
+        assert not list(run.glob("*.tmp"))
+
+    def test_budget_before_first_step_writes_nothing(self, demo_tsv, tmp_path, writes):
+        run_experiment(_demo_config(demo_tsv, tmp_path, budget_seconds=1e-9))
+        run = tmp_path / "run"
+        assert writes == []
+        assert not list(run.glob("checkpoint_*"))
+        assert (run / "mask_mbo.txt").exists() and (run / "mask_pso.txt").exists()
+
+    def test_search_error_writes_nothing(self, demo_tsv, tmp_path, monkeypatch, writes):
+        # a step that raises leaves the snapshot torn: the writer must not flush it
+        def crashing(input_mask, config, fitness, resume=None, on_step=None):
+            def step(snap):
+                on_step(snap)
+                raise RuntimeError("killed")
+            return mbo_select(input_mask, config, fitness, resume=resume, on_step=step)
+
+        monkeypatch.setattr(harness, "mbo_select", crashing)
+        with pytest.raises(RuntimeError, match="killed"):
+            run_experiment(_demo_config(demo_tsv, tmp_path, method="mbo"))
+        assert writes == []
+        assert not (tmp_path / "run" / "checkpoint_mbo.json").exists()
+
+    def test_resume_from_mid_run_checkpoint(self, demo_tsv, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "CHECKPOINT_INTERVAL_S", 0.0)
+        save = harness.checkpoint_save
+        writes = []
+
+        def keep_second(path, method, fingerprint, payload):
+            save(path, method, fingerprint, payload)
+            writes.append(method)
+            if writes.count(method) == 2:
+                shutil.copy(path, tmp_path / f"early_{method}.json")
+
+        monkeypatch.setattr(harness, "checkpoint_save", keep_second)
+        run_experiment(_demo_config(demo_tsv, tmp_path, out_dir=str(tmp_path / "u")))
+        for engine in ("mbo", "pso"):
+            assert writes.count(engine) > 2, engine  # the kept step is not the last
+            out = tmp_path / f"r_{engine}"
+            run_experiment(_demo_config(demo_tsv, tmp_path, method=engine, out_dir=str(out)),
+                           resume_path=str(tmp_path / f"early_{engine}.json"))
+            assert (out / f"mask_{engine}.txt").read_bytes() == (
+                tmp_path / "u" / f"mask_{engine}.txt").read_bytes(), engine
+            assert _trace_lines(out, engine) == _trace_lines(tmp_path / "u", engine)
 
 
 class TestCheckpointBinding:
