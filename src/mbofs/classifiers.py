@@ -8,6 +8,7 @@ ties break to the lowest class index so results are reproducible bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -115,15 +116,52 @@ def _nb_predict_batch(model: NbModel, rows: sp.csr_matrix) -> np.ndarray:
     return np.argmax(_nb_batch_scores(model, rows), axis=1)
 
 
-# Cap on one split-search block's (rows x columns x classes) elements, which
-# bounds the sort and class-ratio buffers of a node at a few MB.
-_SPLIT_BLOCK_ELEMENTS = 1 << 17
+# Cap on the cuts one split-search chunk scores at once, which keeps the
+# scoring buffers of a node at a few MB; its per-run class counts grow with
+# its entries.
+_SPLIT_CHUNK_CUTS = 1 << 14
+
+
+class _Entries(NamedTuple):
+    """A tree node's rows and its entries, sorted once per tree.
+
+    `rows` lists the node's rows (indices into the tree's labels y) in
+    ascending order. Entry i says that row `row[i]` holds `value[i]` in column
+    `col[i]`. The entries are every nonzero of the node's rows plus, for each
+    column where some of those rows hold zero and some do not, one marker for
+    the column's run of zeros (row len(y), value 0.0). They are sorted by
+    (column, value), so a column's negatives, zeros and positives come in
+    threshold order. A column with no entries is all zeros on the node.
+    """
+
+    rows: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
+
+
+def _presort(x) -> _Entries:
+    """The root of a tree on x (dense or sparse, rows x columns): the one sort."""
+    x = sp.csr_matrix(x, dtype=float, copy=True)
+    x.sum_duplicates()
+    coo = x.tocoo()
+    nz = coo.data != 0
+    n, m = x.shape
+    per_col = np.bincount(coo.col[nz], minlength=m)
+    cols = np.flatnonzero((per_col > 0) & (per_col < n))
+    row = np.concatenate([coo.row[nz], np.full(len(cols), n)])
+    col = np.concatenate([coo.col[nz], cols])
+    value = np.concatenate([coo.data[nz], np.zeros(len(cols))])
+    order = np.lexsort((value, col))
+    return _Entries(np.arange(n), row[order], col[order], value[order])
 
 
 def _gini_best_split(values: np.ndarray, labels: np.ndarray, n_classes: int):
     """Best (threshold, impurity) for one feature, or None if constant.
 
-    The per-feature reference that _best_split must match bit for bit.
+    The per-feature reference: looped over a node's columns, keeping the
+    first lowest impurity, it gives the (impurity, feature, threshold) that
+    _best_split finds on the node's presorted entries, bit for bit.
     Thresholds are midpoints between consecutive distinct sorted values.
     """
     order = np.argsort(values, kind="stable")
@@ -151,63 +189,112 @@ def _gini_best_split(values: np.ndarray, labels: np.ndarray, n_classes: int):
     return threshold, float(weighted[best])
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, n_classes: int):
-    """Lowest-impurity (impurity, feature, threshold) over all columns of x, or
-    None when every column is constant.
+def _best_split(node: _Entries, y: np.ndarray, n_classes: int):
+    """Lowest-impurity (impurity, feature, threshold) over the columns of a
+    node, or None when every column is constant on it.
 
-    The presorted CART split search, vectorized over columns: each block of
-    columns is sorted once, and _gini_best_split's arithmetic runs on every
-    (column, cut) pair of the block at once, element for element. The class
-    ratios of each cut sit on the contiguous last axis of a (cuts, C) array, as
-    in _gini_best_split, so numpy sums them in the same order (pairwise once C
-    reaches 8, where a running sum over classes would differ in the last bit).
-    Cuts are listed column by column, lowest threshold first, so the first
-    minimum keeps the oracle's tie rules: the lowest threshold within a column,
-    then the lowest column.
+    The presorted CART split search (SPRINT's attribute lists): the entries
+    are already in threshold order, so one bincount counts the classes of
+    every run of equal values in a column, a zero run holds the node's rows
+    the column's nonzeros miss, and one cumsum over the runs gives the left
+    class counts at every cut between two runs. Each cut is scored with
+    _gini_best_split's arithmetic, element for element: the counts of a cut
+    sit on the contiguous last axis of a (cuts, C) array, as in
+    _gini_best_split, so numpy sums their ratios in the same order (pairwise
+    once C reaches 8, where a running sum over classes would differ in the
+    last bit). Cuts are listed column by column, lowest threshold first, and
+    a later chunk wins only when strictly lower, so the first minimum keeps
+    the oracle's tie rules: the lowest threshold within a column, then the
+    lowest column.
     """
-    cols = np.flatnonzero(x.max(axis=0) > x.min(axis=0))
-    n = len(y)
-    totals = np.bincount(y, minlength=n_classes)
-    width = max(1, _SPLIT_BLOCK_ELEMENTS // (n * n_classes))
+    row, col, value = node.row, node.col, node.value
+    if len(col) == 0:
+        return None
+    n = len(node.rows)
+    totals = np.bincount(y[node.rows], minlength=n_classes)
+    new_run = np.r_[True, (col[1:] != col[:-1]) | (value[1:] != value[:-1])]
+    first = np.flatnonzero(new_run)
+    run_col, run_value = col[first], value[first]
+    labels = np.append(y, n_classes)[row]  # a marker counts in class C, dropped here
+    counts = np.bincount((np.cumsum(new_run) - 1) * (n_classes + 1) + labels,
+                         minlength=len(first) * (n_classes + 1))
+    counts = counts.reshape(-1, n_classes + 1)[:, :n_classes].astype(float)
+    # a zero run holds the rows the column's nonzeros miss
+    col_start = np.flatnonzero(np.r_[True, run_col[1:] != run_col[:-1]])
+    zero = np.flatnonzero(run_value == 0.0)
+    col_of_zero = np.searchsorted(col_start, zero, side="right") - 1
+    counts[zero] = totals - np.add.reduceat(counts, col_start, axis=0)[col_of_zero]
+    # every column's runs hold each of the node's rows once: taking the totals
+    # off each column's first run (but the first column's) makes one cumsum
+    # over all runs the left counts within each column
+    counts[col_start[1:]] -= totals
+    left = np.cumsum(counts, axis=0)
+    cuts = np.flatnonzero(run_col[:-1] == run_col[1:])  # between run r and run r+1
     best = None
-    for start in range(0, len(cols), width):
-        block = cols[start:start + width]
-        xt = x[:, block].T  # (columns, rows)
-        order = np.argsort(xt, axis=1, kind="stable")
-        v = np.take_along_axis(xt, order, axis=1)
-        ys = y[order]
-        col, pos = np.nonzero(v[:, :-1] < v[:, 1:])  # cut after sorted row `pos`
-        lc = np.empty((len(pos), n_classes))
-        for c in range(n_classes):
-            lc[:, c] = np.cumsum(ys == c, axis=1)[col, pos]
+    for start in range(0, len(cuts), _SPLIT_CHUNK_CUTS):
+        r = cuts[start:start + _SPLIT_CHUNK_CUTS]
+        lc = left[r]
         rc = totals - lc
-        nl = pos + 1.0
-        nr = n - nl
+        nl = lc.sum(axis=1)
+        nr = rc.sum(axis=1)
         gini_l = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
         gini_r = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
         weighted = (nl * gini_l + nr * gini_r) / n
         i = int(np.argmin(weighted))
         if best is None or weighted[i] < best[0]:
-            j, b = col[i], pos[i]
-            best = (float(weighted[i]), int(block[j]), (v[j, b] + v[j, b + 1]) / 2.0)
+            b = r[i]
+            best = (float(weighted[i]), int(run_col[b]), (run_value[b] + run_value[b + 1]) / 2.0)
     return best
 
 
-def _dt_build(x: np.ndarray, y: np.ndarray, n_classes: int, depth: int,
+def _split(node: _Entries, feature: int, threshold: float, n_rows: int):
+    """The (left, right) children of a node, their entries still sorted.
+
+    A row goes left when its value in `feature` is <= threshold; a row with no
+    entry there holds 0.0, so it goes left exactly when 0.0 <= threshold.
+    Each child takes its rows' entries and the node's markers, then drops the
+    markers of the columns that are all zeros, or have no zeros, on its rows.
+    """
+    lo, hi = np.searchsorted(node.col, [feature, feature + 1])
+    left_of = np.full(n_rows + 1, 0.0 <= threshold)  # by row
+    left_of[node.row[lo:hi]] = node.value[lo:hi] <= threshold
+    marker = node.value == 0.0
+    goes_left = left_of[node.row]
+    children = []
+    for side in (True, False):
+        rows = node.rows[left_of[node.rows] == side]
+        take = (goes_left == side) | marker
+        row, col, value = node.row[take], node.col[take], node.value[take]
+        keep = np.ones(len(col), dtype=bool)
+        m = np.flatnonzero(value == 0.0)
+        width = np.searchsorted(col, col[m], side="right") - np.searchsorted(col, col[m])
+        keep[m] = (width > 1) & (width <= len(rows))  # width - 1 nonzeros
+        children.append(_Entries(rows, row[keep], col[keep], value[keep]))
+    return children
+
+
+def _dt_build(x, y: np.ndarray, n_classes: int, depth: int,
               max_depth: int, min_split: int) -> DtNode:
-    counts = np.bincount(y, minlength=n_classes)
+    """The Gini tree on x (dense or sparse, rows x columns) and its labels y."""
+    return _grow(_presort(x), np.asarray(y), n_classes, depth, max_depth, min_split)
+
+
+def _grow(node: _Entries, y: np.ndarray, n_classes: int, depth: int,
+          max_depth: int, min_split: int) -> DtNode:
+    counts = np.bincount(y[node.rows], minlength=n_classes)
     majority = int(np.argmax(counts))
-    if depth >= max_depth or len(y) < min_split or counts.max() == len(y):
+    n = len(node.rows)
+    if depth >= max_depth or n < min_split or counts.max() == n:
         return DtNode(feature=-1, threshold=0.0, left=None, right=None, klass=majority)
 
-    best = _best_split(x, y, n_classes)
+    best = _best_split(node, y, n_classes)
     if best is None:
         return DtNode(feature=-1, threshold=0.0, left=None, right=None, klass=majority)
 
     _, j, threshold = best
-    go_left = x[:, j] <= threshold
-    left = _dt_build(x[go_left], y[go_left], n_classes, depth + 1, max_depth, min_split)
-    right = _dt_build(x[~go_left], y[~go_left], n_classes, depth + 1, max_depth, min_split)
+    left, right = _split(node, j, threshold, len(y))
+    left = _grow(left, y, n_classes, depth + 1, max_depth, min_split)
+    right = _grow(right, y, n_classes, depth + 1, max_depth, min_split)
     return DtNode(feature=j, threshold=threshold, left=left, right=right, klass=majority)
 
 
@@ -218,16 +305,33 @@ def dt_train(
     rows = np.asarray(row_subset, dtype=np.int64)
     if len(rows) == 0:
         raise ClassifierError("empty row subset")
-    x = np.asarray(matrix.weights[rows][:, cols].todense())
-    y = matrix.labels[rows]
-    root = _dt_build(x, y, matrix.n_classes, 0, max_depth, min_split)
+    x = matrix.weights[rows][:, cols]
+    root = _dt_build(x, matrix.labels[rows], matrix.n_classes, 0, max_depth, min_split)
     return DtModel(root=root, feature_indices=cols, max_depth=max_depth, min_split=min_split)
 
 
 def dt_predict(model: DtModel, row) -> int:
-    if sp.issparse(row):
-        row = row.toarray()
-    return _dt_traverse(model.root, np.asarray(row).ravel()[model.feature_indices])
+    return int(_dt_predict_batch(model, sp.csr_matrix(row).reshape(1, -1).tocsr())[0])
+
+
+def _dt_predict_batch(model: DtModel, rows: sp.csr_matrix) -> np.ndarray:
+    """Route the rows down the tree together; each split reads one column of
+    the sparse rows, whose missing entries are 0.0."""
+    x = sp.csc_matrix(rows, copy=True)
+    x.sum_duplicates()
+    pred = np.empty(x.shape[0], dtype=np.int64)
+    stack = [(model.root, np.arange(x.shape[0]))]
+    while stack:
+        node, at = stack.pop()
+        if node.feature < 0:
+            pred[at] = node.klass
+            continue
+        j = model.feature_indices[node.feature]
+        column = np.zeros(x.shape[0])
+        column[x.indices[x.indptr[j]:x.indptr[j + 1]]] = x.data[x.indptr[j]:x.indptr[j + 1]]
+        go_left = column[at] <= node.threshold
+        stack += [(node.left, at[go_left]), (node.right, at[~go_left])]
+    return pred
 
 
 def stratified_folds(labels, k: int, seed: int) -> FoldAssignment:
@@ -267,8 +371,7 @@ def cross_val_accuracy(
             pred = _nb_predict_batch(model, matrix.weights[test])
         elif classifier == "dt":
             model = dt_train(matrix, mask, train, max_depth=max_depth, min_split=min_split)
-            x = np.asarray(matrix.weights[test][:, model.feature_indices].todense())
-            pred = np.array([_dt_traverse(model.root, r) for r in x])
+            pred = _dt_predict_batch(model, matrix.weights[test])
         else:
             raise ClassifierError(f"unknown classifier: {classifier!r}")
         accs.append(float(np.mean(pred == matrix.labels[test])))
@@ -339,8 +442,3 @@ class NbFoldKernel:
         hits = np.argmax(self._scores(mask), axis=1) == self.labels
         return float(np.mean(np.bincount(self.fold_of, weights=hits) / self.n_test))
 
-
-def _dt_traverse(node: DtNode, sel: np.ndarray) -> int:
-    while node.feature >= 0:
-        node = node.left if sel[node.feature] <= node.threshold else node.right
-    return node.klass

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from mbofs.classifiers import (
     _best_split,
     _dt_build,
     _gini_best_split,
+    _presort,
     cross_val_accuracy,
     dt_predict,
     dt_train,
@@ -20,6 +22,7 @@ from mbofs.classifiers import (
     stratified_folds,
 )
 from mbofs.corpus import DocTermMatrix
+from mbofs.filter_ig import ig_filter
 from mbofs.synth import make_planted_matrix
 
 
@@ -138,15 +141,16 @@ def _reference_split(x, y, n_classes):
 
 def _reference_tree(x, y, n_classes, depth, max_depth, min_split):
     """_dt_build with _reference_split as its split search. At every node it also
-    checks _best_split's (impurity, feature, threshold) against it, bit for bit:
-    a last-bit drift in an impurity need not change the tree."""
+    checks _best_split's (impurity, feature, threshold) on the node's presorted
+    entries against it, bit for bit: a last-bit drift in an impurity need not
+    change the tree."""
     counts = np.bincount(y, minlength=n_classes)
     majority = int(np.argmax(counts))
     leaf = DtNode(feature=-1, threshold=0.0, left=None, right=None, klass=majority)
     if depth >= max_depth or len(y) < min_split or counts.max() == len(y):
         return leaf
     best = _reference_split(x, y, n_classes)
-    assert _best_split(x, y, n_classes) == best
+    assert _best_split(_presort(x), y, n_classes) == best
     if best is None:
         return leaf
     _, j, threshold = best
@@ -160,8 +164,9 @@ def _reference_tree(x, y, n_classes, depth, max_depth, min_split):
 @st.composite
 def tree_problems(draw):
     """Rows x features with 2..12 classes: continuous or quantized values (ties,
-    duplicate values), all-zero and constant columns, rows repeated under other
-    labels; a tree depth, a split minimum and a split-search block size."""
+    duplicate values), signed columns whose zeros sit between their negatives
+    and positives, all-zero and constant columns, rows repeated under other
+    labels; a tree depth, a split minimum and a split-search chunk size."""
     n_classes = draw(st.integers(2, 12))
     n = draw(st.integers(2, 40))
     m = draw(st.integers(1, 10))
@@ -170,28 +175,73 @@ def tree_problems(draw):
     x = rng.random((n, m))
     if levels:
         x = np.floor(x * levels) / levels
+    x[:, rng.random(m) < draw(st.sampled_from([0.0, 0.5, 1.0]))] -= 0.5  # signed
     x *= rng.random((n, m)) < draw(st.sampled_from([0.3, 0.7, 1.0]))
     x[:, rng.random(m) < 0.15] = 0.0
     x[:, rng.random(m) < 0.15] = 0.5
+    x[:, rng.random(m) < 0.1] = -0.25
     y = rng.integers(0, n_classes, n)
     if draw(st.booleans()):
         for i in range(0, n - 1, 2):
             x[i + 1] = x[i]
-    block = draw(st.sampled_from([1, 50, 200, classifiers._SPLIT_BLOCK_ELEMENTS]))
-    return x, y, n_classes, draw(st.integers(0, 12)), draw(st.integers(1, 5)), block
+    chunk = draw(st.sampled_from([1, 50, 200, classifiers._SPLIT_CHUNK_CUTS]))
+    return x, y, n_classes, draw(st.integers(0, 12)), draw(st.integers(1, 5)), chunk
+
+
+def _walk(node, row):
+    """The class at the leaf a dense row reaches."""
+    while node.feature >= 0:
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node.klass
+
+
+def _stored_with_zeros(x, rng):
+    """x as a CSR that also stores about half of its zeros explicitly."""
+    stored = (x != 0) | (rng.random(x.shape) < 0.5)
+    r, c = np.nonzero(stored)
+    return sp.csr_matrix((x[r, c], (r, c)), shape=x.shape)
 
 
 class TestTreeOracle:
-    """_dt_build's vectorized split search against the per-feature loop, exact."""
+    """_dt_build's presorted split search against the per-feature loop, exact."""
 
     @settings(max_examples=250, deadline=None)
     @given(tree_problems())
     def test_matches_per_feature_loop(self, problem):
-        x, y, n_classes, max_depth, min_split, block = problem
+        x, y, n_classes, max_depth, min_split, chunk = problem
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(classifiers, "_SPLIT_BLOCK_ELEMENTS", block)  # 1: one column a block
+            mp.setattr(classifiers, "_SPLIT_CHUNK_CUTS", chunk)  # 1: one cut a chunk
             assert _dt_build(x, y, n_classes, 0, max_depth, min_split) == _reference_tree(
                 x, y, n_classes, 0, max_depth, min_split)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tree_problems(), st.integers(0, 2**32 - 1))
+    def test_dt_train_on_sparse_rows(self, problem, seed):
+        """dt_train on a CSR with stored zeros, a column mask and a row subset
+        equals the per-feature loop on those rows and columns, and leaves the
+        caller's arrays as they were; every row's prediction from the sparse
+        rows equals a walk down the tree on its dense row."""
+        x, y, _, max_depth, min_split, chunk = problem
+        rng = np.random.default_rng(seed)
+        matrix = DocTermMatrix(weights=_stored_with_zeros(x, rng), labels=y)
+        before = [a.copy() for a in (matrix.weights.data, matrix.weights.indices,
+                                     matrix.weights.indptr)]
+        mask = rng.random(x.shape[1]) < 0.7
+        mask[rng.integers(x.shape[1])] = True
+        rows = np.flatnonzero(rng.random(len(y)) < 0.8)
+        if len(rows) == 0:
+            rows = np.arange(len(y))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classifiers, "_SPLIT_CHUNK_CUTS", chunk)
+            model = dt_train(matrix, mask, rows, max_depth=max_depth, min_split=min_split)
+        want = _reference_tree(x[np.ix_(rows, np.flatnonzero(mask))], y[rows],
+                               matrix.n_classes, 0, max_depth, min_split)
+        assert model.root == want
+        after = (matrix.weights.data, matrix.weights.indices, matrix.weights.indptr)
+        for a, b in zip(before, after):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        walked = [_walk(want, row) for row in x[:, mask]]
+        assert classifiers._dt_predict_batch(model, matrix.weights).tolist() == walked
 
     def test_dt_train_on_planted_matrix(self):
         matrix, _ = make_planted_matrix(n_docs=60, n_classes=9, n_features=40,
@@ -201,6 +251,47 @@ class TestTreeOracle:
         x = np.asarray(matrix.weights[rows].todense())
         want = _reference_tree(x, matrix.labels[rows], 9, 0, 20, 2)
         assert dt_train(matrix, mask, rows).root == want
+
+
+def _preorder_digest(node):
+    """Node count and the first 16 hex digits of the SHA-256 of the tree's
+    preorder `feature:threshold.hex():class` lines."""
+    lines, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        lines.append(f"{node.feature}:{float(node.threshold).hex()}:{node.klass}")
+        if node.feature >= 0:
+            stack += [node.right, node.left]
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+class TestPlantedTrees:
+    """Full-size trees on the benchmark's planted matrix, pinned: the
+    per-feature oracle is too slow at this size."""
+
+    @pytest.fixture(scope="class")
+    def planted(self):
+        matrix, _ = make_planted_matrix(500, 4, 2000, 50, seed=0)
+        return matrix, stratified_folds(matrix.labels, 5, 0), ig_filter(matrix, cap=500)
+
+    @pytest.mark.parametrize("mask_name, fold, want", [
+        ("raw", 0, (151, "72ca2220d81f192c")),
+        ("raw", 4, (145, "a8f1edc33d05d025")),
+        ("ig", 0, (171, "1e7e57f9d2ecfda3")),
+    ])
+    def test_tree_digest(self, planted, mask_name, fold, want):
+        matrix, folds, ig = planted
+        mask = ig if mask_name == "ig" else np.ones(matrix.n_features, dtype=bool)
+        model = dt_train(matrix, mask, np.flatnonzero(folds.fold_of != fold))
+        assert _preorder_digest(model.root) == want
+
+    def test_cv_fold_accuracies(self, planted):
+        matrix, _, ig = planted
+        raw = np.ones(matrix.n_features, dtype=bool)
+        assert cross_val_accuracy(matrix, raw, "dt", 5, 0).fold_accuracies == (
+            0.32, 0.41, 0.36, 0.4, 0.33)
+        assert cross_val_accuracy(matrix, ig, "dt", 5, 0).fold_accuracies == (
+            0.38, 0.47, 0.43, 0.46, 0.36)
 
 
 class TestStratifiedFolds:
