@@ -189,6 +189,37 @@ def _gini_best_split(values: np.ndarray, labels: np.ndarray, n_classes: int):
     return threshold, float(weighted[best])
 
 
+def _class_sum(q: np.ndarray) -> np.ndarray:
+    """The sum over classes of a class-major (C, cuts) array of nonnegative
+    values, bit for bit what .sum(axis=1) gives on the same values laid out
+    as a contiguous (cuts, C) array.
+
+    numpy sums each contiguous row pairwise, and so does this, one class row
+    at a time: below 8 classes one after another; from 8 to 128, eight
+    running sums over the classes k with k % 8 = 0..7, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the classes past the last
+    multiple of 8 one after another; above 128, the sums of the two halves,
+    split at C//2 rounded down to a multiple of 8.
+    """
+    c = len(q)
+    if c < 8:
+        s = q[0].copy()
+        for k in range(1, c):
+            s += q[k]
+        return s
+    if c <= 128:
+        tail = c - c % 8
+        r = q[:8].copy()
+        for i in range(8, tail, 8):
+            r += q[i:i + 8]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for k in range(tail, c):
+            s += q[k]
+        return s
+    half = c // 2 - c // 2 % 8
+    return _class_sum(q[:half]) + _class_sum(q[half:])
+
+
 def _best_split(node: _Entries, y: np.ndarray, n_classes: int):
     """Lowest-impurity (impurity, feature, threshold) over the columns of a
     node, or None when every column is constant on it.
@@ -197,48 +228,56 @@ def _best_split(node: _Entries, y: np.ndarray, n_classes: int):
     are already in threshold order, so one bincount counts the classes of
     every run of equal values in a column, a zero run holds the node's rows
     the column's nonzeros miss, and one cumsum over the runs gives the left
-    class counts at every cut between two runs. Each cut is scored with
-    _gini_best_split's arithmetic, element for element: the counts of a cut
-    sit on the contiguous last axis of a (cuts, C) array, as in
-    _gini_best_split, so numpy sums their ratios in the same order (pairwise
-    once C reaches 8, where a running sum over classes would differ in the
-    last bit). Cuts are listed column by column, lowest threshold first, and
-    a later chunk wins only when strictly lower, so the first minimum keeps
-    the oracle's tie rules: the lowest threshold within a column, then the
+    class counts at every cut between two runs.
+
+    The counts are class-major: a (C, runs) array, whose gathered cuts form
+    a (C, cuts) array with one contiguous row per class. Every step of the
+    scoring then runs along the cuts, C rows at a time, instead of reducing
+    a short class axis one cut at a time. Each cut is still scored with
+    _gini_best_split's arithmetic, element for element. The counts are
+    integer-valued floats, so nl and nr are exact in any order. The squared
+    ratios are not: _class_sum adds the C classes in the order
+    _gini_best_split's .sum(axis=1) adds them on its (cuts, C) rows
+    (pairwise once C reaches 8, where a running sum over classes would
+    differ in the last bit), so the impurities agree bit for bit.
+
+    Cuts are listed column by column, lowest threshold first, and a later
+    chunk wins only when strictly lower, so the first minimum keeps the
+    oracle's tie rules: the lowest threshold within a column, then the
     lowest column.
     """
     row, col, value = node.row, node.col, node.value
     if len(col) == 0:
         return None
     n = len(node.rows)
-    totals = np.bincount(y[node.rows], minlength=n_classes)
+    totals = np.bincount(y[node.rows], minlength=n_classes)[:, None]
     new_run = np.r_[True, (col[1:] != col[:-1]) | (value[1:] != value[:-1])]
     first = np.flatnonzero(new_run)
     run_col, run_value = col[first], value[first]
     labels = np.append(y, n_classes)[row]  # a marker counts in class C, dropped here
-    counts = np.bincount((np.cumsum(new_run) - 1) * (n_classes + 1) + labels,
-                         minlength=len(first) * (n_classes + 1))
-    counts = counts.reshape(-1, n_classes + 1)[:, :n_classes].astype(float)
+    counts = np.bincount(labels * len(first) + np.cumsum(new_run) - 1,
+                         minlength=(n_classes + 1) * len(first))
+    counts = counts.reshape(n_classes + 1, -1)[:n_classes]
     # a zero run holds the rows the column's nonzeros miss
     col_start = np.flatnonzero(np.r_[True, run_col[1:] != run_col[:-1]])
     zero = np.flatnonzero(run_value == 0.0)
     col_of_zero = np.searchsorted(col_start, zero, side="right") - 1
-    counts[zero] = totals - np.add.reduceat(counts, col_start, axis=0)[col_of_zero]
+    counts[:, zero] = totals - np.add.reduceat(counts, col_start, axis=1)[:, col_of_zero]
     # every column's runs hold each of the node's rows once: taking the totals
     # off each column's first run (but the first column's) makes one cumsum
     # over all runs the left counts within each column
-    counts[col_start[1:]] -= totals
-    left = np.cumsum(counts, axis=0)
+    counts[:, col_start[1:]] -= totals
+    left = np.cumsum(counts, axis=1, dtype=float)
     cuts = np.flatnonzero(run_col[:-1] == run_col[1:])  # between run r and run r+1
     best = None
     for start in range(0, len(cuts), _SPLIT_CHUNK_CUTS):
         r = cuts[start:start + _SPLIT_CHUNK_CUTS]
-        lc = left[r]
+        lc = left.take(r, axis=1)
         rc = totals - lc
-        nl = lc.sum(axis=1)
-        nr = rc.sum(axis=1)
-        gini_l = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
-        gini_r = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
+        nl = _class_sum(lc)  # exact: any order gives the same integer
+        nr = n - nl
+        gini_l = 1.0 - _class_sum((lc / nl) ** 2)
+        gini_r = 1.0 - _class_sum((rc / nr) ** 2)
         weighted = (nl * gini_l + nr * gini_r) / n
         i = int(np.argmin(weighted))
         if best is None or weighted[i] < best[0]:
@@ -252,24 +291,27 @@ def _split(node: _Entries, feature: int, threshold: float, n_rows: int):
 
     A row goes left when its value in `feature` is <= threshold; a row with no
     entry there holds 0.0, so it goes left exactly when 0.0 <= threshold.
-    Each child takes its rows' entries and the node's markers, then drops the
-    markers of the columns that are all zeros, or have no zeros, on its rows.
+    Each child takes its rows' nonzeros, counts them per column with one
+    bincount, and keeps the node's marker of a column exactly when
+    1 <= nonzeros < len(rows): the column holds both zeros and nonzeros on
+    the child's rows. A column that is all zeros there drops out of the
+    child, and one with no zeros there keeps no empty zero run. The entries
+    are then gathered once, still in (column, value) order.
     """
     lo, hi = np.searchsorted(node.col, [feature, feature + 1])
     left_of = np.full(n_rows + 1, 0.0 <= threshold)  # by row
     left_of[node.row[lo:hi]] = node.value[lo:hi] <= threshold
-    marker = node.value == 0.0
+    is_marker = node.row == n_rows
+    marker = np.flatnonzero(is_marker)
     goes_left = left_of[node.row]
     children = []
     for side in (True, False):
         rows = node.rows[left_of[node.rows] == side]
-        take = (goes_left == side) | marker
-        row, col, value = node.row[take], node.col[take], node.value[take]
-        keep = np.ones(len(col), dtype=bool)
-        m = np.flatnonzero(value == 0.0)
-        width = np.searchsorted(col, col[m], side="right") - np.searchsorted(col, col[m])
-        keep[m] = (width > 1) & (width <= len(rows))  # width - 1 nonzeros
-        children.append(_Entries(rows, row[keep], col[keep], value[keep]))
+        real = (goes_left == side) & ~is_marker
+        nonzeros = np.bincount(node.col[real], minlength=node.col[-1] + 1)[node.col[marker]]
+        real[marker] = (1 <= nonzeros) & (nonzeros < len(rows))
+        take = np.flatnonzero(real)
+        children.append(_Entries(rows, node.row[take], node.col[take], node.value[take]))
     return children
 
 

@@ -11,6 +11,7 @@ from mbofs.classifiers import (
     ClassifierError,
     DtNode,
     _best_split,
+    _class_sum,
     _dt_build,
     _gini_best_split,
     _presort,
@@ -163,11 +164,13 @@ def _reference_tree(x, y, n_classes, depth, max_depth, min_split):
 
 @st.composite
 def tree_problems(draw):
-    """Rows x features with 2..12 classes: continuous or quantized values (ties,
-    duplicate values), signed columns whose zeros sit between their negatives
-    and positives, all-zero and constant columns, rows repeated under other
-    labels; a tree depth, a split minimum and a split-search chunk size."""
-    n_classes = draw(st.integers(2, 12))
+    """Rows x features with 2..12 classes, or with more than 128 (so the class
+    sum splits in halves), labelled from 2..12 of them: continuous or
+    quantized values (ties, duplicate values), signed columns whose zeros sit
+    between their negatives and positives, all-zero and constant columns, rows
+    repeated under other labels; a tree depth, a split minimum and a
+    split-search chunk size."""
+    n_classes = draw(st.integers(2, 12) | st.sampled_from([129, 200]))
     n = draw(st.integers(2, 40))
     m = draw(st.integers(1, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -180,7 +183,8 @@ def tree_problems(draw):
     x[:, rng.random(m) < 0.15] = 0.0
     x[:, rng.random(m) < 0.15] = 0.5
     x[:, rng.random(m) < 0.1] = -0.25
-    y = rng.integers(0, n_classes, n)
+    y = rng.choice(rng.choice(n_classes, min(n_classes, draw(st.integers(2, 12))),
+                              replace=False), n)
     if draw(st.booleans()):
         for i in range(0, n - 1, 2):
             x[i + 1] = x[i]
@@ -200,6 +204,18 @@ def _stored_with_zeros(x, rng):
     stored = (x != 0) | (rng.random(x.shape) < 0.5)
     r, c = np.nonzero(stored)
     return sp.csr_matrix((x[r, c], (r, c)), shape=x.shape)
+
+
+class TestClassSum:
+    def test_matches_numpy_row_sum(self):
+        """_class_sum on (C, cuts) equals numpy's .sum(axis=1) on the same values
+        as contiguous (cuts, C) rows, bit for bit, at every class count up to
+        140 and at counts around and past the 128 and 256 pairwise blocks."""
+        rng = np.random.default_rng(0)
+        for c in [*range(1, 141), 200, 256, 257, 1000]:
+            q = 10.0 ** rng.uniform(-300, 8, (c, 64))
+            q[rng.random(q.shape) < 0.1] = 0.0
+            assert np.array_equal(_class_sum(q), np.ascontiguousarray(q.T).sum(axis=1)), c
 
 
 class TestTreeOracle:
