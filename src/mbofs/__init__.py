@@ -14,7 +14,7 @@ from .corpus import (
     tokenize,
     vectorize_tfidf,
 )
-from .filter_ig import ig_filter, ig_scores, info_gain
+from .filter_ig import ig_filter, ig_scores
 from .heuristic import ChangeSchedule, FeatureMask, FitnessFn, RngStream, change_count, flip, generate_neighbor
 from .mbo import MboConfig, mbo_select
 from .pso import PsoConfig, pso_select
@@ -32,7 +32,6 @@ __all__ = [
     "vectorize_tfidf",
     "ig_filter",
     "ig_scores",
-    "info_gain",
     "ChangeSchedule",
     "FeatureMask",
     "FitnessFn",

@@ -20,11 +20,15 @@ class ClassifierError(Exception):
     pass
 
 
+# Additive (Laplace) smoothing of every NB likelihood: nb_train's default and
+# NbFoldKernel's only value, so the kernel and its oracle smooth alike.
+ALPHA = 1.0
+
+
 @dataclass(frozen=True)
 class NbModel:
     log_priors: np.ndarray  # (C,)
     log_likelihoods: np.ndarray  # (C, M') over the selected features
-    alpha: float
     feature_indices: np.ndarray  # columns of the training matrix the model uses
 
 
@@ -41,22 +45,12 @@ class DtNode:
 class DtModel:
     root: DtNode
     feature_indices: np.ndarray
-    max_depth: int
-    min_split: int
-
-
-@dataclass(frozen=True)
-class FoldAssignment:
-    k: int
-    fold_of: np.ndarray  # fold index per row
-    seed: int
 
 
 @dataclass(frozen=True)
 class EvalReport:
     mean_accuracy: float
     fold_accuracies: tuple[float, ...]
-    classifier: str
 
 
 def _mask_columns(mask) -> np.ndarray:
@@ -67,7 +61,7 @@ def _mask_columns(mask) -> np.ndarray:
 
 
 def nb_train(
-    matrix: DocTermMatrix, mask, row_subset, alpha: float = 1.0
+    matrix: DocTermMatrix, mask, row_subset, alpha: float = ALPHA
 ) -> NbModel:
     """P(t|c) = (W(t,c)+alpha) / (W(.,c)+alpha*M') with W summing TF-IDF weight."""
     cols = _mask_columns(mask)
@@ -93,27 +87,15 @@ def nb_train(
     return NbModel(
         log_priors=log_priors,
         log_likelihoods=log_likelihoods,
-        alpha=alpha,
         feature_indices=cols,
     )
 
 
-def nb_predict(model: NbModel, row) -> int:
-    scores = _nb_scores(model, row)
-    return int(np.argmax(scores))  # argmax takes the first (lowest) on ties
-
-
-def _nb_scores(model: NbModel, row) -> np.ndarray:
-    return _nb_batch_scores(model, sp.csr_matrix(row).reshape(1, -1).tocsr())[0]
-
-
-def _nb_batch_scores(model: NbModel, rows: sp.csr_matrix) -> np.ndarray:
+def nb_predict(model: NbModel, rows) -> np.ndarray:
+    """The class of each of the rows (dense or sparse, rows x the training
+    matrix's columns); argmax takes the lowest class on ties."""
     sel = rows[:, model.feature_indices]
-    return np.asarray(sel @ model.log_likelihoods.T + model.log_priors)
-
-
-def _nb_predict_batch(model: NbModel, rows: sp.csr_matrix) -> np.ndarray:
-    return np.argmax(_nb_batch_scores(model, rows), axis=1)
+    return np.argmax(np.asarray(sel @ model.log_likelihoods.T + model.log_priors), axis=1)
 
 
 # Cap on the cuts one split-search chunk scores at once, which keeps the
@@ -349,16 +331,13 @@ def dt_train(
         raise ClassifierError("empty row subset")
     x = matrix.weights[rows][:, cols]
     root = _dt_build(x, matrix.labels[rows], matrix.n_classes, 0, max_depth, min_split)
-    return DtModel(root=root, feature_indices=cols, max_depth=max_depth, min_split=min_split)
+    return DtModel(root=root, feature_indices=cols)
 
 
-def dt_predict(model: DtModel, row) -> int:
-    return int(_dt_predict_batch(model, sp.csr_matrix(row).reshape(1, -1).tocsr())[0])
-
-
-def _dt_predict_batch(model: DtModel, rows: sp.csr_matrix) -> np.ndarray:
-    """Route the rows down the tree together; each split reads one column of
-    the sparse rows, whose missing entries are 0.0."""
+def dt_predict(model: DtModel, rows) -> np.ndarray:
+    """The class of each of the rows (dense or sparse, rows x the training
+    matrix's columns). The rows go down the tree together; each split reads
+    one column of them as sparse, whose missing entries are 0.0."""
     x = sp.csc_matrix(rows, copy=True)
     x.sum_duplicates()
     pred = np.empty(x.shape[0], dtype=np.int64)
@@ -376,8 +355,9 @@ def _dt_predict_batch(model: DtModel, rows: sp.csr_matrix) -> np.ndarray:
     return pred
 
 
-def stratified_folds(labels, k: int, seed: int) -> FoldAssignment:
-    """Per-class shuffle (seeded) then round-robin deal into k folds."""
+def stratified_folds(labels, k: int, seed: int) -> np.ndarray:
+    """The fold of each row: a per-class shuffle (seeded), then a round-robin
+    deal into k folds."""
     labels = np.asarray(labels)
     if k < 2:
         raise ClassifierError("need k >= 2 folds")
@@ -389,7 +369,7 @@ def stratified_folds(labels, k: int, seed: int) -> FoldAssignment:
             raise ClassifierError(f"class {c} has {len(rows)} rows, fewer than k={k}")
         rng.shuffle(rows)
         fold_of[rows] = np.arange(len(rows)) % k
-    return FoldAssignment(k=k, fold_of=fold_of, seed=seed)
+    return fold_of
 
 
 def cross_val_accuracy(
@@ -398,29 +378,23 @@ def cross_val_accuracy(
     classifier: str = "nb",
     k: int = 5,
     seed: int = 0,
-    alpha: float = 1.0,
-    max_depth: int = 20,
-    min_split: int = 2,
 ) -> EvalReport:
-    folds = stratified_folds(matrix.labels, k, seed)
+    if classifier == "nb":
+        train, predict = nb_train, nb_predict
+    elif classifier == "dt":
+        train, predict = dt_train, dt_predict
+    else:
+        raise ClassifierError(f"unknown classifier: {classifier!r}")
+    fold_of = stratified_folds(matrix.labels, k, seed)
     accs = []
-    all_rows = np.arange(matrix.n_docs)
     for fold in range(k):
-        test = all_rows[folds.fold_of == fold]
-        train = all_rows[folds.fold_of != fold]
-        if classifier == "nb":
-            model = nb_train(matrix, mask, train, alpha=alpha)
-            pred = _nb_predict_batch(model, matrix.weights[test])
-        elif classifier == "dt":
-            model = dt_train(matrix, mask, train, max_depth=max_depth, min_split=min_split)
-            pred = _dt_predict_batch(model, matrix.weights[test])
-        else:
-            raise ClassifierError(f"unknown classifier: {classifier!r}")
+        model = train(matrix, mask, np.flatnonzero(fold_of != fold))
+        test = np.flatnonzero(fold_of == fold)
+        pred = predict(model, matrix.weights[test])
         accs.append(float(np.mean(pred == matrix.labels[test])))
     return EvalReport(
         mean_accuracy=float(np.mean(accs)),
         fold_accuracies=tuple(accs),
-        classifier=classifier,
     )
 
 
@@ -442,19 +416,18 @@ class NbFoldKernel:
     bit-identical to it.
     """
 
-    def __init__(self, matrix: DocTermMatrix, k: int = 5, seed: int = 0,
-                 alpha: float = 1.0):
+    def __init__(self, matrix: DocTermMatrix, k: int = 5, seed: int = 0):
         n, n_classes = matrix.n_docs, matrix.n_classes
-        self.fold_of = stratified_folds(matrix.labels, k, seed).fold_of
+        self.fold_of = stratified_folds(matrix.labels, k, seed)
         self.labels = matrix.labels
         self.n_test = np.bincount(self.fold_of, minlength=k)
-        self.n_classes, self.alpha = n_classes, alpha
+        self.n_classes = n_classes
         onehot = np.zeros((n, k, n_classes))  # [i, f, c]: a training row of class c in fold f
         onehot[np.arange(n), :, matrix.labels] = 1.0
         onehot[np.arange(n), self.fold_of, :] = 0.0
         onehot = onehot.reshape(n, k * n_classes)
         self.mass = np.ascontiguousarray(np.asarray(onehot.T @ matrix.weights).T)
-        self.log_mass = np.log(self.mass + alpha)
+        self.log_mass = np.log(self.mass + ALPHA)
         counts = onehot.sum(axis=0).reshape(k, n_classes)
         with np.errstate(divide="ignore"):
             self.row_priors = np.log(counts / counts.sum(axis=1, keepdims=True))[self.fold_of]
@@ -466,13 +439,12 @@ class NbFoldKernel:
     def _scores(self, mask) -> np.ndarray:
         """(N, C) NB scores of every document under its own fold's model."""
         cols = _mask_columns(mask)
-        where = np.asarray(mask, dtype=bool)[:, None]
         # numpy adds the (M', k*C) rows one after another, sequentially along M'
         # as nb_train's (C, M') sum; summing along a contiguous M' axis would be
         # pairwise and could differ in the last bit
-        totals = self.mass[cols].sum(axis=0) + self.alpha * len(cols)
-        log_likelihoods = np.subtract(self.log_mass, np.log(totals), where=where,
-                                      out=np.zeros_like(self.log_mass))
+        totals = self.mass[cols].sum(axis=0) + ALPHA * len(cols)
+        log_likelihoods = self.log_mass - np.log(totals)
+        log_likelihoods[~np.asarray(mask, dtype=bool)] = 0.0
         return self.rows @ log_likelihoods.reshape(-1, self.n_classes) + self.row_priors
 
     def scores(self, mask) -> list[np.ndarray]:

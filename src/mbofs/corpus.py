@@ -150,7 +150,7 @@ def load_corpus(path, format: str = "tsv") -> Corpus:
                         raise CorpusError(f"malformed TSV line {lineno}: no tab")
                     label, text = line.split("\t", 1)
                     docs.append(RawDocument(label=label, text=text))
-        elif format in ("dirs", "class-dirs"):
+        elif format == "dirs":
             for class_dir in sorted(p for p in path.iterdir() if p.is_dir()):
                 for doc_file in sorted(p for p in class_dir.iterdir() if p.is_file()):
                     text = doc_file.read_text(encoding="utf-8", errors="replace")

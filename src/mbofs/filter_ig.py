@@ -68,10 +68,6 @@ def ig_scores(matrix: DocTermMatrix) -> IgScores:
     return IgScores(class_entropy=h, gain=gain, ranking=ranking)
 
 
-def info_gain(matrix: DocTermMatrix, feature: int) -> float:
-    return float(ig_scores(matrix).gain[feature])
-
-
 def ig_filter(matrix: DocTermMatrix, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Boolean mask of informative features, at most `cap` of them."""
     return cap_mask(ig_scores(matrix), cap)

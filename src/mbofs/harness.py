@@ -35,7 +35,6 @@ CHECKPOINT_INTERVAL_S = 5.0
 class PipelineError(Exception):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
-        self.stage = stage
 
 
 class CheckpointError(Exception):
@@ -149,13 +148,16 @@ def evaluate_mask(
     matrix: DocTermMatrix, mask: np.ndarray, classifier: str, k: int, seed: int
 ) -> tuple[float, str]:
     """Accuracy under the named classifier, or the best of nb/dt (tie -> nb)."""
-    if classifier in ("nb", "dt"):
-        return (
-            classifiers.cross_val_accuracy(matrix, mask, classifier, k, seed).mean_accuracy,
-            classifier,
-        )
-    nb = classifiers.cross_val_accuracy(matrix, mask, "nb", k, seed).mean_accuracy
-    dt = classifiers.cross_val_accuracy(matrix, mask, "dt", k, seed).mean_accuracy
+    try:
+        if classifier in ("nb", "dt"):
+            return (
+                classifiers.cross_val_accuracy(matrix, mask, classifier, k, seed).mean_accuracy,
+                classifier,
+            )
+        nb = classifiers.cross_val_accuracy(matrix, mask, "nb", k, seed).mean_accuracy
+        dt = classifiers.cross_val_accuracy(matrix, mask, "dt", k, seed).mean_accuracy
+    except classifiers.ClassifierError as exc:
+        raise PipelineError("evaluate", str(exc)) from exc
     return (nb, "nb") if nb >= dt else (dt, "dt")
 
 

@@ -21,6 +21,10 @@ class HeuristicError(Exception):
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 _CHAR_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
+# Draws generate_neighbor makes before it gives up on finding a neighbour
+# that keeps at least one feature.
+NEIGHBOR_REDRAWS = 16
+
 
 @dataclass(frozen=True)
 class FeatureMask:
@@ -105,15 +109,13 @@ def change_count(counter: int, m_prime: int, schedule: ChangeSchedule) -> int:
     return max(1, int(schedule.base_fraction * m_prime / 2**counter))
 
 
-def generate_neighbor(
-    mask: FeatureMask, change: int, rng: RngStream, max_redraws: int = 16
-) -> FeatureMask:
+def generate_neighbor(mask: FeatureMask, change: int, rng: RngStream) -> FeatureMask:
     """Flip `change` distinct uniformly drawn positions; re-draw if all-zero."""
     if not 1 <= change <= mask.universe:
         raise HeuristicError(f"change {change} out of range for M={mask.universe}")
     gen = rng.generator()
     base = np.frombuffer(mask.bits, dtype=np.uint8)
-    for _ in range(max_redraws):
+    for _ in range(NEIGHBOR_REDRAWS):
         positions = gen.choice(mask.universe, size=change, replace=False)
         bits = base.copy()
         bits[positions] ^= 1

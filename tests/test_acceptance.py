@@ -130,7 +130,7 @@ def test_criterion_2_nb_hand_oracle():
     model = nb_train(matrix, [True, True], [0, 1], alpha=1.0)
     expected = np.log(np.array([[0.75, 0.25], [0.25, 0.75]]))
     max_err = float(np.max(np.abs(model.log_likelihoods - expected)))
-    pred = nb_predict(model, np.array([1.0, 0.0]))
+    pred = nb_predict(model, np.array([[1.0, 0.0]]))[0]
     report_line(2, f"NB smoothed likelihoods |err|={max_err:.2e}, predicts class {pred}",
                 max_err < 1e-12 and pred == 0)
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,24 +65,23 @@ class TestNaiveBayes:
 
     def test_predict_hand_example(self, two_class_matrix):
         model = nb_train(two_class_matrix, [True, True], [0, 1], alpha=1.0)
-        assert nb_predict(model, np.array([1.0, 0.0])) == 0
-        assert nb_predict(model, np.array([0.0, 1.0])) == 1
+        assert nb_predict(model, np.array([[1.0, 0.0]]))[0] == 0
+        assert nb_predict(model, np.array([[0.0, 1.0]]))[0] == 1
 
     def test_all_zero_row_uses_priors(self):
         m = dtm([[1.0, 0], [1.0, 0], [0, 1.0]], [0, 0, 1])
         model = nb_train(m, [True, True], [0, 1, 2])
-        assert nb_predict(model, np.array([0.0, 0.0])) == 0  # prior 2/3
+        assert nb_predict(model, np.array([[0.0, 0.0]]))[0] == 0  # prior 2/3
 
     def test_tie_breaks_low_class(self, two_class_matrix):
         model = nb_train(two_class_matrix, [True, True], [0, 1])
-        assert nb_predict(model, np.array([0.0, 0.0])) == 0  # equal priors
+        assert nb_predict(model, np.array([[0.0, 0.0]]))[0] == 0  # equal priors
 
     def test_shift_invariance(self, two_class_matrix):
-        from mbofs.classifiers import _nb_scores
         model = nb_train(two_class_matrix, [True, True], [0, 1])
-        row = np.array([0.7, 0.3])
-        scores = _nb_scores(model, row)
-        assert int(np.argmax(scores)) == int(np.argmax(scores + 12.34))
+        shifted = replace(model, log_priors=model.log_priors + 12.34)  # every score + 12.34
+        rows = np.array([[0.7, 0.3], [0.3, 0.7]])
+        assert nb_predict(model, rows).tolist() == nb_predict(shifted, rows).tolist()
 
     def test_empty_mask_errors(self, two_class_matrix):
         with pytest.raises(ClassifierError, match="empty"):
@@ -99,8 +99,8 @@ class TestDecisionTree:
         m = dtm([[0.0], [1.0]], [0, 1])
         model = dt_train(m, [True], [0, 1])
         assert model.root.threshold == pytest.approx(0.5)
-        assert dt_predict(model, np.array([0.7])) == 1
-        assert dt_predict(model, np.array([0.2])) == 0
+        assert dt_predict(model, np.array([[0.7]]))[0] == 1
+        assert dt_predict(model, np.array([[0.2]]))[0] == 0
 
     def test_max_depth_zero(self):
         m = dtm([[0.0], [1.0], [2.0]], [1, 1, 0])
@@ -111,7 +111,7 @@ class TestDecisionTree:
     def test_missing_feature_treated_as_zero(self):
         m = dtm([[0.0], [1.0]], [0, 1])
         model = dt_train(m, [True], [0, 1])
-        assert dt_predict(model, np.array([0.0])) == 0
+        assert dt_predict(model, np.array([[0.0]]))[0] == 0
 
     def test_train_accuracy_monotone_in_depth(self):
         rng = np.random.default_rng(0)
@@ -122,8 +122,7 @@ class TestDecisionTree:
         accs = []
         for depth in (0, 1, 2, 4, 8):
             model = dt_train(m, [True] * 3, rows, max_depth=depth)
-            pred = [dt_predict(model, x[i]) for i in rows]
-            accs.append(np.mean(np.array(pred) == y))
+            accs.append(np.mean(dt_predict(model, x[rows]) == y))
         assert all(a <= b + 1e-12 for a, b in zip(accs, accs[1:]))
 
 
@@ -257,7 +256,7 @@ class TestTreeOracle:
         for a, b in zip(before, after):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         walked = [_walk(want, row) for row in x[:, mask]]
-        assert classifiers._dt_predict_batch(model, matrix.weights).tolist() == walked
+        assert dt_predict(model, matrix.weights).tolist() == walked
 
     def test_dt_train_on_planted_matrix(self):
         matrix, _ = make_planted_matrix(n_docs=60, n_classes=9, n_features=40,
@@ -298,7 +297,7 @@ class TestPlantedTrees:
     def test_tree_digest(self, planted, mask_name, fold, want):
         matrix, folds, ig = planted
         mask = ig if mask_name == "ig" else np.ones(matrix.n_features, dtype=bool)
-        model = dt_train(matrix, mask, np.flatnonzero(folds.fold_of != fold))
+        model = dt_train(matrix, mask, np.flatnonzero(folds != fold))
         assert _preorder_digest(model.root) == want
 
     def test_cv_fold_accuracies(self, planted):
@@ -313,15 +312,15 @@ class TestPlantedTrees:
 class TestStratifiedFolds:
     def test_balanced_deal(self):
         labels = [0] * 5 + [1] * 5
-        fa = stratified_folds(labels, 5, seed=3)
+        fold_of = stratified_folds(labels, 5, seed=3)
         for fold in range(5):
-            rows = np.flatnonzero(fa.fold_of == fold)
+            rows = np.flatnonzero(fold_of == fold)
             assert sorted(np.asarray(labels)[rows]) == [0, 1]
 
     def test_k2(self):
-        fa = stratified_folds([0, 0, 1, 1], 2, seed=0)
+        fold_of = stratified_folds([0, 0, 1, 1], 2, seed=0)
         for fold in range(2):
-            rows = fa.fold_of == fold
+            rows = fold_of == fold
             assert rows.sum() == 2
 
     def test_small_class_errors(self):
@@ -332,11 +331,11 @@ class TestStratifiedFolds:
         rng = np.random.default_rng(1)
         labels = rng.integers(0, 3, size=47)
         labels = np.concatenate([labels, [0, 1, 2] * 5])  # every class >= k
-        fa = stratified_folds(labels, 5, seed=9)
-        assert len(fa.fold_of) == len(labels)
-        assert set(fa.fold_of) <= set(range(5))
+        fold_of = stratified_folds(labels, 5, seed=9)
+        assert len(fold_of) == len(labels)
+        assert set(fold_of) <= set(range(5))
         for c in range(3):
-            counts = np.bincount(fa.fold_of[labels == c], minlength=5)
+            counts = np.bincount(fold_of[labels == c], minlength=5)
             assert counts.max() - counts.min() <= 1
 
 

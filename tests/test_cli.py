@@ -130,7 +130,7 @@ def test_select_class_smaller_than_folds(config_file, demo_tsv, capsys):
     assert main(["select", "--method", "ig", "--config", str(config_file)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: ") and "fewer than k=5" in err[0]
+    assert err[0].startswith("error: [evaluate] class") and "fewer than k=5" in err[0]
 
 
 def test_report_missing_dir(tmp_path, capsys):
@@ -147,6 +147,15 @@ def test_evaluate_bad_mask_universe(config_file, tmp_path, capsys):
     mask.write_text("M=abc\n0101\n")
     assert main(["evaluate", "--mask", str(mask), "--config", str(config_file)]) == 2
     _one_error_line(capsys, "error: [mask] bad universe size 'M=abc'")
+
+
+def test_evaluate_empty_mask(config_file, demo_tsv, tmp_path, capsys):
+    assert main(["ingest", str(demo_tsv)]) == 0
+    m = json.loads(capsys.readouterr().out)["n_features"]  # the corpus's width
+    mask = tmp_path / "mask.txt"
+    mask.write_text(f"M={m}\n{'0' * m}\n")
+    assert main(["evaluate", "--mask", str(mask), "--config", str(config_file)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: [evaluate] empty feature mask"]
 
 
 def test_evaluate_missing_mask(config_file, tmp_path, capsys):

@@ -17,6 +17,7 @@ from mbofs.corpus import (
     tokenize,
     vectorize_tfidf,
 )
+from mbofs.cli import main
 from mbofs.harness import ExperimentConfig, load_input
 
 
@@ -62,7 +63,7 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="does not exist"):
             load_corpus(tmp_path / "nope.tsv", "tsv")
 
-    def test_class_dirs(self, tmp_path):
+    def test_class_dirs(self, tmp_path, capsys):
         for cls, texts in [("ham", ["hello friend"]), ("spam", ["buy", "cheap"])]:
             d = tmp_path / cls
             d.mkdir()
@@ -71,6 +72,13 @@ class TestLoadCorpus:
         c = load_corpus(tmp_path, "dirs")
         assert len(c.docs) == 3
         assert c.classes == ("ham", "spam")
+        # the layout's one name is "dirs"; no alias for it is accepted
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"corpus_path = {tmp_path}\ncorpus_format = class-dirs\n")
+        assert main(["evaluate", "--mask", str(tmp_path / "m.txt"),
+                     "--config", str(config)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: [load] unknown corpus format: 'class-dirs'"]
 
 
 class TestVocabulary:

@@ -223,7 +223,7 @@ class TestNbKernelOracle:
     def test_scores_bit_identical(self, problem):
         # accuracies hide last-bit drift in the scores; the search needs none
         matrix, k, seed, mask = problem
-        fold_of = stratified_folds(matrix.labels, k, seed).fold_of
+        fold_of = stratified_folds(matrix.labels, k, seed)
         for fold, got in enumerate(NbFoldKernel(matrix, k, seed).scores(mask)):
             model = nb_train(matrix, mask, np.flatnonzero(fold_of != fold))
             test = matrix.weights[np.flatnonzero(fold_of == fold)]
