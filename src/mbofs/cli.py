@@ -96,8 +96,8 @@ def cmd_select(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = ExperimentConfig.from_file(args.config)
+    mask = load_mask(args.mask)  # a bad mask path fails before the corpus load
     matrix, _, _ = load_input(config)
-    mask = load_mask(args.mask)
     if len(mask) != matrix.n_features:
         raise PipelineError(
             "evaluate", f"mask universe {len(mask)} != corpus features {matrix.n_features}"

@@ -23,7 +23,9 @@ from .heuristic import ChangeSchedule, FeatureMask, FitnessFn, HeuristicError
 from .mbo import MboConfig, MboSnapshot, mbo_select
 from .pso import PsoConfig, PsoSnapshot, pso_select
 
-CHECKPOINT_VERSION = 3  # 2: PSO velocities as base64 float64; 3: traces as dataclasses
+# 2: PSO velocities as base64 float64; 3: traces as dataclasses; 4: step counts
+# and elapsed time kept only in the trace
+CHECKPOINT_VERSION = 4
 # Config fields that change a search's trajectory; a checkpoint is bound to them.
 SEARCH_FIELDS = ("seed", "folds", "ig_cap", "flock_size", "neighbors",
                  "base_fraction", "swarm_size", "pso_iterations")
@@ -424,7 +426,7 @@ def run_experiment(
         reduced = matrix.restrict_columns(ig_columns)
         input_mask = FeatureMask.ones(len(ig_columns))
         # one fitness fn (fold seed + memo table) shared by both engines
-        fitness = FitnessFn(reduced, classifier="nb", k=config.folds, seed=config.seed)
+        fitness = FitnessFn(reduced, k=config.folds, seed=config.seed)
 
         # built per call, so the engine and codec names are looked up at run time
         engines = {
@@ -456,7 +458,8 @@ def run_experiment(
                                         trace.elapsed_seconds, trace.termination))
             save_mask(out_dir / f"mask_{name}.txt", full)
             save_mask_sidecar(out_dir / f"mask_{name}_features.csv", full, terms, scores.gain)
-            _write_trace(out_dir / f"trace_{name}.txt", [r.trace_line() for r in trace.records])
+            _write_trace(out_dir / f"trace_{name}.txt",
+                         [r.trace_line(n) for n, r in enumerate(trace.records, 1)])
 
     report = RunReport(corpus=stats, methods=methods, seed=config.seed,
                        config=asdict(config))

@@ -10,6 +10,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# cross_val_accuracy is unused here, but perfbench/layers.py wraps it by name
+# as heuristic.cross_val_accuracy.
 from .classifiers import NbFoldKernel, cross_val_accuracy
 from .corpus import DocTermMatrix
 
@@ -31,20 +33,22 @@ class FeatureMask:
     """Immutable length-M bit vector; popcount = number of selected features."""
 
     bits: bytes  # one byte per position, 0 or 1
-    universe: int
 
     @staticmethod
     def from_array(arr) -> "FeatureMask":
-        a = np.asarray(arr, dtype=bool)
-        return FeatureMask(bits=a.astype(np.uint8).tobytes(), universe=len(a))
+        return FeatureMask(np.asarray(arr, dtype=bool).astype(np.uint8).tobytes())
 
     @staticmethod
     def ones(universe: int) -> "FeatureMask":
-        return FeatureMask(bits=b"\x01" * universe, universe=universe)
+        return FeatureMask(b"\x01" * universe)
 
     @staticmethod
     def zeros(universe: int) -> "FeatureMask":
-        return FeatureMask(bits=b"\x00" * universe, universe=universe)
+        return FeatureMask(b"\x00" * universe)
+
+    @property
+    def universe(self) -> int:
+        return len(self.bits)
 
     def to_array(self) -> np.ndarray:
         return np.frombuffer(self.bits, dtype=np.uint8).astype(bool)
@@ -61,7 +65,7 @@ class FeatureMask:
         raw = s.encode("ascii", "replace")  # anything else becomes "?"
         if raw.translate(None, b"01"):
             raise HeuristicError("mask bit string holds characters other than 0 and 1")
-        return FeatureMask(bits=raw.translate(_CHAR_BITS), universe=len(raw))
+        return FeatureMask(raw.translate(_CHAR_BITS))
 
 
 def flip(mask: FeatureMask, position: int) -> FeatureMask:
@@ -69,7 +73,7 @@ def flip(mask: FeatureMask, position: int) -> FeatureMask:
         raise HeuristicError(f"flip position {position} out of range")
     bits = bytearray(mask.bits)
     bits[position] ^= 1
-    return FeatureMask(bits=bytes(bits), universe=mask.universe)
+    return FeatureMask(bytes(bits))
 
 
 @dataclass(frozen=True)
@@ -120,33 +124,23 @@ def generate_neighbor(mask: FeatureMask, change: int, rng: RngStream) -> Feature
         bits = base.copy()
         bits[positions] ^= 1
         if bits.any():
-            return FeatureMask(bits=bits.tobytes(), universe=mask.universe)
+            return FeatureMask(bits.tobytes())
     raise HeuristicError("degenerate neighbor: all-zero after re-draws")
 
 
 class FitnessFn:
-    """Cross-validated accuracy of the internal classifier on a mask.
+    """Cross-validated Naive Bayes accuracy on a mask.
 
     Fold seed is fixed for the whole run so every mask is scored on identical
     folds; values are memoized on the mask's bit pattern. Empty masks score 0.0
-    so engine selection logic stays total. NB is scored by an NbFoldKernel
+    so engine selection logic stays total. Masks are scored by an NbFoldKernel
     built once here, which gives the same values as cross_val_accuracy.
     """
 
-    def __init__(
-        self,
-        matrix: DocTermMatrix,
-        classifier: str = "nb",
-        k: int = 5,
-        seed: int = 0,
-    ):
-        self.matrix = matrix
-        self.classifier = classifier
-        self.k = k
-        self.seed = seed
+    def __init__(self, matrix: DocTermMatrix, k: int = 5, seed: int = 0):
         self._memo: dict[bytes, float] = {}
         self.evaluations = 0  # distinct CV runs, for trace/diagnostics
-        self._nb = NbFoldKernel(matrix, k, seed) if classifier == "nb" else None
+        self._nb = NbFoldKernel(matrix, k, seed)
 
     def __call__(self, mask: FeatureMask) -> float:
         if mask.popcount == 0:
@@ -154,12 +148,7 @@ class FitnessFn:
         cached = self._memo.get(mask.bits)
         if cached is not None:
             return cached
-        if self._nb is not None:
-            value = self._nb.mean_accuracy(mask.to_array())
-        else:
-            value = cross_val_accuracy(
-                self.matrix, mask.to_array(), self.classifier, self.k, self.seed
-            ).mean_accuracy
+        value = self._nb.mean_accuracy(mask.to_array())
         self.evaluations += 1
         self._memo[mask.bits] = value
         return value
@@ -168,22 +157,24 @@ class FitnessFn:
 def run_search(snapshot, step, stop, budget_seconds: float, on_step=None):
     """Advance an engine's live snapshot until its stop rule or the budget ends it.
 
-    The snapshot carries `elapsed_seconds` (time already spent, nonzero on
-    resume) and a `trace` with `termination` and `elapsed_seconds`. Each round
-    checks `stop(snapshot)` (a termination reason or None) before the budget,
-    then runs `step(snapshot, clock)`, one tour or iteration in place, with
-    `clock()` giving the elapsed seconds, and hands the snapshot to `on_step`.
+    The snapshot's `trace` is its only record of progress: its `records` list
+    every step taken, and its `elapsed_seconds` (time already spent, nonzero on
+    resume) is kept current after every step; `termination` is set on return.
+    Each round checks `stop(snapshot)` (a termination reason or None) before the
+    budget, then runs `step(snapshot, clock)`, one tour or iteration in place,
+    with `clock()` giving the elapsed seconds, and hands the snapshot to `on_step`.
     """
+    trace = snapshot.trace
     start = time.monotonic()
-    already = snapshot.elapsed_seconds
+    already = trace.elapsed_seconds
     clock = lambda: already + (time.monotonic() - start)
     while (reason := stop(snapshot)) is None:
         if clock() >= budget_seconds:
             reason = "budget"
             break
         step(snapshot, clock)
-        snapshot.elapsed_seconds = clock()
+        trace.elapsed_seconds = clock()
         if on_step is not None:
             on_step(snapshot)
-    snapshot.trace.termination = reason
-    snapshot.trace.elapsed_seconds = clock()
+    trace.termination = reason
+    trace.elapsed_seconds = clock()

@@ -52,16 +52,6 @@ class Flock:
         return [self.leader, *self.left, *self.right]
 
 
-@dataclass
-class MboState:
-    f_max: float
-    b_max: FeatureMask
-    f1: float
-    f2: float
-    f3: float
-    counter: int = 0
-
-
 @dataclass(frozen=True)
 class MboConfig:
     flock_size: int = 7
@@ -79,14 +69,13 @@ class MboConfig:
 
 @dataclass(frozen=True)
 class TourRecord:
-    counter: int
     change: int
     f_max: float
     elapsed_ms: float
 
-    def trace_line(self) -> str:
-        """This tour's line in trace_mbo.txt."""
-        return (f"tour={self.counter} change={self.change} f_max={self.f_max!r} "
+    def trace_line(self, tour: int) -> str:
+        """This record's line in trace_mbo.txt; `tour` is its 1-based position."""
+        return (f"tour={tour} change={self.change} f_max={self.f_max!r} "
                 f"elapsed_ms={self.elapsed_ms:.1f}")
 
 
@@ -160,19 +149,20 @@ def reorder(flock: Flock) -> Flock:
 
 @dataclass
 class MboSnapshot:
-    """The search's live state; everything needed to resume at a tour boundary."""
+    """The search's live state; everything needed to resume at a tour boundary.
+    The tours flown so far are the trace's records."""
 
-    state: MboState
     flock: Flock
-    elapsed_seconds: float
+    b_max: FeatureMask
+    f_max: float
     trace: RunTrace
 
 
 def _stop_rule(snap: MboSnapshot) -> str | None:
-    s = snap.state
-    if s.counter >= 3 and s.f1 == s.f3:
+    r = snap.trace.records
+    if len(r) >= 3 and r[-1].f_max == r[-3].f_max:
         return "stagnation"
-    return "max-tours" if s.counter >= MAX_TOURS else None
+    return "max-tours" if len(r) >= MAX_TOURS else None
 
 
 def mbo_select(
@@ -197,27 +187,22 @@ def mbo_select(
     snap = resume
     if snap is None:
         f0 = fitness(input_mask)
-        snap = MboSnapshot(
-            state=MboState(f_max=f0, b_max=input_mask, f1=f0, f2=f0, f3=f0),
-            flock=initialize_flock(input_mask, config, rng.child("flock"), fitness),
-            elapsed_seconds=0.0,
-            trace=RunTrace(),
-        )
+        flock = initialize_flock(input_mask, config, rng.child("flock"), fitness)
+        snap = MboSnapshot(flock=flock, b_max=input_mask, f_max=f0, trace=RunTrace())
 
     def tour(snap: MboSnapshot, clock):
-        state, flock = snap.state, snap.flock
-        change = change_count(state.counter, m_prime, config.schedule)
-        tour_rng = rng.child("tour", state.counter)
+        done = len(snap.trace.records)  # tours already flown
+        change = change_count(done, m_prime, config.schedule)
+        tour_rng = rng.child("tour", done)
+        flock = snap.flock
         for step in range(STEPS_PER_TOUR):
             flock = fly(flock, change, tour_rng.child("step", step), fitness, config.neighbors)
             best = find_best_bird(flock)
-            if best.fitness > state.f_max:
-                state.f_max = best.fitness
-                state.b_max = best.mask
+            if best.fitness > snap.f_max:
+                snap.f_max = best.fitness
+                snap.b_max = best.mask
         snap.flock = reorder(flock)
-        state.f1, state.f2, state.f3 = state.f_max, state.f1, state.f2
-        state.counter += 1
-        snap.trace.records.append(TourRecord(state.counter, change, state.f_max, clock() * 1000.0))
+        snap.trace.records.append(TourRecord(change, snap.f_max, clock() * 1000.0))
 
     run_search(snap, tour, _stop_rule, config.budget_seconds, on_step)
-    return snap.state.b_max, snap.trace
+    return snap.b_max, snap.trace

@@ -56,13 +56,12 @@ class Particle:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    iteration: int
     gbest_fitness: float
     elapsed_ms: float
 
-    def trace_line(self) -> str:
-        """This iteration's line in trace_pso.txt."""
-        return (f"iteration={self.iteration} gbest={self.gbest_fitness!r} "
+    def trace_line(self, iteration: int) -> str:
+        """This record's line in trace_pso.txt; `iteration` is its 1-based position."""
+        return (f"iteration={iteration} gbest={self.gbest_fitness!r} "
                 f"elapsed_ms={self.elapsed_ms:.1f}")
 
 
@@ -75,13 +74,12 @@ class PsoTrace:
 
 @dataclass
 class PsoSnapshot:
-    """The search's live state; everything needed to resume at an iteration boundary."""
+    """The search's live state; everything needed to resume at an iteration boundary.
+    The iterations run so far are the trace's records."""
 
     particles: list[Particle]
     gbest_mask: FeatureMask
     gbest_fitness: float
-    iteration: int
-    elapsed_seconds: float
     trace: PsoTrace
 
 
@@ -130,13 +128,11 @@ def pso_select(
             particles=particles,
             gbest_mask=particles[best].pbest_mask,
             gbest_fitness=particles[best].pbest_fitness,
-            iteration=0,
-            elapsed_seconds=0.0,
             trace=PsoTrace(),
         )
 
     def iteration(snap: PsoSnapshot, clock):
-        it = snap.iteration
+        it = len(snap.trace.records)  # iterations already run
         frac = it / max(config.max_iterations - 1, 1)
         w = W_START + (W_END - W_START) * frac
         gbest_bits = snap.gbest_mask.to_array().astype(float)
@@ -160,9 +156,8 @@ def pso_select(
             if p.pbest_fitness > snap.gbest_fitness:
                 snap.gbest_fitness = p.pbest_fitness
                 snap.gbest_mask = p.pbest_mask
-        snap.iteration = it + 1
-        snap.trace.records.append(IterationRecord(it + 1, snap.gbest_fitness, clock() * 1000.0))
+        snap.trace.records.append(IterationRecord(snap.gbest_fitness, clock() * 1000.0))
 
-    stop = lambda s: "max-iterations" if s.iteration >= config.max_iterations else None
+    stop = lambda s: "max-iterations" if len(s.trace.records) >= config.max_iterations else None
     run_search(snap, iteration, stop, config.budget_seconds, on_step)
     return snap.gbest_mask, snap.trace

@@ -45,7 +45,6 @@ from mbofs.mbo import (
     MAX_TOURS,
     STEPS_PER_TOUR,
     MboConfig,
-    MboState,
     find_best_bird,
     fly,
     initialize_flock,
@@ -85,7 +84,7 @@ def sweep(planted):
     input_mask = FeatureMask.ones(reduced.n_features)
     runs = []
     for seed in range(10):
-        fitness = FitnessFn(reduced, classifier="nb", k=5, seed=seed)
+        fitness = FitnessFn(reduced, k=5, seed=seed)
         base = fitness(input_mask)
         best, trace = mbo_select(
             input_mask, MboConfig(seed=seed, budget_seconds=90),
@@ -162,22 +161,22 @@ def test_criterion_4_mbo_invariant_suite(planted):
     reduced = matrix.restrict_columns(np.flatnonzero(ig_mask))
     input_mask = FeatureMask.ones(reduced.n_features)
     config = MboConfig(seed=0, budget_seconds=540)
-    fitness = FitnessFn(reduced, classifier="nb", k=5, seed=0)
+    fitness = FitnessFn(reduced, k=5, seed=0)
     rng = RngStream(config.seed)
 
     # instrumented transcription of the search loop, checked after every step
     start = time.monotonic()
-    f0 = fitness(input_mask)
-    state = MboState(f_max=f0, b_max=input_mask, f1=f0, f2=f0, f3=f0)
+    f_max = fitness(input_mask)
     flock = initialize_flock(input_mask, config, rng.child("flock"), fitness)
     structure_ok = True
     per_bird_ok = True
-    trace = []
-    while (state.counter < 3 or state.f1 != state.f3) and state.counter < MAX_TOURS:
+    trace = []  # the tour bests, one per tour flown
+    stagnant = lambda: len(trace) >= 3 and trace[-1] == trace[-3]
+    while not stagnant() and len(trace) < MAX_TOURS:
         if time.monotonic() - start > config.budget_seconds:
             break
-        change = change_count(state.counter, input_mask.popcount, config.schedule)
-        tour_rng = rng.child("tour", state.counter)
+        change = change_count(len(trace), input_mask.popcount, config.schedule)
+        tour_rng = rng.child("tour", len(trace))
         for step in range(STEPS_PER_TOUR):
             before = [b.fitness for b in flock.birds()]
             flock = fly(flock, change, tour_rng.child("step", step), fitness,
@@ -187,25 +186,20 @@ def test_criterion_4_mbo_invariant_suite(planted):
                              and len(flock.left) == len(flock.right))
             per_bird_ok &= all(a >= b for a, b in zip(after, before))
             best = find_best_bird(flock)
-            if best.fitness > state.f_max:
-                state.f_max = best.fitness
-                state.b_max = best.mask
+            f_max = max(f_max, best.fitness)
         flock = reorder(flock)
         structure_ok &= flock.leader.fitness == max(b.fitness for b in flock.birds())
-        state.f1, state.f2, state.f3 = state.f_max, state.f1, state.f2
-        state.counter += 1
-        trace.append(state.f_max)
+        trace.append(f_max)
     elapsed = time.monotonic() - start
 
     non_decreasing = all(a <= b for a, b in zip(trace, trace[1:]))
     # the loop exited: verify it did so for a sanctioned reason (the stagnation
     # exit firing when three tour-bests are equal, the tour cap, or budget)
-    exited_properly = (state.counter >= MAX_TOURS
-                       or (state.counter >= 3 and state.f1 == state.f3)
+    exited_properly = (len(trace) >= MAX_TOURS or stagnant()
                        or elapsed > config.budget_seconds)
     ok = (structure_ok and per_bird_ok and non_decreasing and exited_properly
-          and state.counter <= MAX_TOURS and elapsed < 600.0)
-    report_line(4, f"MBO invariants over {state.counter} tours "
+          and len(trace) <= MAX_TOURS and elapsed < 600.0)
+    report_line(4, f"MBO invariants over {len(trace)} tours "
                    f"(f_max {trace[0]:.3f} -> {trace[-1]:.3f}, {elapsed:.0f}s)", ok)
 
 
@@ -238,7 +232,7 @@ def test_criterion_8_pso_baseline_integrity(planted, tmp_path):
     cfg = PsoConfig(seed=0, swarm_size=15, max_iterations=10, budget_seconds=300)
 
     peaks = []  # the snapshot is live state, so record at callback time
-    fitness = FitnessFn(reduced, classifier="nb", k=5, seed=0)
+    fitness = FitnessFn(reduced, k=5, seed=0)
     best1, trace1 = pso_select(
         input_mask, cfg, fitness=fitness,
         on_step=lambda s: peaks.append(max(np.abs(p.velocity).max() for p in s.particles)))

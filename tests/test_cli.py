@@ -164,6 +164,14 @@ def test_evaluate_missing_mask(config_file, tmp_path, capsys):
     _one_error_line(capsys, "error: [mask] cannot read")
 
 
+def test_evaluate_reads_mask_before_corpus(config_file, tmp_path, capsys):
+    with config_file.open("a", encoding="utf-8") as fh:  # later keys win
+        fh.write(f"corpus_path = {tmp_path / 'missing.tsv'}\n")
+    assert main(["evaluate", "--mask", str(tmp_path / "missing.txt"),
+                 "--config", str(config_file)]) == 2
+    _one_error_line(capsys, "error: [mask] cannot read")
+
+
 def test_report_malformed_json(tmp_path, capsys):
     (tmp_path / "report.json").write_text('{"corpus": ')
     assert main(["report", str(tmp_path)]) == 2
@@ -209,6 +217,7 @@ def test_unreadable_corpus_input(config_file, demo_tsv, tmp_path, capsys, comman
     else:
         corpus = str(tmp_path / "latin1.tsv")
         (tmp_path / "latin1.tsv").write_bytes(b"class0\tcaf\xe9 au lait\n")
+    (tmp_path / "mask.txt").write_text("M=1\n1\n")  # evaluate reads the mask first
     with config_file.open("a", encoding="utf-8") as fh:  # later keys win
         fh.write(f"corpus_path = {corpus}\ncorpus_format = {fmt}\n"
                  f"stopwords_path = {stopwords}\n")
@@ -241,7 +250,7 @@ def _leader_mask(edit):
     ("mbo", lambda p: p.write_bytes(b"\xff" + p.read_bytes())),  # not UTF-8
     ("mbo", lambda p: p.write_text(json.dumps([json.loads(p.read_text())]))),  # a JSON array
     ("mbo", _edit_json(lambda doc: doc["payload"].update(flock=5))),
-    ("mbo", _edit_json(lambda doc: doc["payload"].pop("state"))),
+    ("mbo", _edit_json(lambda doc: doc["payload"].pop("b_max"))),
     ("mbo", _leader_mask(lambda bits: "x" + bits[1:])),
     ("mbo", _leader_mask(lambda bits: bits[1:])),
     ("pso", _edit_json(lambda doc: doc["payload"]["particles"][0].update(velocity="!!!!"))),

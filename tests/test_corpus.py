@@ -75,6 +75,7 @@ class TestLoadCorpus:
         # the layout's one name is "dirs"; no alias for it is accepted
         config = tmp_path / "exp.cfg"
         config.write_text(f"corpus_path = {tmp_path}\ncorpus_format = class-dirs\n")
+        (tmp_path / "m.txt").write_text("M=1\n1\n")  # evaluate reads the mask first
         assert main(["evaluate", "--mask", str(tmp_path / "m.txt"),
                      "--config", str(config)]) == 2
         assert capsys.readouterr().err.splitlines() == [

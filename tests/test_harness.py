@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import re
@@ -118,7 +119,9 @@ class TestCheckpoint:
 
     def test_version_mismatch(self, tmp_path):
         p = tmp_path / "ck.json"
-        for version in (1, 2, 99):  # 1: velocities as float lists; 2: traces as bare record lists
+        # 1: velocities as float lists; 2: traces as bare record lists; 3: step counts
+        # and elapsed time kept beside the trace
+        for version in (1, 2, 3, 99):
             p.write_text(json.dumps({"format_version": version, "fingerprint": "fp"}))
             with pytest.raises(CheckpointError, match="version"):
                 checkpoint_load(p, "fp")
@@ -135,7 +138,7 @@ class TestCheckpoint:
         cfg = MboConfig(seed=5, flock_size=5, budget_seconds=120)
         mask = FeatureMask.ones(60)
 
-        full_best, _ = mbo_select(mask, cfg, fitness=FitnessFn(matrix, seed=5))
+        full_best, full_trace = mbo_select(mask, cfg, fitness=FitnessFn(matrix, seed=5))
 
         snaps = []
 
@@ -150,9 +153,11 @@ class TestCheckpoint:
         with pytest.raises(Stop):
             mbo_select(mask, cfg, fitness=FitnessFn(matrix, seed=5), on_step=on_step)
         resumed = mbo_snapshot_from_json(snaps[-1])
-        res_best, _ = mbo_select(mask, cfg,
-                                    fitness=FitnessFn(matrix, seed=5), resume=resumed)
+        res_best, res_trace = mbo_select(mask, cfg,
+                                         fitness=FitnessFn(matrix, seed=5), resume=resumed)
         assert res_best == full_best
+        assert len(full_trace.records) > 2  # the resume flew tours of its own
+        assert _steps(res_trace) == _steps(full_trace)
 
     def test_pso_resume_matches_uninterrupted(self):
         matrix, _ = make_planted_matrix(n_docs=80, n_features=60, n_informative=10, seed=3)
@@ -178,7 +183,16 @@ class TestCheckpoint:
         res_best, res_trace = pso_select(mask, cfg,
                                          fitness=FitnessFn(matrix, seed=5), resume=resumed)
         assert res_best == full_best
-        assert res_trace.records[-1].gbest_fitness == full_trace.records[-1].gbest_fitness
+        assert len(full_trace.records) > 2
+        assert _steps(res_trace) == _steps(full_trace)
+
+
+def _steps(trace):
+    """A trace without its timings: the records, their rendered lines up to
+    `elapsed_ms` (step numbers included) and the termination reason."""
+    return ([dataclasses.replace(r, elapsed_ms=0.0) for r in trace.records],
+            [r.trace_line(n).split(" elapsed_ms=")[0] for n, r in enumerate(trace.records, 1)],
+            trace.termination)
 
 
 def test_snapshot_codec_roundtrip_exact():
@@ -196,7 +210,7 @@ def test_snapshot_codec_roundtrip_exact():
                                      ("pso", pso_snapshot_to_json, pso_snapshot_from_json)]:
         back = from_json(json.loads(json.dumps(docs[name])))
         assert to_json(back) == docs[name], name
-        assert back.trace.records and back.elapsed_seconds > 0.0
+        assert back.trace.records and back.trace.elapsed_seconds > 0.0
 
 
 def _report():
@@ -291,9 +305,9 @@ class TestRunExperiment:
         pso = json.loads((run / "checkpoint_pso.json").read_text(encoding="utf-8"))
         for engine, pattern, steps in [
             ("mbo", r"tour=(\d+) change=[1-9]\d* f_max=(\S+) elapsed_ms=\d+\.\d",
-             mbo["payload"]["state"]["counter"]),
+             len(mbo["payload"]["trace"]["records"])),
             ("pso", r"iteration=(\d+) gbest=(\S+) elapsed_ms=\d+\.\d",
-             pso["payload"]["iteration"]),
+             len(pso["payload"]["trace"]["records"])),
         ]:
             lines = (run / f"trace_{engine}.txt").read_text(encoding="utf-8").splitlines()
             assert len(lines) == steps > 0, engine  # one line per tour or iteration
@@ -302,7 +316,7 @@ class TestRunExperiment:
                 assert match, line
                 assert int(match[1]) == n
                 assert match[2] == repr(float(match[2])), line  # repr, not rounded
-        assert pso["payload"]["iteration"] == 5  # pso_iterations
+        assert len(pso["payload"]["trace"]["records"]) == 5  # pso_iterations
 
     def test_missing_corpus_is_pipeline_error(self, tmp_path):
         cfg = ExperimentConfig(corpus_path=str(tmp_path / "nope.tsv"),
@@ -313,6 +327,12 @@ class TestRunExperiment:
 
 def _trace_lines(run, engine):
     return len((run / f"trace_{engine}.txt").read_text(encoding="utf-8").splitlines())
+
+
+def _untimed_lines(run, engine):
+    """The lines of a run's trace file, each cut before its `elapsed_ms`."""
+    text = (run / f"trace_{engine}.txt").read_text(encoding="utf-8")
+    return [line.split(" elapsed_ms=")[0] for line in text.splitlines()]
 
 
 class TestCheckpointCadence:
@@ -343,8 +363,8 @@ class TestCheckpointCadence:
         assert writes == ["mbo", "pso"]
         mbo = json.loads((run / "checkpoint_mbo.json").read_text(encoding="utf-8"))
         pso = json.loads((run / "checkpoint_pso.json").read_text(encoding="utf-8"))
-        assert mbo["payload"]["state"]["counter"] == _trace_lines(run, "mbo") > 1
-        assert pso["payload"]["iteration"] == _trace_lines(run, "pso") == 5
+        assert len(mbo["payload"]["trace"]["records"]) == _trace_lines(run, "mbo") > 1
+        assert len(pso["payload"]["trace"]["records"]) == _trace_lines(run, "pso") == 5
         assert not list(run.glob("*.tmp"))
 
     def test_budget_before_first_step_writes_nothing(self, demo_tsv, tmp_path, writes):
@@ -388,7 +408,7 @@ class TestCheckpointCadence:
                            resume_path=str(tmp_path / f"early_{engine}.json"))
             assert (out / f"mask_{engine}.txt").read_bytes() == (
                 tmp_path / "u" / f"mask_{engine}.txt").read_bytes(), engine
-            assert _trace_lines(out, engine) == _trace_lines(tmp_path / "u", engine)
+            assert _untimed_lines(out, engine) == _untimed_lines(tmp_path / "u", engine)
 
 
 class TestCheckpointBinding:

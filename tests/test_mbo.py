@@ -156,8 +156,8 @@ class TestMboSelect:
         b2, t2 = mbo_select(mask, cfg, fitness=FitnessFn(small_matrix, seed=cfg.seed))
         assert b1 == b2
         assert t1.records[-1].f_max == t2.records[-1].f_max
-        assert [(r.counter, r.change, r.f_max) for r in t1.records] == [
-            (r.counter, r.change, r.f_max) for r in t2.records
+        assert [(r.change, r.f_max) for r in t1.records] == [
+            (r.change, r.f_max) for r in t2.records
         ]
 
     def test_empty_input_rejected(self, small_matrix):
