@@ -20,8 +20,8 @@ class ClassifierError(Exception):
     pass
 
 
-# Additive (Laplace) smoothing of every NB likelihood: nb_train's default and
-# NbFoldKernel's only value, so the kernel and its oracle smooth alike.
+# Additive (Laplace) smoothing of every NB likelihood. nb_train and
+# NbFoldKernel both read it, so the kernel and its oracle smooth alike.
 ALPHA = 1.0
 
 
@@ -60,10 +60,8 @@ def _mask_columns(mask) -> np.ndarray:
     return cols
 
 
-def nb_train(
-    matrix: DocTermMatrix, mask, row_subset, alpha: float = ALPHA
-) -> NbModel:
-    """P(t|c) = (W(t,c)+alpha) / (W(.,c)+alpha*M') with W summing TF-IDF weight."""
+def nb_train(matrix: DocTermMatrix, mask, row_subset) -> NbModel:
+    """P(t|c) = (W(t,c)+ALPHA) / (W(.,c)+ALPHA*M') with W summing TF-IDF weight."""
     cols = _mask_columns(mask)
     rows = np.asarray(row_subset, dtype=np.int64)
     if len(rows) == 0:
@@ -78,8 +76,8 @@ def nb_train(
     class_weight = np.asarray(class_weight)
 
     m_prime = len(cols)
-    totals = class_weight.sum(axis=1, keepdims=True) + alpha * m_prime
-    log_likelihoods = np.log(class_weight + alpha) - np.log(totals)
+    totals = class_weight.sum(axis=1, keepdims=True) + ALPHA * m_prime
+    log_likelihoods = np.log(class_weight + ALPHA) - np.log(totals)
 
     counts = np.bincount(labels, minlength=n_classes).astype(float)
     with np.errstate(divide="ignore"):
@@ -160,10 +158,12 @@ def _gini_best_split(values: np.ndarray, labels: np.ndarray, n_classes: int):
         return None
     lc = left_counts[boundaries]
     rc = total - lc
-    nl = lc.sum(axis=1)
+    nl = lc.sum(axis=1)  # exact: any order gives the same integer
     nr = rc.sum(axis=1)
-    gini_l = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
-    gini_r = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
+    # classes added one after another, as the formula reads: from 8 classes
+    # numpy's .sum(axis=1) adds them pairwise, which can differ in the last bit
+    gini_l = 1.0 - sum((lc[:, c] / nl) ** 2 for c in range(n_classes))
+    gini_r = 1.0 - sum((rc[:, c] / nr) ** 2 for c in range(n_classes))
     weighted = (nl * gini_l + nr * gini_r) / n
     best = int(np.argmin(weighted))  # first index on ties -> lowest threshold
     b = boundaries[best]
@@ -172,34 +172,13 @@ def _gini_best_split(values: np.ndarray, labels: np.ndarray, n_classes: int):
 
 
 def _class_sum(q: np.ndarray) -> np.ndarray:
-    """The sum over classes of a class-major (C, cuts) array of nonnegative
-    values, bit for bit what .sum(axis=1) gives on the same values laid out
-    as a contiguous (cuts, C) array.
-
-    numpy sums each contiguous row pairwise, and so does this, one class row
-    at a time: below 8 classes one after another; from 8 to 128, eight
-    running sums over the classes k with k % 8 = 0..7, combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the classes past the last
-    multiple of 8 one after another; above 128, the sums of the two halves,
-    split at C//2 rounded down to a multiple of 8.
-    """
-    c = len(q)
-    if c < 8:
-        s = q[0].copy()
-        for k in range(1, c):
-            s += q[k]
-        return s
-    if c <= 128:
-        tail = c - c % 8
-        r = q[:8].copy()
-        for i in range(8, tail, 8):
-            r += q[i:i + 8]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for k in range(tail, c):
-            s += q[k]
-        return s
-    half = c // 2 - c // 2 % 8
-    return _class_sum(q[:half]) + _class_sum(q[half:])
+    """The sum over classes of a class-major (C, cuts) array, the classes
+    added one after another as the impurity's formula adds them. Not
+    q.sum(axis=0): numpy adds a (C, 1) array pairwise."""
+    s = q[0].copy()
+    for row in q[1:]:
+        s += row
+    return s
 
 
 def _best_split(node: _Entries, y: np.ndarray, n_classes: int):
@@ -216,12 +195,8 @@ def _best_split(node: _Entries, y: np.ndarray, n_classes: int):
     a (C, cuts) array with one contiguous row per class. Every step of the
     scoring then runs along the cuts, C rows at a time, instead of reducing
     a short class axis one cut at a time. Each cut is still scored with
-    _gini_best_split's arithmetic, element for element. The counts are
-    integer-valued floats, so nl and nr are exact in any order. The squared
-    ratios are not: _class_sum adds the C classes in the order
-    _gini_best_split's .sum(axis=1) adds them on its (cuts, C) rows
-    (pairwise once C reaches 8, where a running sum over classes would
-    differ in the last bit), so the impurities agree bit for bit.
+    _gini_best_split's arithmetic, element for element, so the impurities
+    agree bit for bit.
 
     Cuts are listed column by column, lowest threshold first, and a later
     chunk wins only when strictly lower, so the first minimum keeps the

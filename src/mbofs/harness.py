@@ -24,8 +24,9 @@ from .mbo import MboConfig, MboSnapshot, mbo_select
 from .pso import PsoConfig, PsoSnapshot, pso_select
 
 # 2: PSO velocities as base64 float64; 3: traces as dataclasses; 4: step counts
-# and elapsed time kept only in the trace
-CHECKPOINT_VERSION = 4
+# and elapsed time kept only in the trace; 5: the snapshot holds the records and
+# no trace
+CHECKPOINT_VERSION = 5
 # Config fields that change a search's trajectory; a checkpoint is bound to them.
 SEARCH_FIELDS = ("seed", "folds", "ig_cap", "flock_size", "neighbors",
                  "base_fraction", "swarm_size", "pso_iterations")

@@ -154,27 +154,34 @@ class FitnessFn:
         return value
 
 
-def run_search(snapshot, step, stop, budget_seconds: float, on_step=None):
+@dataclass(frozen=True)
+class SearchTrace:
+    """What a search returns beside its best mask."""
+
+    records: list  # the snapshot's records, one per step taken
+    termination: str  # the stop rule's reason, or "budget"
+    elapsed_seconds: float  # time spent before a resume included
+
+
+def run_search(snapshot, step, stop, budget_seconds: float, on_step=None) -> SearchTrace:
     """Advance an engine's live snapshot until its stop rule or the budget ends it.
 
-    The snapshot's `trace` is its only record of progress: its `records` list
-    every step taken, and its `elapsed_seconds` (time already spent, nonzero on
-    resume) is kept current after every step; `termination` is set on return.
-    Each round checks `stop(snapshot)` (a termination reason or None) before the
-    budget, then runs `step(snapshot, clock)`, one tour or iteration in place,
-    with `clock()` giving the elapsed seconds, and hands the snapshot to `on_step`.
+    The snapshot's `records` are its only record of progress: one per step
+    taken, each with the elapsed milliseconds at its end. The clock resumes
+    from the last record's, or from 0 when there is none. Each round checks
+    `stop(snapshot)` (a termination reason or None) before the budget, then
+    runs `step(snapshot, clock)`, one tour or iteration in place, with
+    `clock()` giving the elapsed seconds, and hands the snapshot to `on_step`.
     """
-    trace = snapshot.trace
+    records = snapshot.records
     start = time.monotonic()
-    already = trace.elapsed_seconds
+    already = records[-1].elapsed_ms / 1000.0 if records else 0.0
     clock = lambda: already + (time.monotonic() - start)
     while (reason := stop(snapshot)) is None:
         if clock() >= budget_seconds:
             reason = "budget"
             break
         step(snapshot, clock)
-        trace.elapsed_seconds = clock()
         if on_step is not None:
             on_step(snapshot)
-    trace.termination = reason
-    trace.elapsed_seconds = clock()
+    return SearchTrace(records, reason, clock())

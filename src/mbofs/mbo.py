@@ -18,6 +18,7 @@ from .heuristic import (
     FitnessFn,
     HeuristicError,
     RngStream,
+    SearchTrace,
     change_count,
     generate_neighbor,
     run_search,
@@ -77,13 +78,6 @@ class TourRecord:
         """This record's line in trace_mbo.txt; `tour` is its 1-based position."""
         return (f"tour={tour} change={self.change} f_max={self.f_max!r} "
                 f"elapsed_ms={self.elapsed_ms:.1f}")
-
-
-@dataclass
-class RunTrace:
-    records: list[TourRecord] = field(default_factory=list)
-    termination: str = "max-tours"  # stagnation | max-tours | budget
-    elapsed_seconds: float = 0.0
 
 
 def initialize_flock(
@@ -150,16 +144,16 @@ def reorder(flock: Flock) -> Flock:
 @dataclass
 class MboSnapshot:
     """The search's live state; everything needed to resume at a tour boundary.
-    The tours flown so far are the trace's records."""
+    `records` lists the tours flown so far."""
 
     flock: Flock
     b_max: FeatureMask
     f_max: float
-    trace: RunTrace
+    records: list[TourRecord]
 
 
 def _stop_rule(snap: MboSnapshot) -> str | None:
-    r = snap.trace.records
+    r = snap.records
     if len(r) >= 3 and r[-1].f_max == r[-3].f_max:
         return "stagnation"
     return "max-tours" if len(r) >= MAX_TOURS else None
@@ -171,7 +165,7 @@ def mbo_select(
     fitness: FitnessFn,
     resume: MboSnapshot | None = None,
     on_step=None,
-) -> tuple[FeatureMask, RunTrace]:
+) -> tuple[FeatureMask, SearchTrace]:
     """Run the full search from (or resuming toward) the input mask; return the
     best mask and the trace. `on_step` gets the live snapshot after each tour.
 
@@ -188,10 +182,10 @@ def mbo_select(
     if snap is None:
         f0 = fitness(input_mask)
         flock = initialize_flock(input_mask, config, rng.child("flock"), fitness)
-        snap = MboSnapshot(flock=flock, b_max=input_mask, f_max=f0, trace=RunTrace())
+        snap = MboSnapshot(flock=flock, b_max=input_mask, f_max=f0, records=[])
 
     def tour(snap: MboSnapshot, clock):
-        done = len(snap.trace.records)  # tours already flown
+        done = len(snap.records)  # tours already flown
         change = change_count(done, m_prime, config.schedule)
         tour_rng = rng.child("tour", done)
         flock = snap.flock
@@ -202,7 +196,7 @@ def mbo_select(
                 snap.f_max = best.fitness
                 snap.b_max = best.mask
         snap.flock = reorder(flock)
-        snap.trace.records.append(TourRecord(change, snap.f_max, clock() * 1000.0))
+        snap.records.append(TourRecord(change, snap.f_max, clock() * 1000.0))
 
-    run_search(snap, tour, _stop_rule, config.budget_seconds, on_step)
-    return snap.b_max, snap.trace
+    trace = run_search(snap, tour, _stop_rule, config.budget_seconds, on_step)
+    return snap.b_max, trace

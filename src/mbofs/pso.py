@@ -18,6 +18,7 @@ from .heuristic import (
     FitnessFn,
     HeuristicError,
     RngStream,
+    SearchTrace,
     change_count,
     generate_neighbor,
     run_search,
@@ -66,21 +67,14 @@ class IterationRecord:
 
 
 @dataclass
-class PsoTrace:
-    records: list[IterationRecord] = field(default_factory=list)
-    termination: str = "max-iterations"  # max-iterations | budget
-    elapsed_seconds: float = 0.0
-
-
-@dataclass
 class PsoSnapshot:
     """The search's live state; everything needed to resume at an iteration boundary.
-    The iterations run so far are the trace's records."""
+    `records` lists the iterations run so far."""
 
     particles: list[Particle]
     gbest_mask: FeatureMask
     gbest_fitness: float
-    trace: PsoTrace
+    records: list[IterationRecord]
 
 
 def sigmoid(v: np.ndarray) -> np.ndarray:
@@ -113,7 +107,7 @@ def pso_select(
     fitness: FitnessFn,
     resume: PsoSnapshot | None = None,
     on_step=None,
-) -> tuple[FeatureMask, PsoTrace]:
+) -> tuple[FeatureMask, SearchTrace]:
     """Run the swarm from (or resuming toward) the input mask; return the global
     best mask and the trace. `on_step` gets the live snapshot after each iteration."""
     if input_mask.popcount < 1:
@@ -128,11 +122,11 @@ def pso_select(
             particles=particles,
             gbest_mask=particles[best].pbest_mask,
             gbest_fitness=particles[best].pbest_fitness,
-            trace=PsoTrace(),
+            records=[],
         )
 
     def iteration(snap: PsoSnapshot, clock):
-        it = len(snap.trace.records)  # iterations already run
+        it = len(snap.records)  # iterations already run
         frac = it / max(config.max_iterations - 1, 1)
         w = W_START + (W_END - W_START) * frac
         gbest_bits = snap.gbest_mask.to_array().astype(float)
@@ -156,8 +150,8 @@ def pso_select(
             if p.pbest_fitness > snap.gbest_fitness:
                 snap.gbest_fitness = p.pbest_fitness
                 snap.gbest_mask = p.pbest_mask
-        snap.trace.records.append(IterationRecord(snap.gbest_fitness, clock() * 1000.0))
+        snap.records.append(IterationRecord(snap.gbest_fitness, clock() * 1000.0))
 
-    stop = lambda s: "max-iterations" if len(s.trace.records) >= config.max_iterations else None
-    run_search(snap, iteration, stop, config.budget_seconds, on_step)
-    return snap.gbest_mask, snap.trace
+    stop = lambda s: "max-iterations" if len(s.records) >= config.max_iterations else None
+    trace = run_search(snap, iteration, stop, config.budget_seconds, on_step)
+    return snap.gbest_mask, trace

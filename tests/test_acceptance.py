@@ -126,7 +126,7 @@ def test_criterion_2_nb_hand_oracle():
         weights=sp.csr_matrix(np.array([[2.0, 0.0], [0.0, 2.0]])),
         labels=np.array([0, 1]),
     )
-    model = nb_train(matrix, [True, True], [0, 1], alpha=1.0)
+    model = nb_train(matrix, [True, True], [0, 1])
     expected = np.log(np.array([[0.75, 0.25], [0.25, 0.75]]))
     max_err = float(np.max(np.abs(model.log_likelihoods - expected)))
     pred = nb_predict(model, np.array([[1.0, 0.0]]))[0]

@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +43,7 @@ def two_class_matrix():
 
 class TestNaiveBayes:
     def test_hand_likelihoods(self, two_class_matrix):
-        model = nb_train(two_class_matrix, [True, True], [0, 1], alpha=1.0)
+        model = nb_train(two_class_matrix, [True, True], [0, 1])
         # class 0: W(f0)=2, total 2+1*2 -> P(f0|0)=3/4, P(f1|0)=1/4
         assert model.log_likelihoods[0, 0] == pytest.approx(math.log(0.75), abs=1e-12)
         assert model.log_likelihoods[0, 1] == pytest.approx(math.log(0.25), abs=1e-12)
@@ -56,7 +58,7 @@ class TestNaiveBayes:
 
     def test_zero_weight_class_uniform(self):
         m = dtm([[0.0, 0.0], [0.0, 3.0]], [0, 1])
-        model = nb_train(m, [True, True], [0, 1], alpha=1.0)
+        model = nb_train(m, [True, True], [0, 1])
         np.testing.assert_allclose(np.exp(model.log_likelihoods[0]), 0.5, atol=1e-12)
 
     def test_single_class_prior(self, two_class_matrix):
@@ -64,7 +66,7 @@ class TestNaiveBayes:
         assert model.log_priors[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_predict_hand_example(self, two_class_matrix):
-        model = nb_train(two_class_matrix, [True, True], [0, 1], alpha=1.0)
+        model = nb_train(two_class_matrix, [True, True], [0, 1])
         assert nb_predict(model, np.array([[1.0, 0.0]]))[0] == 0
         assert nb_predict(model, np.array([[0.0, 1.0]]))[0] == 1
 
@@ -163,8 +165,8 @@ def _reference_tree(x, y, n_classes, depth, max_depth, min_split):
 
 @st.composite
 def tree_problems(draw):
-    """Rows x features with 2..12 classes, or with more than 128 (so the class
-    sum splits in halves), labelled from 2..12 of them: continuous or
+    """Rows x features with 2..12 classes, or with 129 or 200 (most of them
+    empty), labelled from 2..12 of them: continuous or
     quantized values (ties, duplicate values), signed columns whose zeros sit
     between their negatives and positives, all-zero and constant columns, rows
     repeated under other labels; a tree depth, a split minimum and a
@@ -206,15 +208,18 @@ def _stored_with_zeros(x, rng):
 
 
 class TestClassSum:
-    def test_matches_numpy_row_sum(self):
-        """_class_sum on (C, cuts) equals numpy's .sum(axis=1) on the same values
-        as contiguous (cuts, C) rows, bit for bit, at every class count up to
-        140 and at counts around and past the 128 and 256 pairwise blocks."""
+    def test_adds_classes_one_after_another(self):
+        """_class_sum on (C, cuts) equals, bit for bit, Python's sum of each
+        cut's C values in class order, at every class count up to 140 and at
+        counts around and past numpy's 128- and 256-element pairwise blocks,
+        with many cuts and with one (where numpy's own sum is pairwise)."""
         rng = np.random.default_rng(0)
         for c in [*range(1, 141), 200, 256, 257, 1000]:
-            q = 10.0 ** rng.uniform(-300, 8, (c, 64))
-            q[rng.random(q.shape) < 0.1] = 0.0
-            assert np.array_equal(_class_sum(q), np.ascontiguousarray(q.T).sum(axis=1)), c
+            for cuts in (64, 1):
+                q = 10.0 ** rng.uniform(-300, 8, (c, cuts))
+                q[rng.random(q.shape) < 0.1] = 0.0
+                want = [sum(q[:, j].tolist()) for j in range(cuts)]
+                assert _class_sum(q).tolist() == want, (c, cuts)
 
 
 class TestTreeOracle:
@@ -257,6 +262,22 @@ class TestTreeOracle:
             assert a.dtype == b.dtype and np.array_equal(a, b)
         walked = [_walk(want, row) for row in x[:, mask]]
         assert dt_predict(model, matrix.weights).tolist() == walked
+
+    def test_dt_train_matches_reference_cart_at_many_classes(self, monkeypatch):
+        """dt_train equals the benchmark's brute-force CART, node for node, on
+        small problems with 8..12 classes and features valued 0, 1 or 2, where
+        two cuts' impurities often differ only in the last bit."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        reference = importlib.import_module("reference")
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n_classes = int(rng.integers(8, 13))
+            n = int(rng.integers(16, 60))
+            x = rng.integers(0, 3, (n, int(rng.integers(2, 6)))).astype(float)
+            y = rng.integers(0, n_classes, n)
+            matrix = dtm(x, y)
+            model = dt_train(matrix, np.ones(x.shape[1], dtype=bool), np.arange(n))
+            assert reference.same_tree(reference.cart(x, y, matrix.n_classes), model.root), seed
 
     def test_dt_train_on_planted_matrix(self):
         matrix, _ = make_planted_matrix(n_docs=60, n_classes=9, n_features=40,

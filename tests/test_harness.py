@@ -120,8 +120,8 @@ class TestCheckpoint:
     def test_version_mismatch(self, tmp_path):
         p = tmp_path / "ck.json"
         # 1: velocities as float lists; 2: traces as bare record lists; 3: step counts
-        # and elapsed time kept beside the trace
-        for version in (1, 2, 3, 99):
+        # and elapsed time kept beside the trace; 4: records inside a trace
+        for version in (1, 2, 3, 4, 99):
             p.write_text(json.dumps({"format_version": version, "fingerprint": "fp"}))
             with pytest.raises(CheckpointError, match="version"):
                 checkpoint_load(p, "fp")
@@ -156,6 +156,8 @@ class TestCheckpoint:
         res_best, res_trace = mbo_select(mask, cfg,
                                          fitness=FitnessFn(matrix, seed=5), resume=resumed)
         assert res_best == full_best
+        kept = snaps[-1]["records"]  # the clock resumes from the last record's
+        assert res_trace.records[len(kept)].elapsed_ms >= kept[-1]["elapsed_ms"]
         assert len(full_trace.records) > 2  # the resume flew tours of its own
         assert _steps(res_trace) == _steps(full_trace)
 
@@ -183,6 +185,8 @@ class TestCheckpoint:
         res_best, res_trace = pso_select(mask, cfg,
                                          fitness=FitnessFn(matrix, seed=5), resume=resumed)
         assert res_best == full_best
+        kept = snaps[-1]["records"]  # the clock resumes from the last record's
+        assert res_trace.records[len(kept)].elapsed_ms >= kept[-1]["elapsed_ms"]
         assert len(full_trace.records) > 2
         assert _steps(res_trace) == _steps(full_trace)
 
@@ -210,7 +214,7 @@ def test_snapshot_codec_roundtrip_exact():
                                      ("pso", pso_snapshot_to_json, pso_snapshot_from_json)]:
         back = from_json(json.loads(json.dumps(docs[name])))
         assert to_json(back) == docs[name], name
-        assert back.trace.records and back.trace.elapsed_seconds > 0.0
+        assert back.records and back.records[-1].elapsed_ms > 0.0
 
 
 def _report():
@@ -305,9 +309,9 @@ class TestRunExperiment:
         pso = json.loads((run / "checkpoint_pso.json").read_text(encoding="utf-8"))
         for engine, pattern, steps in [
             ("mbo", r"tour=(\d+) change=[1-9]\d* f_max=(\S+) elapsed_ms=\d+\.\d",
-             len(mbo["payload"]["trace"]["records"])),
+             len(mbo["payload"]["records"])),
             ("pso", r"iteration=(\d+) gbest=(\S+) elapsed_ms=\d+\.\d",
-             len(pso["payload"]["trace"]["records"])),
+             len(pso["payload"]["records"])),
         ]:
             lines = (run / f"trace_{engine}.txt").read_text(encoding="utf-8").splitlines()
             assert len(lines) == steps > 0, engine  # one line per tour or iteration
@@ -316,7 +320,7 @@ class TestRunExperiment:
                 assert match, line
                 assert int(match[1]) == n
                 assert match[2] == repr(float(match[2])), line  # repr, not rounded
-        assert len(pso["payload"]["trace"]["records"]) == 5  # pso_iterations
+        assert len(pso["payload"]["records"]) == 5  # pso_iterations
 
     def test_missing_corpus_is_pipeline_error(self, tmp_path):
         cfg = ExperimentConfig(corpus_path=str(tmp_path / "nope.tsv"),
@@ -363,8 +367,8 @@ class TestCheckpointCadence:
         assert writes == ["mbo", "pso"]
         mbo = json.loads((run / "checkpoint_mbo.json").read_text(encoding="utf-8"))
         pso = json.loads((run / "checkpoint_pso.json").read_text(encoding="utf-8"))
-        assert len(mbo["payload"]["trace"]["records"]) == _trace_lines(run, "mbo") > 1
-        assert len(pso["payload"]["trace"]["records"]) == _trace_lines(run, "pso") == 5
+        assert len(mbo["payload"]["records"]) == _trace_lines(run, "mbo") > 1
+        assert len(pso["payload"]["records"]) == _trace_lines(run, "pso") == 5
         assert not list(run.glob("*.tmp"))
 
     def test_budget_before_first_step_writes_nothing(self, demo_tsv, tmp_path, writes):
@@ -403,6 +407,11 @@ class TestCheckpointCadence:
         run_experiment(_demo_config(demo_tsv, tmp_path, out_dir=str(tmp_path / "u")))
         for engine in ("mbo", "pso"):
             assert writes.count(engine) > 2, engine  # the kept step is not the last
+            early = json.loads((tmp_path / f"early_{engine}.json").read_text(encoding="utf-8"))
+            payload = early["payload"]
+            assert payload["records"], engine
+            # a search that has not ended claims no termination or total time
+            assert not {"trace", "termination", "elapsed_seconds"} & payload.keys(), engine
             out = tmp_path / f"r_{engine}"
             run_experiment(_demo_config(demo_tsv, tmp_path, method=engine, out_dir=str(out)),
                            resume_path=str(tmp_path / f"early_{engine}.json"))
