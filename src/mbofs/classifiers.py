@@ -373,6 +373,39 @@ def cross_val_accuracy(
     )
 
 
+# Twice the unit roundoff: the certification bound below is evaluated with it
+# in place of u, which covers the rounding of the bound's own magnitudes and
+# arithmetic.
+_EPS = np.finfo(float).eps
+# np.log is taken to be within this many ulps of the exact logarithm.
+_LOG_ULPS = 4
+
+
+def _gamma(n):
+    """Higham's gamma_n = n*u / (1 - n*u), evaluated with u = eps."""
+    nu = np.asarray(n, dtype=float) * _EPS
+    return nu / (1.0 - nu)
+
+
+class NbState(NamedTuple):
+    """A mask's NB scores as sums that deltas can update, for NbFoldKernel.
+
+    Over the mask's columns S, row i (fold f) and class c: `a[i, c]` sums
+    x_ij * log_mass[j, f*C + c], `x[i]` sums x_ij and `t` sums the class
+    mass, without the ALPHA * |S| smoothing. `x_abs[i]` and `t_abs` bound
+    the sums of |x_ij| and |mass| over every term the state has ever added
+    or removed, and `terms` bounds the roundings any one term has been
+    through; the certification bound reads them.
+    """
+
+    a: np.ndarray  # (N, C)
+    x: np.ndarray  # (N,)
+    x_abs: np.ndarray  # (N,)
+    t: np.ndarray  # (k*C,)
+    t_abs: np.ndarray  # (k*C,)
+    terms: int
+
+
 class NbFoldKernel:
     """Stratified k-fold multinomial-NB accuracy on folds fixed up front.
 
@@ -410,6 +443,13 @@ class NbFoldKernel:
         fold_of_nz = np.repeat(self.fold_of, np.diff(w.indptr))
         self.rows = sp.csr_matrix((w.data, w.indices * k + fold_of_nz, w.indptr),
                                   shape=(n, w.shape[1] * k))
+        # for delta_batch: each column's nonzeros, and the bound's constants
+        self.columns = w.tocsc()
+        self.row_terms = int(np.diff(w.indptr).max(initial=0))
+        self.row_abs = np.asarray(abs(w).sum(axis=1)).ravel()
+        self.log_mass_max = float(np.abs(self.log_mass).max(initial=0.0))
+        finite = np.isfinite(self.row_priors)
+        self.prior_abs = np.where(finite, np.abs(self.row_priors), 0.0).max(axis=1)
 
     def _scores(self, mask) -> np.ndarray:
         """(N, C) NB scores of every document under its own fold's model."""
@@ -427,7 +467,143 @@ class NbFoldKernel:
         s = self._scores(mask)
         return [s[self.fold_of == f] for f in range(len(self.n_test))]
 
-    def mean_accuracy(self, mask) -> float:
-        hits = np.argmax(self._scores(mask), axis=1) == self.labels
+    def _accuracy(self, predicted: np.ndarray) -> float:
+        """Mean over folds of the share of test rows whose class is predicted."""
+        hits = predicted == self.labels
         return float(np.mean(np.bincount(self.fold_of, weights=hits) / self.n_test))
+
+    def mean_accuracy(self, mask) -> float:
+        return self._accuracy(np.argmax(self._scores(mask), axis=1))
+
+    def state(self, mask) -> NbState:
+        """The NbState of a mask, from one sparse product as _scores makes.
+
+        `x_abs` starts from every column's |x|, a bound on the mask's; and
+        `terms` from the roundings of that product and of the class mass sum.
+        """
+        keep = np.asarray(mask, dtype=bool)
+        cols = _mask_columns(keep)
+        k, n_classes = len(self.n_test), self.n_classes
+        table = np.zeros((len(keep), k, n_classes + 1))  # log_mass, then 1 for x
+        table[cols, :, :n_classes] = self.log_mass[cols].reshape(len(cols), k, n_classes)
+        table[cols, :, n_classes] = 1.0
+        ax = self.rows @ table.reshape(-1, n_classes + 1)
+        mass = self.mass[cols]
+        return NbState(a=ax[:, :n_classes], x=ax[:, n_classes], x_abs=self.row_abs,
+                       t=mass.sum(axis=0), t_abs=np.abs(mass).sum(axis=0),
+                       terms=max(self.row_terms + 1, len(cols)))
+
+    def delta_batch(self, triples) -> list[tuple[NbState, float | None]]:
+        """The (state, accuracy) of each (parent state, parent mask, child
+        mask) triple; the accuracy is None where it is not certified equal
+        to mean_accuracy(child mask), which then must score the child.
+
+        A child's sums are its parent's plus the terms of the columns it
+        flips, added for a column it gains and subtracted for one it drops:
+        the flipped columns' nonzeros come from `columns` and one bincount
+        adds them up for the whole batch. Its scores are
+        s[i, c] = a[i, c] - x[i] * log(T) + prior[i, c], with
+        T = t + ALPHA * |S| of the row's fold and class; they are the same
+        reals _scores computes, rounded in another order.
+
+        Certification. Write u for the unit roundoff, gamma_n = n*u/(1-n*u),
+        L = max |log_mass|, X = x_abs[i], P = max |finite prior[i, c]|, and
+        let s* be the exact score with the exact log of the exact T. A sum
+        whose terms each go through at most n roundings, in any order, is
+        within gamma_n * (sum of |terms|) of the exact sum (Higham 2002,
+        section 3.1), and a term added and later subtracted cancels in the
+        exact sum. So:
+        - T: the kernel adds |S| class masses, and the chain adds at most
+          `terms` roundings to each of its own, both plus one for
+          ALPHA * |S|. Each is within e_T = gamma_{terms+1} * (t_abs +
+          ALPHA * |S|) of T, so all three are at least T_lo = T_delta -
+          2 * e_T. Where T_lo > 0, each computed log(T) is within
+          delta = e_T / T_lo + _LOG_ULPS * 2u * lam of log T exact, with
+          lam = |log T_delta| + 1 bounding each of their magnitudes when
+          delta <= 1/4 (checked).
+        - Kernel: its log-likelihood subtracts once, its product adds at
+          most row_terms products, each rounded, and the prior adds once, so
+          |s_kernel - s*| <= E_kernel = gamma_{row_terms+3} * (X * (L +
+          lam) + P) + X * delta.
+        - Delta: each term of a, x and t is rounded when multiplied, at most
+          |F| times in the bincount and once when added to the parent's
+          sum, and once more at each later step; `terms` grows by |F| + 1 a
+          step to count that. The score then multiplies, subtracts and adds
+          once each: |s_delta - s*| <= E_delta = gamma_{terms+3} * (X *
+          (L + lam) + P) + X * delta.
+        Magnitudes are bounded with absolute values, so no sign is assumed;
+        a T near zero, or any infinity or NaN, only fails the check. If the
+        delta's top score beats its second by more than 2 * (E_kernel +
+        E_delta), it beats every other class in the kernel's scores too,
+        with no tie, and the argmax is the kernel's. A class with a -inf
+        prior scores -inf in both, so it cannot win; a row whose top two
+        scores are not both finite fails. A child is certified when every
+        row is; its accuracy then uses mean_accuracy's own expression.
+        """
+        if not triples:
+            return []
+        k, n_classes = len(self.n_test), self.n_classes
+        n, kc = len(self.labels), k * n_classes
+        batch = len(triples)
+        flips = [np.flatnonzero(parent ^ child) for _, parent, child in triples]
+        cols = np.concatenate(flips)
+        sign = np.concatenate([np.where(child[f], 1.0, -1.0)
+                               for f, (_, _, child) in zip(flips, triples)])
+        owner = np.repeat(np.arange(batch), [len(f) for f in flips])
+        # the flipped columns' nonzeros, one entry per (column, row)
+        indptr = self.columns.indptr
+        lens = indptr[cols + 1] - indptr[cols]
+        at = np.repeat(indptr[cols] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        row = self.columns.indices[at]
+        value = self.columns.data[at] * np.repeat(sign, lens)
+        bin_ = np.repeat(owner, lens) * n + row
+        log_mass = self.log_mass.reshape(-1, k, n_classes)[np.repeat(cols, lens),
+                                                             self.fold_of[row]]
+        d_a = np.bincount((bin_[:, None] * n_classes + np.arange(n_classes)).ravel(),
+                          weights=(value[:, None] * log_mass).ravel(),
+                          minlength=batch * n * n_classes)
+        d_x = np.bincount(bin_, weights=value, minlength=batch * n)
+        d_x_abs = np.bincount(bin_, weights=np.abs(value), minlength=batch * n)
+        t_bin = (owner[:, None] * kc + np.arange(kc)).ravel()
+        d_t = np.bincount(t_bin, weights=(sign[:, None] * self.mass[cols]).ravel(),
+                          minlength=batch * kc)
+        d_t_abs = np.bincount(t_bin, weights=np.abs(self.mass[cols]).ravel(),
+                              minlength=batch * kc)
+
+        parents = [state for state, _, _ in triples]
+        a, x, x_abs, t, t_abs = sums = [np.stack(field) for field in list(zip(*parents))[:5]]
+        for summed, d in zip(sums, (d_a, d_x, d_x_abs, d_t, d_t_abs)):
+            summed += d.reshape(summed.shape)
+        terms = np.array([p.terms + len(f) + 1 for p, f in zip(parents, flips)])
+        size = np.array([child.sum() for _, _, child in triples], dtype=float)[:, None]
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            total = t + ALPHA * size
+            log_t = np.log(total)  # (B, k*C)
+            # a - x * log T + prior, rounded in that order, in one buffer
+            scores = log_t.reshape(batch, k, n_classes)[:, self.fold_of]
+            scores *= x[:, :, None]
+            np.subtract(a, scores, out=scores)
+            scores += self.row_priors
+            predicted = np.argmax(scores, axis=2)
+            scores.sort(axis=2)
+            top, second = scores[:, :, -1], scores[:, :, max(n_classes - 2, 0)]
+            # the bound, per child and fold, then per row
+            e_t = _gamma(terms + 1)[:, None] * (t_abs + ALPHA * size)
+            t_lo = total - 2.0 * e_t
+            lam = np.abs(log_t) + 1.0
+            delta = e_t / t_lo + 2.0 * _LOG_ULPS * _EPS * lam
+            fold_ok = ((t_lo > 0.0) & (delta <= 0.25)).reshape(batch, k, n_classes).all(axis=2)
+            lam = lam.reshape(batch, k, n_classes).max(axis=2)[:, self.fold_of]
+            delta = delta.reshape(batch, k, n_classes).max(axis=2)[:, self.fold_of]
+            magnitude = x_abs * (self.log_mass_max + lam) + self.prior_abs
+            gammas = _gamma(self.row_terms + 3) + _gamma(terms + 3)[:, None]
+            bound = 2.0 * (gammas * magnitude + 2.0 * x_abs * delta)
+            certified = (fold_ok[:, self.fold_of] & np.isfinite(top) & np.isfinite(second)
+                         & (top - second > bound)).all(axis=1)
+        out = []
+        for b in range(batch):
+            state = NbState(a[b], x[b], x_abs[b], t[b], t_abs[b], int(terms[b]))
+            out.append((state, self._accuracy(predicted[b]) if certified[b] else None))
+        return out
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import classifiers, corpus as corpus_mod, filter_ig
 from .corpus import CorpusStats, DocTermMatrix
-from .heuristic import ChangeSchedule, FeatureMask, FitnessFn, HeuristicError
+from .heuristic import ChangeSchedule, FeatureMask, FitnessFn, HeuristicError, last_gain
 from .mbo import MboConfig, MboSnapshot, mbo_select
 from .pso import PsoConfig, PsoSnapshot, pso_select
 
@@ -127,6 +127,8 @@ class MethodResult:
     classifier: str
     elapsed_s: float
     status: str  # ok | stagnation | max-tours | max-iterations | budget
+    evaluations: int = 0  # masks the search scored that the fitness memo lacked
+    last_gain: int = 0  # the search's step of its last best-fitness rise (heuristic.last_gain)
 
 
 @dataclass
@@ -235,7 +237,8 @@ def _decode(hint, value):
     if dataclasses.is_dataclass(hint):
         hints = typing.get_type_hints(hint)
         return hint(**{f.name: _decode(hints[f.name], value[f.name])
-                       for f in dataclasses.fields(hint)})
+                       for f in dataclasses.fields(hint)
+                       if f.name in value or f.default is dataclasses.MISSING})
     origin = typing.get_origin(hint)
     if origin in (list, tuple):
         return origin(_decode(typing.get_args(hint)[0], v) for v in value)
@@ -449,14 +452,19 @@ def run_experiment(
                                           f"velocities must have {len(ig_columns)} entries")
             writer = _CheckpointWriter(
                 lambda snap: checkpoint_save(ckpt_path, name, fingerprint, to_json(snap)))
+            before = fitness.evaluations
             best, trace = select(input_mask, config.engine_configs()[name], fitness,
                                  resume=resume, on_step=writer)
+            evaluations = fitness.evaluations - before
             writer.flush()
             full = _expand_mask(best, ig_columns, matrix.n_features)
             acc, clf = evaluate_mask(matrix, full, config.eval_classifier,
                                      config.folds, config.seed)
-            methods.append(MethodResult(name, int(full.sum()), acc, clf,
-                                        trace.elapsed_seconds, trace.termination))
+            # both engines start from the input mask: a first record above its
+            # fitness counts as a rise (for PSO, the initial swarm's with it)
+            gained = last_gain(trace.records, fitness(input_mask))
+            methods.append(MethodResult(name, int(full.sum()), acc, clf, trace.elapsed_seconds,
+                                        trace.termination, evaluations, gained))
             save_mask(out_dir / f"mask_{name}.txt", full)
             save_mask_sidecar(out_dir / f"mask_{name}_features.csv", full, terms, scores.gain)
             _write_trace(out_dir / f"trace_{name}.txt",
@@ -480,10 +488,11 @@ def render_report(report: RunReport, style: str = "table") -> str:
     if style == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["method", "m_prime", "accuracy", "classifier", "elapsed_s", "status"])
+        writer.writerow(["method", "m_prime", "accuracy", "classifier", "elapsed_s", "status",
+                         "evaluations", "last_gain"])
         for m in report.methods:
             writer.writerow([m.name, m.m_prime, repr(m.accuracy), m.classifier,
-                             f"{m.elapsed_s:.3f}", m.status])
+                             f"{m.elapsed_s:.3f}", m.status, m.evaluations, m.last_gain])
         return buf.getvalue()
     if style == "table":
         # mirrors the accuracy-comparison and feature-count table shapes

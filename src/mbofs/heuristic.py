@@ -12,7 +12,7 @@ import numpy as np
 
 # cross_val_accuracy is unused here, but perfbench/layers.py wraps it by name
 # as heuristic.cross_val_accuracy.
-from .classifiers import NbFoldKernel, cross_val_accuracy
+from .classifiers import NbFoldKernel, NbState, cross_val_accuracy
 from .corpus import DocTermMatrix
 
 
@@ -128,30 +128,80 @@ def generate_neighbor(mask: FeatureMask, change: int, rng: RngStream) -> Feature
     raise HeuristicError("degenerate neighbor: all-zero after re-draws")
 
 
+def _key(mask: FeatureMask) -> bytes:
+    """The mask's bits packed eight to a byte: exact within one universe."""
+    return np.packbits(np.frombuffer(mask.bits, dtype=np.uint8)).tobytes()
+
+
 class FitnessFn:
     """Cross-validated Naive Bayes accuracy on a mask.
 
     Fold seed is fixed for the whole run so every mask is scored on identical
-    folds; values are memoized on the mask's bit pattern. Empty masks score 0.0
+    folds; values are memoized on the mask's packed bits. Empty masks score 0.0
     so engine selection logic stays total. Masks are scored by an NbFoldKernel
     built once here, which gives the same values as cross_val_accuracy.
     """
 
     def __init__(self, matrix: DocTermMatrix, k: int = 5, seed: int = 0):
         self._memo: dict[bytes, float] = {}
+        self._states: dict[bytes, NbState] = {}  # the latest batch's masks' states
         self.evaluations = 0  # distinct CV runs, for trace/diagnostics
         self._nb = NbFoldKernel(matrix, k, seed)
 
     def __call__(self, mask: FeatureMask) -> float:
         if mask.popcount == 0:
             return 0.0
-        cached = self._memo.get(mask.bits)
+        key = _key(mask)
+        cached = self._memo.get(key)
         if cached is not None:
             return cached
         value = self._nb.mean_accuracy(mask.to_array())
         self.evaluations += 1
-        self._memo[mask.bits] = value
+        self._memo[key] = value
         return value
+
+    def batch(self, pairs) -> list[float]:
+        """For (parent, child) mask pairs, `[self(child) for _, child in pairs]`:
+        the same values, memo and evaluations.
+
+        The children the memo lacks are scored in one NbFoldKernel.delta_batch
+        from their parents' states, and by mean_accuracy where it certifies no
+        value. States are kept for this batch's parents and scored children
+        only; a parent without one gets it from NbFoldKernel.state, and an
+        empty parent is replaced by its child.
+        """
+        values = [0.0] * len(pairs)
+        todo: dict[bytes, tuple[list[int], FeatureMask, FeatureMask]] = {}
+        states = {}
+        for i, (parent, child) in enumerate(pairs):
+            if (pkey := _key(parent)) in self._states:
+                states[pkey] = self._states[pkey]
+            if child.popcount == 0:
+                continue
+            key = _key(child)
+            if key in self._memo:
+                values[i] = self._memo[key]
+            elif key in todo:
+                todo[key][0].append(i)
+            else:
+                todo[key] = ([i], parent if parent.popcount else child, child)
+        triples = []
+        for _, parent, child in todo.values():
+            bits = parent.to_array()
+            if (pkey := _key(parent)) not in states:
+                states[pkey] = self._nb.state(bits)
+            triples.append((states[pkey], bits, child.to_array()))
+        for (key, (where, _, _)), (_, _, bits), (state, value) in zip(
+                todo.items(), triples, self._nb.delta_batch(triples)):
+            if value is None:
+                value = self._nb.mean_accuracy(bits)
+            self.evaluations += 1
+            self._memo[key] = value
+            states[key] = state
+            for i in where:
+                values[i] = value
+        self._states = states
+        return values
 
 
 @dataclass(frozen=True)
@@ -161,6 +211,17 @@ class SearchTrace:
     records: list  # the snapshot's records, one per step taken
     termination: str  # the stop rule's reason, or "budget"
     elapsed_seconds: float  # time spent before a resume included
+
+
+def last_gain(records, start: float) -> int:
+    """The 1-based step of the last record whose `best` rose above the one
+    before it, `start` standing before the first; 0 if none rose."""
+    last, before = 0, start
+    for n, record in enumerate(records, 1):
+        if record.best > before:
+            last = n
+        before = record.best
+    return last
 
 
 def run_search(snapshot, step, stop, budget_seconds: float, on_step=None) -> SearchTrace:

@@ -74,6 +74,10 @@ class TourRecord:
     f_max: float
     elapsed_ms: float
 
+    @property
+    def best(self) -> float:
+        return self.f_max
+
     def trace_line(self, tour: int) -> str:
         """This record's line in trace_mbo.txt; `tour` is its 1-based position."""
         return (f"tour={tour} change={self.change} f_max={self.f_max!r} "
@@ -84,16 +88,15 @@ def initialize_flock(
     input_mask: FeatureMask, config: MboConfig, rng: RngStream, fitness: FitnessFn
 ) -> Flock:
     """Leader = the input mask; followers are schedule-sized perturbations of it,
-    dealt alternately left/right so the input is always in the flock."""
+    scored in one batch with it as their parent and dealt alternately
+    left/right, so the input is always in the flock."""
     change = change_count(0, input_mask.popcount, config.schedule)
     leader = Bird(mask=input_mask, fitness=fitness(input_mask))
-    left: list[Bird] = []
-    right: list[Bird] = []
-    for i in range(config.flock_size - 1):
-        mask = generate_neighbor(input_mask, change, rng.child("init", i))
-        bird = Bird(mask=mask, fitness=fitness(mask))
-        (left if i % 2 == 0 else right).append(bird)
-    return Flock(leader=leader, left=tuple(left), right=tuple(right))
+    masks = [generate_neighbor(input_mask, change, rng.child("init", i))
+             for i in range(config.flock_size - 1)]
+    values = fitness.batch([(input_mask, mask) for mask in masks])
+    followers = [Bird(mask=m, fitness=f) for m, f in zip(masks, values)]
+    return Flock(leader=leader, left=tuple(followers[0::2]), right=tuple(followers[1::2]))
 
 
 def _ranked(pool: list[Bird]) -> list[Bird]:
@@ -104,15 +107,14 @@ def _ranked(pool: list[Bird]) -> list[Bird]:
 def fly(
     flock: Flock, change: int, rng: RngStream, fitness: FitnessFn, k: int
 ) -> Flock:
-    """One fly step: per-bird neighbor pools with shares cascading down wings."""
+    """One fly step: per-bird neighbor pools with shares cascading down wings.
+    Every neighbor is drawn first, then all are scored in one fitness batch."""
     birds = flock.birds()
-    neighbor_sets: list[list[Bird]] = []
-    for i, bird in enumerate(birds):
-        ns = []
-        for j in range(k):
-            mask = generate_neighbor(bird.mask, change, rng.child("bird", i).child("neighbor", j))
-            ns.append(Bird(mask=mask, fitness=fitness(mask)))
-        neighbor_sets.append(ns)
+    pairs = [(bird.mask, generate_neighbor(bird.mask, change,
+                                           rng.child("bird", i).child("neighbor", j)))
+             for i, bird in enumerate(birds) for j in range(k)]
+    pool = [Bird(mask=child, fitness=f) for (_, child), f in zip(pairs, fitness.batch(pairs))]
+    neighbor_sets = [pool[i * k:(i + 1) * k] for i in range(len(birds))]
 
     new_leader, *shares = _ranked([birds[0], *neighbor_sets[0]])[:3]
     wings = []

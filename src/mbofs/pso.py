@@ -60,6 +60,10 @@ class IterationRecord:
     gbest_fitness: float
     elapsed_ms: float
 
+    @property
+    def best(self) -> float:
+        return self.gbest_fitness
+
     def trace_line(self, iteration: int) -> str:
         """This record's line in trace_pso.txt; `iteration` is its 1-based position."""
         return (f"iteration={iteration} gbest={self.gbest_fitness!r} "

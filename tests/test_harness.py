@@ -222,7 +222,7 @@ def _report():
         corpus=CorpusStats(10, 4, 2, 3.0, 4.5),
         methods=[
             MethodResult("raw", 10, 0.75, "nb", 1.0, "ok"),
-            MethodResult("mbo", 6, 0.875, "nb", 2.0, "stagnation"),
+            MethodResult("mbo", 6, 0.875, "nb", 2.0, "stagnation", 120, 4),
             MethodResult("pso", 7, 0.8, "nb", 2.0, "budget"),
         ],
         seed=3,
@@ -244,6 +244,9 @@ class TestRenderReport:
     def test_csv(self):
         rows = render_report(_report(), "csv").splitlines()
         assert rows[0].startswith("method,")
+        assert rows[0].endswith(",evaluations,last_gain")
+        assert rows[1].endswith(",0,0")  # raw: no search
+        assert rows[2].endswith(",stagnation,120,4")
         assert len(rows) == 4
 
     def test_unknown_style(self):
@@ -321,6 +324,32 @@ class TestRunExperiment:
                 assert int(match[1]) == n
                 assert match[2] == repr(float(match[2])), line  # repr, not rounded
         assert len(pso["payload"]["records"]) == 5  # pso_iterations
+
+    def test_rows_count_evaluations_and_last_gain(self, demo_tsv, tmp_path, monkeypatch):
+        made = []
+
+        class Recorded(FitnessFn):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(harness, "FitnessFn", Recorded)
+        report = run_experiment(_demo_config(demo_tsv, tmp_path))
+        rows = {m.name: m for m in report.methods}
+        assert rows["raw"].evaluations == rows["ig"].evaluations == 0
+        assert rows["raw"].last_gain == rows["ig"].last_gain == 0
+        # each search's own evaluations; both share one fitness function
+        (fitness,) = made
+        assert rows["mbo"].evaluations > 0 and rows["pso"].evaluations > 0
+        assert rows["mbo"].evaluations + rows["pso"].evaluations == fitness.evaluations
+        start = fitness(FeatureMask.ones(rows["ig"].m_prime))  # the searches' input
+        for engine, key in (("mbo", "f_max"), ("pso", "gbest")):
+            lines = (tmp_path / "run" / f"trace_{engine}.txt").read_text(encoding="utf-8")
+            best = [start] + [float(v) for v in re.findall(key + r"=(\S+)", lines)]
+            gain = rows[engine].last_gain
+            # the best rose at step `gain` (unless 0) and never after it
+            assert gain == 0 or best[gain] > best[gain - 1]
+            assert best[gain:] == [best[gain]] * len(best[gain:]), engine
 
     def test_missing_corpus_is_pipeline_error(self, tmp_path):
         cfg = ExperimentConfig(corpus_path=str(tmp_path / "nope.tsv"),

@@ -14,7 +14,9 @@ from mbofs.heuristic import (
     change_count,
     flip,
     generate_neighbor,
+    last_gain,
 )
+from mbofs.mbo import TourRecord
 from mbofs.synth import make_planted_matrix
 
 TABLE_MASK = "1100100110"  # the worked 10-feature example
@@ -238,3 +240,91 @@ class TestNbKernelOracle:
         got = FitnessFn(m, k=3, seed=1)(FeatureMask.from_array(mask))
         assert got == cross_val_accuracy(m, mask, "nb", 3, 1).mean_accuracy
         assert got == 0.5  # ties go to class 0
+
+
+def _flipped(mask: FeatureMask, rng, most: int) -> FeatureMask:
+    """The mask with 1 to `most` distinct bits flipped; it may be empty."""
+    bits = mask.to_array()
+    n = int(rng.integers(1, min(most, len(bits)) + 1))
+    bits[rng.choice(len(bits), size=n, replace=False)] ^= True
+    return FeatureMask.from_array(bits)
+
+
+class TestFitnessBatch:
+    """FitnessFn.batch against NbFoldKernel.mean_accuracy and against calls."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(nb_problems(), st.integers(0, 2**32 - 1))
+    def test_matches_kernel_along_flip_chains(self, problem, seed):
+        # several parents a batch, children of children for eight batches, and
+        # a child repeated in its batch and under another parent
+        matrix, k, fold_seed, mask = problem
+        rng = np.random.default_rng(seed)
+        kernel = NbFoldKernel(matrix, k, fold_seed)
+        fit = FitnessFn(matrix, k=k, seed=fold_seed)
+        calls = FitnessFn(matrix, k=k, seed=fold_seed)
+        parents = [FeatureMask.from_array(mask)]
+        for _ in range(8):
+            pairs = [(p, _flipped(p, rng, 3)) for p in parents for _ in range(4)]
+            pairs += [pairs[0], (parents[-1], pairs[0][1])]
+            for (_, child), got in zip(pairs, fit.batch(pairs)):
+                want = kernel.mean_accuracy(child.to_array()) if child.popcount else 0.0
+                assert got == want == calls(child)
+            assert fit.evaluations == calls.evaluations
+            children = [c for _, c in pairs if c.popcount] or parents
+            parents = [children[i] for i in
+                       rng.choice(len(children), size=min(3, len(children)), replace=False)]
+
+    def test_same_as_sequential_calls(self, matrix):
+        rng = np.random.default_rng(7)
+        base = FeatureMask.from_array(rng.random(matrix.n_features) < 0.6)
+        seen = _flipped(base, rng, 4)
+        children = [_flipped(base, rng, 4) for _ in range(5)]
+        empty = FeatureMask.zeros(matrix.n_features)
+        pairs = [(base, c) for c in children]
+        pairs += [(seen, children[1]), (base, seen), (base, empty), (base, children[0])]
+        batched, calls = FitnessFn(matrix, seed=2), FitnessFn(matrix, seed=2)
+        assert batched(seen) == calls(seen)  # a memo hit inside the batch
+        assert batched.batch(pairs) == [calls(c) for _, c in pairs]
+        assert batched.batch([(base, empty)]) == [0.0]
+        assert batched.evaluations == calls.evaluations == 1 + len({c.bits for c in children})
+        assert batched._memo == calls._memo
+
+    def test_exact_ties_fall_back_to_the_kernel(self):
+        # the tied matrix of TestNbKernelOracle: no delta margin is certified
+        x = np.tile([[0.5, 0.0, 2.0, 1.0]], (12, 1))
+        m = DocTermMatrix(weights=sp.csr_matrix(x), labels=np.arange(12) % 2)
+        kernel = NbFoldKernel(m, 3, 1)
+        full, child = np.ones(4, dtype=bool), np.array([True, True, False, True])
+        [(_, value)] = kernel.delta_batch([(kernel.state(full), full, child)])
+        assert value is None
+        fit = FitnessFn(m, k=3, seed=1)
+        assert fit.batch([(FeatureMask.ones(4), FeatureMask.from_array(child))]) == [0.5]
+
+    def test_rebuilt_and_chained_states_score_alike(self):
+        m, _ = make_planted_matrix(n_docs=120, n_features=80, n_informative=10, seed=4,
+                                   noise_p=0.5)  # no row loses all its features
+        kernel = NbFoldKernel(m, 5, 0)
+        rng = np.random.default_rng(0)
+        mask = np.ones(80, dtype=bool)
+        chained = kernel.state(mask)
+        for _ in range(40):
+            child = mask.copy()
+            child[rng.choice(80, size=3, replace=False)] ^= True
+            [(chained, from_chain)] = kernel.delta_batch([(chained, mask, child)])
+            rebuilt = kernel.state(child)
+            [(_, from_rebuilt)] = kernel.delta_batch([(rebuilt, child, child)])
+            assert from_chain == from_rebuilt == kernel.mean_accuracy(child)
+            for field in ("a", "x", "t"):  # the sums; the bounds' magnitudes differ
+                np.testing.assert_allclose(getattr(chained, field), getattr(rebuilt, field),
+                                           rtol=1e-12, atol=1e-12)
+            mask = child
+
+
+def test_last_gain():
+    records = [TourRecord(1, f, 0.0) for f in (0.5, 0.6, 0.6, 0.7, 0.7)]
+    assert last_gain(records, 0.4) == 4
+    assert last_gain(records[:3], 0.4) == 2
+    assert last_gain(records[:1], 0.4) == 1
+    assert last_gain(records[:1], 0.5) == 0
+    assert last_gain([], 0.5) == 0

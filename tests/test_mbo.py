@@ -17,9 +17,17 @@ from mbofs.mbo import (
 from mbofs.synth import make_planted_matrix
 
 
-def density_fitness(mask: FeatureMask) -> float:
-    """Cheap stand-in: fraction of selected bits."""
-    return mask.popcount / mask.universe
+class DensityFitness:
+    """Cheap stand-in for FitnessFn: fraction of selected bits."""
+
+    def __call__(self, mask: FeatureMask) -> float:
+        return mask.popcount / mask.universe
+
+    def batch(self, pairs) -> list[float]:
+        return [self(child) for _, child in pairs]
+
+
+density_fitness = DensityFitness()
 
 
 @pytest.fixture
