@@ -272,10 +272,9 @@ def _split(node: _Entries, feature: int, threshold: float, n_rows: int):
     return children
 
 
-def _dt_build(x, y: np.ndarray, n_classes: int, depth: int,
-              max_depth: int, min_split: int) -> DtNode:
+def _dt_build(x, y: np.ndarray, n_classes: int, max_depth: int, min_split: int) -> DtNode:
     """The Gini tree on x (dense or sparse, rows x columns) and its labels y."""
-    return _grow(_presort(x), np.asarray(y), n_classes, depth, max_depth, min_split)
+    return _grow(_presort(x), np.asarray(y), n_classes, 0, max_depth, min_split)
 
 
 def _grow(node: _Entries, y: np.ndarray, n_classes: int, depth: int,
@@ -305,7 +304,7 @@ def dt_train(
     if len(rows) == 0:
         raise ClassifierError("empty row subset")
     x = matrix.weights[rows][:, cols]
-    root = _dt_build(x, matrix.labels[rows], matrix.n_classes, 0, max_depth, min_split)
+    root = _dt_build(x, matrix.labels[rows], matrix.n_classes, max_depth, min_split)
     return DtModel(root=root, feature_indices=cols)
 
 
@@ -446,7 +445,6 @@ class NbFoldKernel:
         # for delta_batch: each column's nonzeros, and the bound's constants
         self.columns = w.tocsc()
         self.row_terms = int(np.diff(w.indptr).max(initial=0))
-        self.row_abs = np.asarray(abs(w).sum(axis=1)).ravel()
         self.log_mass_max = float(np.abs(self.log_mass).max(initial=0.0))
         finite = np.isfinite(self.row_priors)
         self.prior_abs = np.where(finite, np.abs(self.row_priors), 0.0).max(axis=1)
@@ -476,22 +474,14 @@ class NbFoldKernel:
         return self._accuracy(np.argmax(self._scores(mask), axis=1))
 
     def state(self, mask) -> NbState:
-        """The NbState of a mask, from one sparse product as _scores makes.
-
-        `x_abs` starts from every column's |x|, a bound on the mask's; and
-        `terms` from the roundings of that product and of the class mass sum.
-        """
+        """The NbState of a mask: one delta_batch step from the empty mask,
+        whose sums are exact zeros with `terms` 0."""
+        n, kc = len(self.labels), len(self.n_test) * self.n_classes
+        empty = NbState(np.zeros((n, self.n_classes)), np.zeros(n), np.zeros(n),
+                        np.zeros(kc), np.zeros(kc), 0)
         keep = np.asarray(mask, dtype=bool)
-        cols = _mask_columns(keep)
-        k, n_classes = len(self.n_test), self.n_classes
-        table = np.zeros((len(keep), k, n_classes + 1))  # log_mass, then 1 for x
-        table[cols, :, :n_classes] = self.log_mass[cols].reshape(len(cols), k, n_classes)
-        table[cols, :, n_classes] = 1.0
-        ax = self.rows @ table.reshape(-1, n_classes + 1)
-        mass = self.mass[cols]
-        return NbState(a=ax[:, :n_classes], x=ax[:, n_classes], x_abs=self.row_abs,
-                       t=mass.sum(axis=0), t_abs=np.abs(mass).sum(axis=0),
-                       terms=max(self.row_terms + 1, len(cols)))
+        [(state, _)] = self.delta_batch([(empty, np.zeros_like(keep), keep)])
+        return state
 
     def delta_batch(self, triples) -> list[tuple[NbState, float | None]]:
         """The (state, accuracy) of each (parent state, parent mask, child
@@ -515,12 +505,13 @@ class NbFoldKernel:
         exact sum. So:
         - T: the kernel adds |S| class masses, and the chain adds at most
           `terms` roundings to each of its own, both plus one for
-          ALPHA * |S|. Each is within e_T = gamma_{terms+1} * (t_abs +
-          ALPHA * |S|) of T, so all three are at least T_lo = T_delta -
-          2 * e_T. Where T_lo > 0, each computed log(T) is within
-          delta = e_T / T_lo + _LOG_ULPS * 2u * lam of log T exact, with
-          lam = |log T_delta| + 1 bounding each of their magnitudes when
-          delta <= 1/4 (checked).
+          ALPHA * |S|; terms >= |S|, as a chain from the empty mask (every
+          state's, see state) adds each column of S in some step. Each is
+          within e_T = gamma_{terms+1} * (t_abs + ALPHA * |S|) of T, so all
+          three are at least T_lo = T_delta - 2 * e_T. Where T_lo > 0, each
+          computed log(T) is within delta = e_T / T_lo + _LOG_ULPS * 2u *
+          lam of log T exact, with lam = |log T_delta| + 1 bounding each of
+          their magnitudes when delta <= 1/4 (checked).
         - Kernel: its log-likelihood subtracts once, its product adds at
           most row_terms products, each rounded, and the prior adds once, so
           |s_kernel - s*| <= E_kernel = gamma_{row_terms+3} * (X * (L +
@@ -528,9 +519,10 @@ class NbFoldKernel:
         - Delta: each term of a, x and t is rounded when multiplied, at most
           |F| times in the bincount and once when added to the parent's
           sum, and once more at each later step; `terms` grows by |F| + 1 a
-          step to count that. The score then multiplies, subtracts and adds
-          once each: |s_delta - s*| <= E_delta = gamma_{terms+3} * (X *
-          (L + lam) + P) + X * delta.
+          step to count that, and by 0 when F is empty: the step adds exact
+          zeros. The score then multiplies, subtracts and adds once each:
+          |s_delta - s*| <= E_delta = gamma_{terms+3} * (X * (L + lam) + P)
+          + X * delta.
         Magnitudes are bounded with absolute values, so no sign is assumed;
         a T near zero, or any infinity or NaN, only fails the check. If the
         delta's top score beats its second by more than 2 * (E_kernel +
@@ -574,7 +566,7 @@ class NbFoldKernel:
         a, x, x_abs, t, t_abs = sums = [np.stack(field) for field in list(zip(*parents))[:5]]
         for summed, d in zip(sums, (d_a, d_x, d_x_abs, d_t, d_t_abs)):
             summed += d.reshape(summed.shape)
-        terms = np.array([p.terms + len(f) + 1 for p, f in zip(parents, flips)])
+        terms = np.array([p.terms + len(f) + (len(f) > 0) for p, f in zip(parents, flips)])
         size = np.array([child.sum() for _, _, child in triples], dtype=float)[:, None]
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -393,7 +393,10 @@ def run_experiment(
         )
 
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file is in the way
+        raise PipelineError("output", f"cannot create {out_dir}: {exc.strerror}") from exc
     fingerprint = run_fingerprint(matrix, config)
     resume_method, resume_payload = (None, None)
     if resume_path:

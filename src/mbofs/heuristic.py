@@ -161,47 +161,33 @@ class FitnessFn:
         return value
 
     def batch(self, pairs) -> list[float]:
-        """For (parent, child) mask pairs, `[self(child) for _, child in pairs]`:
-        the same values, memo and evaluations.
+        """For (parent, child) mask pairs, `[self(child) for _, child in pairs]`,
+        after the children the memo lacks are scored into it.
 
-        The children the memo lacks are scored in one NbFoldKernel.delta_batch
-        from their parents' states, and by mean_accuracy where it certifies no
-        value. States are kept for this batch's parents and scored children
-        only; a parent without one gets it from NbFoldKernel.state, and an
-        empty parent is replaced by its child.
+        Those children are scored in one NbFoldKernel.delta_batch from their
+        parents' states, and by mean_accuracy where it certifies no value.
+        States are kept for this batch's parents and scored children only; a
+        parent without one gets it from NbFoldKernel.state.
         """
-        values = [0.0] * len(pairs)
-        todo: dict[bytes, tuple[list[int], FeatureMask, FeatureMask]] = {}
+        todo: dict[bytes, tuple[FeatureMask, FeatureMask]] = {}
         states = {}
-        for i, (parent, child) in enumerate(pairs):
+        for parent, child in pairs:
             if (pkey := _key(parent)) in self._states:
                 states[pkey] = self._states[pkey]
-            if child.popcount == 0:
-                continue
-            key = _key(child)
-            if key in self._memo:
-                values[i] = self._memo[key]
-            elif key in todo:
-                todo[key][0].append(i)
-            else:
-                todo[key] = ([i], parent if parent.popcount else child, child)
+            if child.popcount and (key := _key(child)) not in self._memo:
+                todo.setdefault(key, (parent, child))
         triples = []
-        for _, parent, child in todo.values():
+        for parent, child in todo.values():
             bits = parent.to_array()
             if (pkey := _key(parent)) not in states:
                 states[pkey] = self._nb.state(bits)
             triples.append((states[pkey], bits, child.to_array()))
-        for (key, (where, _, _)), (_, _, bits), (state, value) in zip(
-                todo.items(), triples, self._nb.delta_batch(triples)):
-            if value is None:
-                value = self._nb.mean_accuracy(bits)
+        for key, (_, _, bits), (state, value) in zip(todo, triples, self._nb.delta_batch(triples)):
+            self._memo[key] = self._nb.mean_accuracy(bits) if value is None else value
             self.evaluations += 1
-            self._memo[key] = value
             states[key] = state
-            for i in where:
-                values[i] = value
         self._states = states
-        return values
+        return [self(child) for _, child in pairs]
 
 
 @dataclass(frozen=True)

@@ -231,7 +231,7 @@ class TestTreeOracle:
         x, y, n_classes, max_depth, min_split, chunk = problem
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(classifiers, "_SPLIT_CHUNK_CUTS", chunk)  # 1: one cut a chunk
-            assert _dt_build(x, y, n_classes, 0, max_depth, min_split) == _reference_tree(
+            assert _dt_build(x, y, n_classes, max_depth, min_split) == _reference_tree(
                 x, y, n_classes, 0, max_depth, min_split)
 
     @settings(max_examples=100, deadline=None)

@@ -124,6 +124,14 @@ def test_select_missing_config(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: [config] cannot read")
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/run"])
+def test_select_out_dir_blocked_by_a_file(config_file, tmp_path, capsys, out):
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    assert main(["select", "--method", "ig", "--config", str(config_file),
+                 "--out", str(tmp_path / out)]) == 2
+    _one_error_line(capsys, f"error: [output] cannot create {tmp_path / out}: ")
+
+
 def test_select_class_smaller_than_folds(config_file, demo_tsv, capsys):
     with demo_tsv.open("a", encoding="utf-8") as fh:
         fh.write("rare\tmarker00 noise1\nrare\tmarker10 noise2\n")  # 2 docs < 5 folds

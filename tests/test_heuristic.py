@@ -280,14 +280,17 @@ class TestFitnessBatch:
         base = FeatureMask.from_array(rng.random(matrix.n_features) < 0.6)
         seen = _flipped(base, rng, 4)
         children = [_flipped(base, rng, 4) for _ in range(5)]
+        fresh = _flipped(base, rng, 4)
         empty = FeatureMask.zeros(matrix.n_features)
         pairs = [(base, c) for c in children]
         pairs += [(seen, children[1]), (base, seen), (base, empty), (base, children[0])]
+        pairs += [(empty, fresh)]  # scored from the empty mask's state
         batched, calls = FitnessFn(matrix, seed=2), FitnessFn(matrix, seed=2)
         assert batched(seen) == calls(seen)  # a memo hit inside the batch
         assert batched.batch(pairs) == [calls(c) for _, c in pairs]
         assert batched.batch([(base, empty)]) == [0.0]
-        assert batched.evaluations == calls.evaluations == 1 + len({c.bits for c in children})
+        scored = {c.bits for c in children + [fresh]}
+        assert batched.evaluations == calls.evaluations == 1 + len(scored)
         assert batched._memo == calls._memo
 
     def test_exact_ties_fall_back_to_the_kernel(self):
@@ -307,6 +310,13 @@ class TestFitnessBatch:
         kernel = NbFoldKernel(m, 5, 0)
         rng = np.random.default_rng(0)
         mask = np.ones(80, dtype=bool)
+        none = np.zeros(80, dtype=bool)
+        empty = kernel.state(none)
+        for field in ("a", "x", "x_abs", "t", "t_abs"):
+            assert not getattr(empty, field).any()
+        assert empty.terms == 0
+        [(_, value)] = kernel.delta_batch([(empty, none, mask)])
+        assert value == kernel.mean_accuracy(mask)
         chained = kernel.state(mask)
         for _ in range(40):
             child = mask.copy()
@@ -315,7 +325,9 @@ class TestFitnessBatch:
             rebuilt = kernel.state(child)
             [(_, from_rebuilt)] = kernel.delta_batch([(rebuilt, child, child)])
             assert from_chain == from_rebuilt == kernel.mean_accuracy(child)
-            for field in ("a", "x", "t"):  # the sums; the bounds' magnitudes differ
+            # the sums; a rebuilt state is a one-step chain from the empty
+            # mask, so its magnitudes count none of the columns the chain dropped
+            for field in ("a", "x", "t"):
                 np.testing.assert_allclose(getattr(chained, field), getattr(rebuilt, field),
                                            rtol=1e-12, atol=1e-12)
             mask = child
