@@ -4,13 +4,17 @@ evaluate pipeline, mask/report serialization, and checkpointing."""
 from __future__ import annotations
 
 import base64
+import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import time
+import traceback
 import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -36,8 +40,14 @@ CHECKPOINT_INTERVAL_S = 5.0
 
 
 class PipelineError(Exception):
+    """Reads `[stage] message`; its args stay (stage, message), so it survives the
+    pickling that brings a forked search's error back."""
+
     def __init__(self, stage: str, message: str):
-        super().__init__(f"[{stage}] {message}")
+        super().__init__(stage, message)
+
+    def __str__(self):
+        return "[%s] %s" % self.args
 
 
 class CheckpointError(Exception):
@@ -126,7 +136,7 @@ class MethodResult:
     accuracy: float
     classifier: str
     elapsed_s: float
-    status: str  # ok | stagnation | max-tours | max-iterations | budget
+    status: str  # ok | stagnation | max-tours | max-iterations | budget | single-feature
     evaluations: int = 0  # masks the search scored that the fitness memo lacked
     last_gain: int = 0  # the search's step of its last best-fitness rise (heuristic.last_gain)
 
@@ -432,46 +442,56 @@ def run_experiment(
         ig_columns = np.flatnonzero(ig_mask)
         reduced = matrix.restrict_columns(ig_columns)
         input_mask = FeatureMask.ones(len(ig_columns))
-        # one fitness fn (fold seed + memo table) shared by both engines
-        fitness = FitnessFn(reduced, k=config.folds, seed=config.seed)
 
         # built per call, so the engine and codec names are looked up at run time
         engines = {
             "mbo": (mbo_select, mbo_snapshot_to_json, mbo_snapshot_from_json),
             "pso": (pso_select, pso_snapshot_to_json, pso_snapshot_from_json),
         }
-        for name, (select, to_json, from_json) in engines.items():
-            if config.method not in (name, "all"):
-                continue
+        resume = None
+        if resume_method is not None:  # decoded here, before any search starts
+            try:
+                resume = engines[resume_method][2](resume_payload)
+            except (KeyError, TypeError, ValueError, HeuristicError) as exc:
+                raise CheckpointError(
+                    f"malformed {resume_method} checkpoint: {exc!r}") from exc
+            if set(_lengths(resume)) - {len(ig_columns)}:
+                raise CheckpointError(f"malformed {resume_method} checkpoint: masks and "
+                                      f"velocities must have {len(ig_columns)} entries")
+
+        def search(name: str):
+            """One engine's search and its checkpoints. It scores with a fitness
+            function of its own, so its memo starts empty and its `evaluations`
+            are those of a run of that engine alone."""
+            select, to_json, _ = engines[name]
+            fitness = FitnessFn(reduced, k=config.folds, seed=config.seed)
             ckpt_path = out_dir / f"checkpoint_{name}.json"
-            resume = None
-            if resume_method == name:
-                try:
-                    resume = from_json(resume_payload)
-                except (KeyError, TypeError, ValueError, HeuristicError) as exc:
-                    raise CheckpointError(f"malformed {name} checkpoint: {exc!r}") from exc
-                if set(_lengths(resume)) - {len(ig_columns)}:
-                    raise CheckpointError(f"malformed {name} checkpoint: masks and "
-                                          f"velocities must have {len(ig_columns)} entries")
             writer = _CheckpointWriter(
                 lambda snap: checkpoint_save(ckpt_path, name, fingerprint, to_json(snap)))
-            before = fitness.evaluations
             best, trace = select(input_mask, config.engine_configs()[name], fitness,
-                                 resume=resume, on_step=writer)
-            evaluations = fitness.evaluations - before
+                                 resume=resume if name == resume_method else None,
+                                 on_step=writer)
             writer.flush()
-            full = _expand_mask(best, ig_columns, matrix.n_features)
-            acc, clf = evaluate_mask(matrix, full, config.eval_classifier,
-                                     config.folds, config.seed)
+            evaluations = fitness.evaluations
             # both engines start from the input mask: a first record above its
             # fitness counts as a rise (for PSO, the initial swarm's with it)
-            gained = last_gain(trace.records, fitness(input_mask))
-            methods.append(MethodResult(name, int(full.sum()), acc, clf, trace.elapsed_seconds,
-                                        trace.termination, evaluations, gained))
-            save_mask(out_dir / f"mask_{name}.txt", full)
-            save_mask_sidecar(out_dir / f"mask_{name}_features.csv", full, terms, scores.gain)
-            _write_trace(out_dir / f"trace_{name}.txt",
-                         [r.trace_line(n) for n, r in enumerate(trace.records, 1)])
+            return best, trace, evaluations, last_gain(trace.records, fitness(input_mask))
+
+        names = [name for name in engines if config.method in (name, "all")]
+        with _side_by_side({name: functools.partial(search, name) for name in names}) as results:
+            for name, result in zip(names, results):
+                best, trace, evaluations, gained = result()
+                full = _expand_mask(best, ig_columns, matrix.n_features)
+                acc, clf = evaluate_mask(matrix, full, config.eval_classifier,
+                                         config.folds, config.seed)
+                methods.append(MethodResult(name, int(full.sum()), acc, clf,
+                                            trace.elapsed_seconds, trace.termination,
+                                            evaluations, gained))
+                save_mask(out_dir / f"mask_{name}.txt", full)
+                save_mask_sidecar(out_dir / f"mask_{name}_features.csv", full, terms,
+                                  scores.gain)
+                _write_trace(out_dir / f"trace_{name}.txt",
+                             [r.trace_line(n) for n, r in enumerate(trace.records, 1)])
 
     report = RunReport(corpus=stats, methods=methods, seed=config.seed,
                        config=asdict(config))
@@ -479,6 +499,69 @@ def run_experiment(
         render_report(report, "json"), encoding="utf-8"
     )
     return report
+
+
+class _ChildTraceback(Exception):
+    """The formatted traceback of an error raised in a forked search."""
+
+    def __str__(self):
+        return self.args[0]
+
+
+def _child(search, conn):
+    """A forked child's body: sends (True, result, None) or (False, error, traceback).
+    An interrupt or exit is not sent: the child ends without a result."""
+    try:
+        message = (True, search(), None)
+    except Exception as exc:
+        message = (False, exc, traceback.format_exc())
+    conn.send(message)
+
+
+def _receive(name: str, proc, conn):
+    """A forked search's result, or its error raised again here."""
+    try:
+        ok, value, remote = conn.recv()
+    except EOFError:
+        proc.join()
+        raise PipelineError("search", f"the {name} search process exited with code "
+                                      f"{proc.exitcode} and sent no result") from None
+    proc.join()
+    if ok:
+        return value
+    raise value from _ChildTraceback(remote)
+
+
+@contextlib.contextmanager
+def _side_by_side(searches: dict):
+    """Yields one callable per search, in order, each giving that search's result.
+
+    The searches are independent, so where the platform can fork, every one
+    after the first starts now in a forked daemonic child, which sends its
+    result (or its error) back over a one-way pipe; the first runs in this
+    process when its callable is called. On the way out, children still
+    running are terminated and every child is joined, so an error here leaves
+    none behind. Without fork, every search runs here, in order.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield list(searches.values())
+        return
+    ctx = multiprocessing.get_context("fork")
+    (_, first), *rest = searches.items()
+    children = []
+    try:
+        for name, search in rest:
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_child, args=(search, writer), daemon=True)
+            proc.start()
+            writer.close()  # so the reader sees EOF if the child dies without a result
+            children.append((name, proc, reader))
+        yield [first] + [functools.partial(_receive, *child) for child in children]
+    finally:
+        for _, proc, reader in children:
+            proc.terminate()  # a no-op once the child has been joined
+            proc.join()
+            reader.close()
 
 
 def _write_trace(path, lines: list[str]):

@@ -177,6 +177,8 @@ def mbo_select(
     """
     if input_mask.popcount < 1:
         raise HeuristicError("input mask must select at least one feature")
+    if input_mask.universe == 1:  # the input is the only non-empty mask: no neighbours
+        return input_mask, SearchTrace([], "single-feature", 0.0)
     rng = RngStream(config.seed)
     m_prime = input_mask.popcount
 

@@ -116,6 +116,8 @@ def pso_select(
     best mask and the trace. `on_step` gets the live snapshot after each iteration."""
     if input_mask.popcount < 1:
         raise HeuristicError("input mask must select at least one feature")
+    if input_mask.universe == 1:  # the input is the only non-empty mask: no neighbours
+        return input_mask, SearchTrace([], "single-feature", 0.0)
     rng = RngStream(config.seed)
 
     snap = resume

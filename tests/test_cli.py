@@ -1,8 +1,14 @@
 import json
+import multiprocessing
+import os
+import time
 
 import pytest
 
+from mbofs import harness
 from mbofs.cli import main
+from mbofs.harness import PipelineError
+from mbofs.heuristic import HeuristicError
 
 
 @pytest.fixture
@@ -292,3 +298,89 @@ def test_select_resume_other_engine_checkpoint(config_file, tmp_path, capsys,
     _one_error_line(capsys, f"error: '{written_by}' checkpoint cannot resume method "
                             f"'{resumed_as}'")
     assert not (tmp_path / "r" / "report.json").exists()
+
+
+@pytest.mark.parametrize("error, line", [
+    (HeuristicError("pso failed"), "error: pso failed"),
+    (PipelineError("evaluate", "pso failed"), "error: [evaluate] pso failed"),
+], ids=["heuristic", "pipeline"])
+def test_select_forked_search_error_as_in_process(config_file, tmp_path, capsys, monkeypatch,
+                                                  error, line):
+    pids = tmp_path / "pids"
+
+    def failing(*args, **kwargs):
+        with pids.open("a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        raise error
+
+    monkeypatch.setattr(harness, "pso_select", failing)
+    for method in ("pso", "all"):  # PSO in this process, then in a forked child
+        assert main(["select", "--method", method, "--config", str(config_file),
+                     "--out", str(tmp_path / method)]) == 2
+        assert capsys.readouterr().err.splitlines() == [line], method
+    alone, forked = pids.read_text(encoding="utf-8").split()
+    assert int(alone) == os.getpid() != int(forked)
+
+
+def test_select_forked_search_dies_without_result(config_file, tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+
+    def dying(*args, **kwargs):
+        if os.getpid() == parent:  # never end the test process itself
+            raise AssertionError("PSO was to run in a forked child")
+        os._exit(7)
+
+    monkeypatch.setattr(harness, "pso_select", dying)
+    assert main(["select", "--method", "all", "--config", str(config_file)]) == 2
+    _one_error_line(capsys, "error: [search] the pso search process exited with code 7 ")
+    assert multiprocessing.active_children() == []
+
+
+def test_select_parent_search_error_leaves_no_child(config_file, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise HeuristicError("mbo failed")
+
+    monkeypatch.setattr(harness, "mbo_select", failing)
+    monkeypatch.setattr(harness, "pso_select", lambda *args, **kwargs: time.sleep(60))
+    started = time.monotonic()
+    assert main(["select", "--method", "all", "--config", str(config_file)]) == 2
+    _one_error_line(capsys, "error: mbo failed")
+    assert multiprocessing.active_children() == []
+    assert time.monotonic() - started < 30  # the sleeping child was terminated
+
+
+def test_select_resume_malformed_checkpoint_before_fork(config_file, tmp_path, capsys,
+                                                        monkeypatch):
+    assert main(["select", "--method", "pso", "--config", str(config_file),
+                 "--out", str(tmp_path / "u")]) == 0
+    checkpoint = tmp_path / "u" / "checkpoint_pso.json"
+    _edit_json(lambda doc: doc["payload"]["particles"][0].update(velocity="!!!!"))(checkpoint)
+    capsys.readouterr()
+    forks = []
+    monkeypatch.setattr(harness.multiprocessing, "get_all_start_methods",
+                        lambda: forks.append("asked") or [])
+    errors = []
+    for method in ("pso", "all"):
+        assert main(["select", "--method", method, "--config", str(config_file),
+                     "--out", str(tmp_path / method), "--resume", str(checkpoint)]) == 2
+        errors.append(capsys.readouterr().err.splitlines())
+    assert errors[0] == errors[1] and len(errors[0]) == 1, errors
+    assert errors[0][0].startswith("error: malformed pso checkpoint: ")
+    assert forks == []  # refused before any search was started
+
+
+@pytest.mark.parametrize("method", ["mbo", "pso", "all"])
+def test_select_one_feature_ig_mask(config_file, tmp_path, capsys, method):
+    out = tmp_path / method
+    assert main(["select", "--method", method, "--config", str(config_file), "--ig-cap", "1",
+                 "--out", str(out)]) == 0
+    rows = json.loads((out / "report.json").read_text(encoding="utf-8"))["methods"]
+    ig = (out / "mask_ig.txt").read_bytes()
+    assert ig.split()[1].count(b"1") == 1
+    for row in rows[2:]:
+        # the input mask is the only non-empty mask: it is returned as is
+        assert (row["status"], row["m_prime"], row["evaluations"], row["last_gain"]) == (
+            "single-feature", 1, 0, 0), row
+        assert row["accuracy"] == rows[1]["accuracy"]
+        assert (out / f"mask_{row['name']}.txt").read_bytes() == ig
+    assert [row["name"] for row in rows[2:]] == (["mbo", "pso"] if method == "all" else [method])

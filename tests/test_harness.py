@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import os
 import re
 import shutil
 from pathlib import Path
@@ -338,18 +339,47 @@ class TestRunExperiment:
         rows = {m.name: m for m in report.methods}
         assert rows["raw"].evaluations == rows["ig"].evaluations == 0
         assert rows["raw"].last_gain == rows["ig"].last_gain == 0
-        # each search's own evaluations; both share one fitness function
-        (fitness,) = made
-        assert rows["mbo"].evaluations > 0 and rows["pso"].evaluations > 0
-        assert rows["mbo"].evaluations + rows["pso"].evaluations == fitness.evaluations
-        start = fitness(FeatureMask.ones(rows["ig"].m_prime))  # the searches' input
         for engine, key in (("mbo", "f_max"), ("pso", "gbest")):
+            # each search scores with a fitness function of its own, so its row
+            # in an `all` run is the row of that engine run alone
+            made.clear()
+            out = tmp_path / f"alone_{engine}"
+            alone = run_experiment(_demo_config(demo_tsv, tmp_path, method=engine,
+                                                out_dir=str(out)))
+            row = alone.methods[-1]
+            (fitness,) = made
+            assert row.name == engine
+            assert row.evaluations == fitness.evaluations > 0, engine
+            assert dataclasses.replace(rows[engine], elapsed_s=0.0) == dataclasses.replace(
+                row, elapsed_s=0.0), engine
+            assert (out / f"mask_{engine}.txt").read_bytes() == (
+                tmp_path / "run" / f"mask_{engine}.txt").read_bytes(), engine
+            start = fitness(FeatureMask.ones(rows["ig"].m_prime))  # the searches' input
             lines = (tmp_path / "run" / f"trace_{engine}.txt").read_text(encoding="utf-8")
             best = [start] + [float(v) for v in re.findall(key + r"=(\S+)", lines)]
             gain = rows[engine].last_gain
             # the best rose at step `gain` (unless 0) and never after it
             assert gain == 0 or best[gain] > best[gain - 1]
             assert best[gain:] == [best[gain]] * len(best[gain:]), engine
+
+    def test_without_fork_both_searches_run_here_alike(self, demo_tsv, tmp_path, monkeypatch):
+        forked = run_experiment(_demo_config(demo_tsv, tmp_path, out_dir=str(tmp_path / "f")))
+        monkeypatch.setattr(harness.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        ran = []
+        for name in ("mbo_select", "pso_select"):
+            def recording(*args, select=getattr(harness, name), **kwargs):
+                ran.append(os.getpid())
+                return select(*args, **kwargs)
+            monkeypatch.setattr(harness, name, recording)
+        serial = run_experiment(_demo_config(demo_tsv, tmp_path, out_dir=str(tmp_path / "s")))
+        assert ran == [os.getpid()] * 2
+        assert [dataclasses.replace(m, elapsed_s=0.0) for m in serial.methods] == [
+            dataclasses.replace(m, elapsed_s=0.0) for m in forked.methods]
+        for engine in ("mbo", "pso"):
+            assert (tmp_path / "s" / f"mask_{engine}.txt").read_bytes() == (
+                tmp_path / "f" / f"mask_{engine}.txt").read_bytes(), engine
+            assert _untimed_lines(tmp_path / "s", engine) == _untimed_lines(
+                tmp_path / "f", engine), engine
 
     def test_missing_corpus_is_pipeline_error(self, tmp_path):
         cfg = ExperimentConfig(corpus_path=str(tmp_path / "nope.tsv"),
@@ -372,28 +402,32 @@ class TestCheckpointCadence:
     """The harness writes a search's checkpoint on a clock, and its last step once."""
 
     @pytest.fixture
-    def writes(self, monkeypatch):
-        """The method of every checkpoint_save call, in order."""
-        calls = []
+    def writes(self, monkeypatch, tmp_path):
+        """Reads back the method of every checkpoint_save call, in the order
+        written. Each call appends a line to a file, so the writes of a search
+        run in a forked child count too."""
+        log = tmp_path / "writes.log"
+        log.touch()
         save = harness.checkpoint_save
 
         def counting(path, method, fingerprint, payload):
-            calls.append(method)
+            with log.open("a", encoding="utf-8") as fh:
+                fh.write(method + "\n")
             save(path, method, fingerprint, payload)
 
         monkeypatch.setattr(harness, "checkpoint_save", counting)
-        return calls
+        return lambda: log.read_text(encoding="utf-8").split()
 
     def test_interval_zero_writes_every_step(self, demo_tsv, tmp_path, monkeypatch, writes):
         monkeypatch.setattr(harness, "CHECKPOINT_INTERVAL_S", 0.0)
         run_experiment(_demo_config(demo_tsv, tmp_path))
         for engine in ("mbo", "pso"):
-            assert writes.count(engine) == _trace_lines(tmp_path / "run", engine) > 1, engine
+            assert writes().count(engine) == _trace_lines(tmp_path / "run", engine) > 1, engine
 
     def test_default_interval_writes_last_step_once(self, demo_tsv, tmp_path, writes):
         run_experiment(_demo_config(demo_tsv, tmp_path))
         run = tmp_path / "run"
-        assert writes == ["mbo", "pso"]
+        assert sorted(writes()) == ["mbo", "pso"]  # the two searches end in either order
         mbo = json.loads((run / "checkpoint_mbo.json").read_text(encoding="utf-8"))
         pso = json.loads((run / "checkpoint_pso.json").read_text(encoding="utf-8"))
         assert len(mbo["payload"]["records"]) == _trace_lines(run, "mbo") > 1
@@ -403,7 +437,7 @@ class TestCheckpointCadence:
     def test_budget_before_first_step_writes_nothing(self, demo_tsv, tmp_path, writes):
         run_experiment(_demo_config(demo_tsv, tmp_path, budget_seconds=1e-9))
         run = tmp_path / "run"
-        assert writes == []
+        assert writes() == []
         assert not list(run.glob("checkpoint_*"))
         assert (run / "mask_mbo.txt").exists() and (run / "mask_pso.txt").exists()
 
@@ -418,24 +452,22 @@ class TestCheckpointCadence:
         monkeypatch.setattr(harness, "mbo_select", crashing)
         with pytest.raises(RuntimeError, match="killed"):
             run_experiment(_demo_config(demo_tsv, tmp_path, method="mbo"))
-        assert writes == []
+        assert writes() == []
         assert not (tmp_path / "run" / "checkpoint_mbo.json").exists()
 
-    def test_resume_from_mid_run_checkpoint(self, demo_tsv, tmp_path, monkeypatch):
+    def test_resume_from_mid_run_checkpoint(self, demo_tsv, tmp_path, monkeypatch, writes):
         monkeypatch.setattr(harness, "CHECKPOINT_INTERVAL_S", 0.0)
-        save = harness.checkpoint_save
-        writes = []
+        save = harness.checkpoint_save  # the fixture's, which records each write
 
         def keep_second(path, method, fingerprint, payload):
             save(path, method, fingerprint, payload)
-            writes.append(method)
-            if writes.count(method) == 2:
+            if writes().count(method) == 2:
                 shutil.copy(path, tmp_path / f"early_{method}.json")
 
         monkeypatch.setattr(harness, "checkpoint_save", keep_second)
         run_experiment(_demo_config(demo_tsv, tmp_path, out_dir=str(tmp_path / "u")))
         for engine in ("mbo", "pso"):
-            assert writes.count(engine) > 2, engine  # the kept step is not the last
+            assert writes().count(engine) > 2, engine  # the kept step is not the last
             early = json.loads((tmp_path / f"early_{engine}.json").read_text(encoding="utf-8"))
             payload = early["payload"]
             assert payload["records"], engine
@@ -498,11 +530,14 @@ def test_benchmark_hooks_see_engines_and_checkpoints(monkeypatch, tmp_path):
     layers = importlib.import_module("layers")
     rec = importlib.import_module("tracer").Recorder()
     matrix, _ = make_planted_matrix(n_docs=60, n_features=40, n_informative=8, seed=3)
-    cfg = ExperimentConfig(ig_cap=20, method="all", eval_classifier="nb", flock_size=5,
-                           swarm_size=6, pso_iterations=3, out_dir=str(tmp_path / "run"))
     layers.install(rec)
     try:
-        run_experiment(cfg, matrix=matrix)
+        # one engine per run, so both run in this process: a forked search's
+        # spans stay in the child
+        for method in ("mbo", "pso"):
+            run_experiment(ExperimentConfig(
+                ig_cap=20, method=method, eval_classifier="nb", flock_size=5, swarm_size=6,
+                pso_iterations=3, out_dir=str(tmp_path / method)), matrix=matrix)
     finally:
         rec.uninstall()
     names = {span[0] for span in rec.spans}

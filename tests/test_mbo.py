@@ -173,6 +173,14 @@ class TestMboSelect:
             mbo_select(FeatureMask.zeros(60), MboConfig(seed=0),
                        fitness=FitnessFn(small_matrix, seed=0))
 
+    def test_single_feature_input_returned_as_is(self, small_matrix):
+        # a one-feature universe has no other non-empty mask to move to
+        fitness = FitnessFn(small_matrix.restrict_columns(np.array([0])), seed=0)
+        best, trace = mbo_select(FeatureMask.ones(1), MboConfig(seed=0), fitness=fitness)
+        assert best == FeatureMask.ones(1)
+        assert (trace.termination, trace.records, fitness.evaluations) == (
+            "single-feature", [], 0)
+
     def test_steps_per_tour_is_ten(self):
         assert STEPS_PER_TOUR == 10
         assert MAX_TOURS == 100

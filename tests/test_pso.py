@@ -89,3 +89,11 @@ class TestPsoSelect:
         with pytest.raises(HeuristicError):
             pso_select(FeatureMask.zeros(60), PsoConfig(seed=0),
                        fitness=FitnessFn(small_matrix, seed=0))
+
+    def test_single_feature_input_returned_as_is(self, small_matrix):
+        # a one-feature universe has no other non-empty mask to move to
+        fitness = FitnessFn(small_matrix.restrict_columns(np.array([0])), seed=0)
+        best, trace = pso_select(FeatureMask.ones(1), PsoConfig(seed=0), fitness=fitness)
+        assert best == FeatureMask.ones(1)
+        assert (trace.termination, trace.records, fitness.evaluations) == (
+            "single-feature", [], 0)
