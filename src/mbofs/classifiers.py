@@ -460,11 +460,6 @@ class NbFoldKernel:
         log_likelihoods[~np.asarray(mask, dtype=bool)] = 0.0
         return self.rows @ log_likelihoods.reshape(-1, self.n_classes) + self.row_priors
 
-    def scores(self, mask) -> list[np.ndarray]:
-        """Per fold, the (test rows, C) NB scores cross_val_accuracy computes."""
-        s = self._scores(mask)
-        return [s[self.fold_of == f] for f in range(len(self.n_test))]
-
     def _accuracy(self, predicted: np.ndarray) -> float:
         """Mean over folds of the share of test rows whose class is predicted."""
         hits = predicted == self.labels

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,12 +51,16 @@ class Corpus:
 @dataclass(frozen=True)
 class Vocabulary:
     terms: dict[str, int]  # term -> contiguous index, first-appearance order
-    df: np.ndarray  # document frequency per index
-    doc_terms: tuple[list[int], ...]  # per document, its tokens' indices in token order
+    counts: sp.csr_matrix  # documents x terms token counts, column indices sorted
 
     @property
     def n_terms(self) -> int:
         return len(self.terms)
+
+    @property
+    def df(self) -> np.ndarray:
+        """Document frequency per term index."""
+        return np.bincount(self.counts.indices, minlength=self.n_terms)
 
     def term_list(self) -> list[str]:
         out = [""] * len(self.terms)
@@ -165,56 +167,45 @@ def load_corpus(path, format: str = "tsv") -> Corpus:
 
 
 def build_vocabulary(corpus: Corpus, stopwords=DEFAULT_STOPWORDS) -> Vocabulary:
-    """The one tokenization pass: terms, document frequencies and each
-    document's term indices, which vectorize_tfidf and compute_stats read."""
+    """The one tokenization pass: the terms and the document-term count
+    matrix, which vectorize_tfidf and compute_stats read."""
     terms: dict[str, int] = {}
-    doc_terms = tuple(
-        [terms.setdefault(tok, len(terms)) for tok in tokenize(doc.text, stopwords)]
-        for doc in corpus.docs
-    )
+    ids: list[int] = []
+    indptr = [0]
+    for doc in corpus.docs:
+        ids.extend(terms.setdefault(tok, len(terms)) for tok in tokenize(doc.text, stopwords))
+        indptr.append(len(ids))
     if not terms:
         raise CorpusError("vocabulary empty after filtering")
-    df = np.zeros(len(terms), dtype=np.int64)
-    for row in doc_terms:
-        df[list(set(row))] += 1
-    return Vocabulary(terms=terms, df=df, doc_terms=doc_terms)
+    counts = sp.csr_matrix((np.ones(len(ids), dtype=np.int64), ids, indptr),
+                           shape=(len(corpus.docs), len(terms)))
+    counts.sum_duplicates()  # sorts each row's columns and adds repeated tokens
+    return Vocabulary(terms=terms, counts=counts)
 
 
 def vectorize_tfidf(corpus: Corpus, vocab: Vocabulary) -> DocTermMatrix:
     """tf * (ln((1+N)/(1+df)) + 1), rows L2-normalized; zero rows left zero."""
     n = len(corpus.docs)
-    m = vocab.n_terms
     idf = np.log((1.0 + n) / (1.0 + vocab.df)) + 1.0
-
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
     class_of = {c: i for i, c in enumerate(corpus.classes)}
     labels = np.array([class_of[doc.label] for doc in corpus.docs], dtype=np.int64)
-    for row in vocab.doc_terms:
-        counts = Counter(row)
-        row_idx = sorted(counts)
-        row_w = [counts[i] * idf[i] for i in row_idx]
-        norm = math.sqrt(sum(w * w for w in row_w))
-        if norm > 0:
-            row_w = [w / norm for w in row_w]
-        indices.extend(row_idx)
-        data.extend(row_w)
-        indptr.append(len(indices))
-    weights = sp.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr)),
-        shape=(n, m),
-    )
+    weights = vocab.counts.astype(np.float64)
+    weights.data *= idf[weights.indices]
+    row_of = np.repeat(np.arange(n), np.diff(weights.indptr))
+    # bincount adds each row's squares one at a time in column order, a plain
+    # running sum; reduceat and sum(axis=1) add in other orders
+    norms = np.sqrt(np.bincount(row_of, weights=weights.data * weights.data, minlength=n))
+    weights.data /= norms[row_of]  # count * idf >= 1, so a stored row's norm is > 0
     return DocTermMatrix(weights=weights, labels=labels)
 
 
 def compute_stats(corpus: Corpus, vocab: Vocabulary) -> CorpusStats:
     if not corpus.docs:
         raise CorpusError("empty corpus")
-    term_length = [len(t) for t in vocab.term_list()]
-    rows = vocab.doc_terms
-    n_words = sum(len(row) for row in rows)
-    n_chars = sum(term_length[i] for row in rows for i in row)
+    term_length = np.array([len(t) for t in vocab.term_list()], dtype=np.int64)
+    counts = vocab.counts
+    n_words = int(counts.data.sum())
+    n_chars = int(term_length[counts.indices] @ counts.data)
     n = len(corpus.docs)
     return CorpusStats(
         n_features=vocab.n_terms,

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .corpus import DocTermMatrix
 
@@ -50,11 +51,10 @@ def ig_scores(matrix: DocTermMatrix) -> IgScores:
     n = matrix.n_docs
     n_classes = matrix.n_classes
     presence = (matrix.weights > 0).astype(np.float64)
-
-    per_class_present = np.zeros((n_classes, matrix.n_features))
-    for c in range(n_classes):
-        rows = matrix.labels == c
-        per_class_present[c] = np.asarray(presence[rows].sum(axis=0)).ravel()
+    # exact integer counts as a C-contiguous (C, M) array, so that
+    # _conditional_entropy sums over classes row after row, not pairwise
+    one_hot = sp.csr_matrix((np.ones(n), (matrix.labels, np.arange(n))), shape=(n_classes, n))
+    per_class_present = (one_hot @ presence).toarray()
     class_totals = np.bincount(matrix.labels, minlength=n_classes).astype(float)
     per_class_absent = class_totals[:, None] - per_class_present
 

@@ -109,8 +109,9 @@ class ChangeSchedule:
 
 
 def change_count(counter: int, m_prime: int, schedule: ChangeSchedule) -> int:
-    """Geometric decay per tour: broad moves early, single flips late."""
-    return max(1, int(schedule.base_fraction * m_prime / 2**counter))
+    """Geometric decay per tour: broad moves early, single flips late; never
+    all m' bits, whose flip would empty an all-ones input."""
+    return max(1, min(m_prime - 1, int(schedule.base_fraction * m_prime / 2**counter)))
 
 
 def generate_neighbor(mask: FeatureMask, change: int, rng: RngStream) -> FeatureMask:

@@ -114,6 +114,15 @@ def test_select_config_value_out_of_range(config_file, tmp_path, capsys, line, m
     assert not (tmp_path / "run" / "mask_ig.txt").exists()  # refused before any work
 
 
+@pytest.mark.parametrize("method", ["mbo", "pso"])
+def test_select_base_fraction_one(config_file, capsys, method):
+    # the first perturbation of the all-ones 30-bit IG mask flips 29 bits, not all 30
+    with config_file.open("a", encoding="utf-8") as fh:
+        fh.write("base_fraction = 1.0\n")
+    assert main(["select", "--method", method, "--config", str(config_file)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("method", ["ig", "mbo", "pso"])
 def test_select_search_field_checked_for_every_method(config_file, tmp_path, capsys, method):
     # an MBO-only field is checked even when MBO does not run

@@ -1,8 +1,9 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mbofs import corpus as corpus_mod
 from mbofs.corpus import (
@@ -98,11 +99,13 @@ class TestVocabulary:
         with pytest.raises(CorpusError, match="empty"):
             build_vocabulary(make_corpus([("a", "the the")]), {"the"})
 
-    def test_doc_terms_in_token_order(self):
+    def test_counts_hand_count(self):
         c = make_corpus([("a", "dog cat the dog"), ("b", "the"), ("a", "fish cat")])
         v = build_vocabulary(c, {"the"})
         assert v.terms == {"dog": 0, "cat": 1, "fish": 2}
-        assert v.doc_terms == ([0, 1, 0], [], [2, 1])
+        assert v.counts.toarray().tolist() == [[2, 1, 0], [0, 0, 0], [0, 1, 1]]
+        assert v.counts.indices.tolist() == [0, 1, 1, 2]  # sorted within each row
+        assert v.df.tolist() == [1, 2, 1]
 
 
 class TestTfidf:
@@ -165,6 +168,80 @@ class TestTfidf:
         norms = np.sqrt(np.asarray(m.weights.multiply(m.weights).sum(axis=1))).ravel()
         for nrm in norms:
             assert nrm == pytest.approx(1.0, abs=1e-9) or nrm == 0.0
+
+
+def reference_front_end(corpus, stopwords):
+    """The earlier per-document front end, kept as the oracle of the count
+    matrix path: each document's term indices counted with Counter, sorted,
+    weighted and normalized in Python. Returns the CSR data, indices and
+    indptr, the document frequencies and the statistics."""
+    terms = {}
+    doc_terms = [[terms.setdefault(tok, len(terms)) for tok in tokenize(doc.text, stopwords)]
+                 for doc in corpus.docs]
+    df = np.zeros(len(terms), dtype=np.int64)
+    for row in doc_terms:
+        df[list(set(row))] += 1
+    n = len(corpus.docs)
+    idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
+    indptr, indices, data = [0], [], []
+    for row in doc_terms:
+        counts = Counter(row)
+        row_idx = sorted(counts)
+        row_w = [counts[i] * idf[i] for i in row_idx]
+        acc = 0.0
+        for w in row_w:  # a plain running sum; Python 3.12's sum() compensates
+            acc += w * w
+        norm = math.sqrt(acc)
+        if norm > 0:
+            row_w = [w / norm for w in row_w]
+        indices.extend(row_idx)
+        data.extend(row_w)
+        indptr.append(len(indices))
+    term_length = [len(t) for t in terms]  # dicts keep insertion order: index order
+    n_words = sum(len(row) for row in doc_terms)
+    n_chars = sum(term_length[i] for row in doc_terms for i in row)
+    stats = CorpusStats(n_features=len(terms), n_instances=n, n_classes=len(corpus.classes),
+                        avg_words_per_instance=n_words / n,
+                        avg_word_length=(n_chars / n_words) if n_words else 0.0)
+    return (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64),
+            np.asarray(indptr, dtype=np.int64), df, stats)
+
+
+STOP = ["the", "and"]
+WORDS = [f"t{i}" for i in range(40)]
+
+
+def _documents():
+    token = st.sampled_from(WORDS)
+    return st.one_of(
+        st.just([]),  # empty
+        st.lists(st.sampled_from(STOP), min_size=1, max_size=4),  # stopwords only
+        st.lists(token, min_size=1, max_size=8).map(lambda toks: toks * 3),  # repeats
+        st.lists(token, min_size=20, max_size=40, unique=True)  # 20+ distinct terms
+        .flatmap(lambda toks: st.lists(st.sampled_from(toks), max_size=20)
+                 .map(lambda extra: toks + extra)),
+        st.lists(st.sampled_from(WORDS + STOP), max_size=30),
+    )
+
+
+class TestFrontEndOracle:
+    """build_vocabulary, vectorize_tfidf and compute_stats against the
+    per-document reference, compared byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), _documents()),
+                    min_size=1, max_size=12))
+    def test_matches_per_document_reference(self, rows):
+        assume(any(tok not in STOP for _, toks in rows for tok in toks))
+        c = make_corpus([(label, " ".join(toks)) for label, toks in rows])
+        v = build_vocabulary(c, set(STOP))
+        m = vectorize_tfidf(c, v)
+        data, indices, indptr, df, stats = reference_front_end(c, set(STOP))
+        assert m.weights.data.tobytes() == data.tobytes()
+        assert m.weights.indices.astype(np.int64).tobytes() == indices.tobytes()
+        assert m.weights.indptr.astype(np.int64).tobytes() == indptr.tobytes()
+        assert v.df.tolist() == df.tolist()
+        assert compute_stats(c, v) == stats
 
 
 class TestStats:

@@ -131,6 +131,11 @@ class TestChangeCount:
         for counter in range(10):
             assert change_count(counter, 1, ChangeSchedule()) == 1
 
+    def test_full_fraction_leaves_one_bit(self):
+        # flipping all m' bits of an all-ones input would leave it empty
+        assert change_count(0, 30, ChangeSchedule(1.0)) == 29
+        assert change_count(1, 30, ChangeSchedule(1.0)) == 15
+
     @given(st.integers(0, 20), st.integers(1, 10000))
     def test_non_increasing_and_positive(self, counter, m_prime):
         sched = ChangeSchedule()
@@ -226,7 +231,9 @@ class TestNbKernelOracle:
         # accuracies hide last-bit drift in the scores; the search needs none
         matrix, k, seed, mask = problem
         fold_of = stratified_folds(matrix.labels, k, seed)
-        for fold, got in enumerate(NbFoldKernel(matrix, k, seed).scores(mask)):
+        scores = NbFoldKernel(matrix, k, seed)._scores(mask)
+        for fold in range(k):
+            got = scores[fold_of == fold]
             model = nb_train(matrix, mask, np.flatnonzero(fold_of != fold))
             test = matrix.weights[np.flatnonzero(fold_of == fold)]
             want = test[:, model.feature_indices] @ model.log_likelihoods.T + model.log_priors
