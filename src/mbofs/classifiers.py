@@ -386,25 +386,6 @@ def _gamma(n):
     return nu / (1.0 - nu)
 
 
-class NbState(NamedTuple):
-    """A mask's NB scores as sums that deltas can update, for NbFoldKernel.
-
-    Over the mask's columns S, row i (fold f) and class c: `a[i, c]` sums
-    x_ij * log_mass[j, f*C + c], `x[i]` sums x_ij and `t` sums the class
-    mass, without the ALPHA * |S| smoothing. `x_abs[i]` and `t_abs` bound
-    the sums of |x_ij| and |mass| over every term the state has ever added
-    or removed, and `terms` bounds the roundings any one term has been
-    through; the certification bound reads them.
-    """
-
-    a: np.ndarray  # (N, C)
-    x: np.ndarray  # (N,)
-    x_abs: np.ndarray  # (N,)
-    t: np.ndarray  # (k*C,)
-    t_abs: np.ndarray  # (k*C,)
-    terms: int
-
-
 class NbFoldKernel:
     """Stratified k-fold multinomial-NB accuracy on folds fixed up front.
 
@@ -442,9 +423,21 @@ class NbFoldKernel:
         fold_of_nz = np.repeat(self.fold_of, np.diff(w.indptr))
         self.rows = sp.csr_matrix((w.data, w.indices * k + fold_of_nz, w.indptr),
                                   shape=(n, w.shape[1] * k))
-        # for delta_batch: each column's nonzeros, and the bound's constants
-        self.columns = w.tocsc()
+        # for accuracy_batch: each sum it needs is one product of these sparse
+        # tables with a batch's masks, and the bound's constants
+        log_mass = self.log_mass.reshape(-1, k, n_classes)[w.indices, fold_of_nz]
+        self.products = sp.vstack(  # row c*N + i: x_ij * log_mass[j, fold(i)*C + c]
+            [sp.csr_matrix((w.data * log_mass[:, c], w.indices, w.indptr), shape=w.shape)
+             for c in range(n_classes)], format="csr")
+        self.weights = w
+        self.nonzeros = sp.csr_matrix(((w.data != 0).astype(float), w.indices, w.indptr),
+                                      shape=w.shape)
+        self.mass_t = sp.csr_matrix(self.mass.T)
+        # the magnitudes' tables; None where no entry is negative, as the sums serve
+        self.weights_abs = abs(w) if w.data.min(initial=0.0) < 0 else None
+        self.mass_t_abs = abs(self.mass_t) if self.mass_t.data.min(initial=0.0) < 0 else None
         self.row_terms = int(np.diff(w.indptr).max(initial=0))
+        self.terms = w.shape[1] + self.row_terms
         self.log_mass_max = float(np.abs(self.log_mass).max(initial=0.0))
         finite = np.isfinite(self.row_priors)
         self.prior_abs = np.where(finite, np.abs(self.row_priors), 0.0).max(axis=1)
@@ -468,129 +461,106 @@ class NbFoldKernel:
     def mean_accuracy(self, mask) -> float:
         return self._accuracy(np.argmax(self._scores(mask), axis=1))
 
-    def state(self, mask) -> NbState:
-        """The NbState of a mask: one delta_batch step from the empty mask,
-        whose sums are exact zeros with `terms` 0."""
-        n, kc = len(self.labels), len(self.n_test) * self.n_classes
-        empty = NbState(np.zeros((n, self.n_classes)), np.zeros(n), np.zeros(n),
-                        np.zeros(kc), np.zeros(kc), 0)
-        keep = np.asarray(mask, dtype=bool)
-        [(state, _)] = self.delta_batch([(empty, np.zeros_like(keep), keep)])
-        return state
+    def accuracy_batch(self, masks) -> list[float | None]:
+        """mean_accuracy of each row of a (B, M) mask batch, or None where it
+        is not certified equal to it; mean_accuracy then must score that mask.
 
-    def delta_batch(self, triples) -> list[tuple[NbState, float | None]]:
-        """The (state, accuracy) of each (parent state, parent mask, child
-        mask) triple; the accuracy is None where it is not certified equal
-        to mean_accuracy(child mask), which then must score the child.
-
-        A child's sums are its parent's plus the terms of the columns it
-        flips, added for a column it gains and subtracted for one it drops:
-        the flipped columns' nonzeros come from `columns` and one bincount
-        adds them up for the whole batch. Its scores are
-        s[i, c] = a[i, c] - x[i] * log(T) + prior[i, c], with
-        T = t + ALPHA * |S| of the row's fold and class; they are the same
-        reals _scores computes, rounded in another order.
+        Over a mask's columns S, row i (fold f) and class c, the NB score is
+        s[i, c] = a[i, c] - x[i] * log(T) + prior[i, c], where a sums
+        x_ij * log_mass[j, f*C + c], x sums x_ij and T = t + ALPHA * |S| is
+        the fold and class's mass t summed over S, smoothed. These are the
+        reals _scores computes, rounded in another order. Each sum is one
+        scipy product of a sparse table from __init__ with the batch's
+        (M, B) masks (`products`, `weights`, `mass_t`, and the magnitudes'
+        `weights_abs` and `mass_t_abs`), which adds a row's stored entries
+        one after another, each times an exact 1.0 or 0.0; no BLAS call runs.
 
         Certification. Write u for the unit roundoff, gamma_n = n*u/(1-n*u),
         L = max |log_mass|, X = x_abs[i], P = max |finite prior[i, c]|, and
         let s* be the exact score with the exact log of the exact T. A sum
         whose terms each go through at most n roundings, in any order, is
         within gamma_n * (sum of |terms|) of the exact sum (Higham 2002,
-        section 3.1), and a term added and later subtracted cancels in the
-        exact sum. So:
-        - T: the kernel adds |S| class masses, and the chain adds at most
-          `terms` roundings to each of its own, both plus one for
-          ALPHA * |S|; terms >= |S|, as a chain from the empty mask (every
-          state's, see state) adds each column of S in some step. Each is
-          within e_T = gamma_{terms+1} * (t_abs + ALPHA * |S|) of T, so all
-          three are at least T_lo = T_delta - 2 * e_T. Where T_lo > 0, each
-          computed log(T) is within delta = e_T / T_lo + _LOG_ULPS * 2u *
-          lam of log T exact, with lam = |log T_delta| + 1 bounding each of
-          their magnitudes when delta <= 1/4 (checked).
+        section 3.1). So:
+        - Counts. A term of a is rounded once in its table entry and at most
+          row_terms times in its row's sum, a term of x at most row_terms
+          times, and a term of t, like each of the kernel's |S| <= M class
+          masses, at most M times. `terms` = M + row_terms bounds each count.
+        - T: both computations add ALPHA * |S| once more, so each is within
+          e_T = gamma_{terms+1} * (t_abs + ALPHA * |S|) of T, and both are
+          at least T_lo = T_batch - 2 * e_T. Where T_lo > 0, each computed
+          log(T) is within delta = e_T / T_lo + _LOG_ULPS * 2u * lam of log T
+          exact, with lam = |log T_batch| + 1 bounding each of their
+          magnitudes when delta <= 1/4 (checked).
         - Kernel: its log-likelihood subtracts once, its product adds at
           most row_terms products, each rounded, and the prior adds once, so
-          |s_kernel - s*| <= E_kernel = gamma_{row_terms+3} * (X * (L +
+          |s_kernel - s*| <= E_kernel = gamma_{row_terms+3} * (X * (L + lam)
+          + P) + X * delta.
+        - Batch: after the sums the score multiplies, subtracts and adds
+          once each: |s_batch - s*| <= E_batch = gamma_{terms+3} * (X * (L +
           lam) + P) + X * delta.
-        - Delta: each term of a, x and t is rounded when multiplied, at most
-          |F| times in the bincount and once when added to the parent's
-          sum, and once more at each later step; `terms` grows by |F| + 1 a
-          step to count that, and by 0 when F is empty: the step adds exact
-          zeros. The score then multiplies, subtracts and adds once each:
-          |s_delta - s*| <= E_delta = gamma_{terms+3} * (X * (L + lam) + P)
-          + X * delta.
         Magnitudes are bounded with absolute values, so no sign is assumed;
         a T near zero, or any infinity or NaN, only fails the check. If the
-        delta's top score beats its second by more than 2 * (E_kernel +
-        E_delta), it beats every other class in the kernel's scores too,
+        batch's top score beats its second by more than 2 * (E_kernel +
+        E_batch), it beats every other class in the kernel's scores too,
         with no tie, and the argmax is the kernel's. A class with a -inf
         prior scores -inf in both, so it cannot win; a row whose top two
-        scores are not both finite fails. A child is certified when every
-        row is; its accuracy then uses mean_accuracy's own expression.
-        """
-        if not triples:
-            return []
-        k, n_classes = len(self.n_test), self.n_classes
-        n, kc = len(self.labels), k * n_classes
-        batch = len(triples)
-        flips = [np.flatnonzero(parent ^ child) for _, parent, child in triples]
-        cols = np.concatenate(flips)
-        sign = np.concatenate([np.where(child[f], 1.0, -1.0)
-                               for f, (_, _, child) in zip(flips, triples)])
-        owner = np.repeat(np.arange(batch), [len(f) for f in flips])
-        # the flipped columns' nonzeros, one entry per (column, row)
-        indptr = self.columns.indptr
-        lens = indptr[cols + 1] - indptr[cols]
-        at = np.repeat(indptr[cols] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-        row = self.columns.indices[at]
-        value = self.columns.data[at] * np.repeat(sign, lens)
-        bin_ = np.repeat(owner, lens) * n + row
-        log_mass = self.log_mass.reshape(-1, k, n_classes)[np.repeat(cols, lens),
-                                                             self.fold_of[row]]
-        d_a = np.bincount((bin_[:, None] * n_classes + np.arange(n_classes)).ravel(),
-                          weights=(value[:, None] * log_mass).ravel(),
-                          minlength=batch * n * n_classes)
-        d_x = np.bincount(bin_, weights=value, minlength=batch * n)
-        d_x_abs = np.bincount(bin_, weights=np.abs(value), minlength=batch * n)
-        t_bin = (owner[:, None] * kc + np.arange(kc)).ravel()
-        d_t = np.bincount(t_bin, weights=(sign[:, None] * self.mass[cols]).ravel(),
-                          minlength=batch * kc)
-        d_t_abs = np.bincount(t_bin, weights=np.abs(self.mass[cols]).ravel(),
-                              minlength=batch * kc)
+        scores are not both finite fails.
 
-        parents = [state for state, _, _ in triples]
-        a, x, x_abs, t, t_abs = sums = [np.stack(field) for field in list(zip(*parents))[:5]]
-        for summed, d in zip(sums, (d_a, d_x, d_x_abs, d_t, d_t_abs)):
-            summed += d.reshape(summed.shape)
-        terms = np.array([p.terms + len(f) + (len(f) > 0) for p, f in zip(parents, flips)])
-        size = np.array([child.sum() for _, _, child in triples], dtype=float)[:, None]
+        A row with no selected nonzero needs no margin. Every term of its
+        sums is an entry times an exact 0.0, so its a and x are zeros, and
+        where log T is finite its batch scores are its priors exactly; the
+        kernel's row adds only entries times 0.0 log-likelihoods, so its
+        scores are its priors exactly too, and the two argmaxes are equal,
+        ties included. A log T that is not finite, or a table entry that is
+        not (0.0 times either is NaN), makes a score NaN, and a NaN anywhere
+        makes the row's top score NaN; so such a row needs only a finite top
+        score. A mask is certified when every row is; its accuracy then uses
+        mean_accuracy's own expression.
+        """
+        masks = np.asarray(masks, dtype=bool)
+        batch = len(masks)
+        if not batch:
+            return []
+        k, n_classes, n = len(self.n_test), self.n_classes, len(self.labels)
+        # every array below has the batch as its last axis, so a class is one
+        # contiguous (N, B) slice
+        chosen = np.ascontiguousarray(masks.T).astype(float)  # (M, B)
+        a = (self.products @ chosen).reshape(n_classes, n, batch)
+        x = self.weights @ chosen  # (N, B)
+        x_abs = x if self.weights_abs is None else self.weights_abs @ chosen
+        t = self.mass_t @ chosen  # (k*C, B)
+        t_abs = t if self.mass_t_abs is None else self.mass_t_abs @ chosen
+        no_nonzero = self.nonzeros @ chosen == 0.0  # (N, B)
+        size = masks.sum(axis=1).astype(float)
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             total = t + ALPHA * size
-            log_t = np.log(total)  # (B, k*C)
-            # a - x * log T + prior, rounded in that order, in one buffer
-            scores = log_t.reshape(batch, k, n_classes)[:, self.fold_of]
-            scores *= x[:, :, None]
+            log_t = np.log(total)
+            # a - x * log T + prior, rounded in that order, in one (C, N, B) buffer
+            scores = log_t.reshape(k, n_classes, batch).swapaxes(0, 1)[:, self.fold_of]
+            scores *= x
             np.subtract(a, scores, out=scores)
-            scores += self.row_priors
-            predicted = np.argmax(scores, axis=2)
-            scores.sort(axis=2)
-            top, second = scores[:, :, -1], scores[:, :, max(n_classes - 2, 0)]
-            # the bound, per child and fold, then per row
-            e_t = _gamma(terms + 1)[:, None] * (t_abs + ALPHA * size)
+            scores += self.row_priors.T[:, :, None]
+            # top is NaN where any class is; predicted is argmax's first top class
+            top = np.maximum.reduce(scores)
+            predicted = np.zeros((n, batch), dtype=np.intp)
+            for c in range(n_classes - 1, -1, -1):
+                predicted[scores[c] == top] = c
+            np.put_along_axis(scores, predicted[None], -np.inf, axis=0)
+            second = np.maximum.reduce(scores)
+            # the bound, per mask and fold, then per row
+            e_t = _gamma(self.terms + 1) * (t_abs + ALPHA * size)
             t_lo = total - 2.0 * e_t
             lam = np.abs(log_t) + 1.0
             delta = e_t / t_lo + 2.0 * _LOG_ULPS * _EPS * lam
-            fold_ok = ((t_lo > 0.0) & (delta <= 0.25)).reshape(batch, k, n_classes).all(axis=2)
-            lam = lam.reshape(batch, k, n_classes).max(axis=2)[:, self.fold_of]
-            delta = delta.reshape(batch, k, n_classes).max(axis=2)[:, self.fold_of]
-            magnitude = x_abs * (self.log_mass_max + lam) + self.prior_abs
-            gammas = _gamma(self.row_terms + 3) + _gamma(terms + 3)[:, None]
+            fold_ok = ((t_lo > 0.0) & (delta <= 0.25)).reshape(k, n_classes, batch).all(axis=1)
+            lam = lam.reshape(k, n_classes, batch).max(axis=1)[self.fold_of]
+            delta = delta.reshape(k, n_classes, batch).max(axis=1)[self.fold_of]
+            magnitude = x_abs * (self.log_mass_max + lam) + self.prior_abs[:, None]
+            gammas = _gamma(self.row_terms + 3) + _gamma(self.terms + 3)
             bound = 2.0 * (gammas * magnitude + 2.0 * x_abs * delta)
-            certified = (fold_ok[:, self.fold_of] & np.isfinite(top) & np.isfinite(second)
-                         & (top - second > bound)).all(axis=1)
-        out = []
-        for b in range(batch):
-            state = NbState(a[b], x[b], x_abs[b], t[b], t_abs[b], int(terms[b]))
-            out.append((state, self._accuracy(predicted[b]) if certified[b] else None))
-        return out
-
+            margin_ok = (fold_ok[self.fold_of] & np.isfinite(second)
+                         & (top - second > bound))
+            certified = (np.isfinite(top) & (no_nonzero | margin_ok)).all(axis=0)
+        return [self._accuracy(predicted[:, b]) if certified[b] else None
+                for b in range(batch)]

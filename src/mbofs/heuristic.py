@@ -12,7 +12,7 @@ import numpy as np
 
 # cross_val_accuracy is unused here, but perfbench/layers.py wraps it by name
 # as heuristic.cross_val_accuracy.
-from .classifiers import NbFoldKernel, NbState, cross_val_accuracy
+from .classifiers import NbFoldKernel, cross_val_accuracy
 from .corpus import DocTermMatrix
 
 
@@ -145,7 +145,6 @@ class FitnessFn:
 
     def __init__(self, matrix: DocTermMatrix, k: int = 5, seed: int = 0):
         self._memo: dict[bytes, float] = {}
-        self._states: dict[bytes, NbState] = {}  # the latest batch's masks' states
         self.evaluations = 0  # distinct CV runs, for trace/diagnostics
         self._nb = NbFoldKernel(matrix, k, seed)
 
@@ -161,34 +160,21 @@ class FitnessFn:
         self._memo[key] = value
         return value
 
-    def batch(self, pairs) -> list[float]:
-        """For (parent, child) mask pairs, `[self(child) for _, child in pairs]`,
-        after the children the memo lacks are scored into it.
-
-        Those children are scored in one NbFoldKernel.delta_batch from their
-        parents' states, and by mean_accuracy where it certifies no value.
-        States are kept for this batch's parents and scored children only; a
-        parent without one gets it from NbFoldKernel.state.
-        """
-        todo: dict[bytes, tuple[FeatureMask, FeatureMask]] = {}
-        states = {}
-        for parent, child in pairs:
-            if (pkey := _key(parent)) in self._states:
-                states[pkey] = self._states[pkey]
-            if child.popcount and (key := _key(child)) not in self._memo:
-                todo.setdefault(key, (parent, child))
-        triples = []
-        for parent, child in todo.values():
-            bits = parent.to_array()
-            if (pkey := _key(parent)) not in states:
-                states[pkey] = self._nb.state(bits)
-            triples.append((states[pkey], bits, child.to_array()))
-        for key, (_, _, bits), (state, value) in zip(todo, triples, self._nb.delta_batch(triples)):
-            self._memo[key] = self._nb.mean_accuracy(bits) if value is None else value
-            self.evaluations += 1
-            states[key] = state
-        self._states = states
-        return [self(child) for _, child in pairs]
+    def batch(self, masks) -> list[float]:
+        """`[self(mask) for mask in masks]`, after the non-empty masks the memo
+        lacks are scored into it, once each: together by
+        NbFoldKernel.accuracy_batch, and by mean_accuracy where that
+        certifies no value."""
+        todo: dict[bytes, FeatureMask] = {}
+        for mask in masks:
+            if mask.popcount and (key := _key(mask)) not in self._memo:
+                todo.setdefault(key, mask)
+        if todo:
+            bits = np.array([mask.to_array() for mask in todo.values()])
+            for key, row, value in zip(todo, bits, self._nb.accuracy_batch(bits)):
+                self._memo[key] = self._nb.mean_accuracy(row) if value is None else value
+                self.evaluations += 1
+        return [self(mask) for mask in masks]
 
 
 @dataclass(frozen=True)

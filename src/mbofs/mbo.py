@@ -88,13 +88,13 @@ def initialize_flock(
     input_mask: FeatureMask, config: MboConfig, rng: RngStream, fitness: FitnessFn
 ) -> Flock:
     """Leader = the input mask; followers are schedule-sized perturbations of it,
-    scored in one batch with it as their parent and dealt alternately
-    left/right, so the input is always in the flock."""
+    scored in one batch and dealt alternately left/right, so the input is
+    always in the flock."""
     change = change_count(0, input_mask.popcount, config.schedule)
     leader = Bird(mask=input_mask, fitness=fitness(input_mask))
     masks = [generate_neighbor(input_mask, change, rng.child("init", i))
              for i in range(config.flock_size - 1)]
-    values = fitness.batch([(input_mask, mask) for mask in masks])
+    values = fitness.batch(masks)
     followers = [Bird(mask=m, fitness=f) for m, f in zip(masks, values)]
     return Flock(leader=leader, left=tuple(followers[0::2]), right=tuple(followers[1::2]))
 
@@ -110,10 +110,9 @@ def fly(
     """One fly step: per-bird neighbor pools with shares cascading down wings.
     Every neighbor is drawn first, then all are scored in one fitness batch."""
     birds = flock.birds()
-    pairs = [(bird.mask, generate_neighbor(bird.mask, change,
-                                           rng.child("bird", i).child("neighbor", j)))
-             for i, bird in enumerate(birds) for j in range(k)]
-    pool = [Bird(mask=child, fitness=f) for (_, child), f in zip(pairs, fitness.batch(pairs))]
+    children = [generate_neighbor(bird.mask, change, rng.child("bird", i).child("neighbor", j))
+                for i, bird in enumerate(birds) for j in range(k)]
+    pool = [Bird(mask=child, fitness=f) for child, f in zip(children, fitness.batch(children))]
     neighbor_sets = [pool[i * k:(i + 1) * k] for i in range(len(birds))]
 
     new_leader, *shares = _ranked([birds[0], *neighbor_sets[0]])[:3]

@@ -3,7 +3,9 @@
 Particles start as perturbations of the input mask (one exact copy included,
 so the global best can never fall below the input). Velocities follow the
 standard inertia + cognitive + social update with linear inertia decay; each
-bit is resampled to 1 with probability sigmoid(velocity).
+bit is resampled to 1 with probability sigmoid(velocity). An iteration draws
+every particle's move from its own stream first, updates the swarm as (P, M)
+arrays and scores all new positions in one fitness batch.
 """
 
 from __future__ import annotations
@@ -89,20 +91,15 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
 def _init_swarm(
     input_mask: FeatureMask, config: PsoConfig, rng: RngStream, fitness: FitnessFn
 ) -> list[Particle]:
+    """The input mask and swarm_size - 1 perturbations of it, scored in one batch."""
     m = input_mask.universe
     change = change_count(0, input_mask.popcount, config.schedule)
-    particles = []
-    for i in range(config.swarm_size):
-        if i == 0:
-            mask = input_mask
-        else:
-            mask = generate_neighbor(input_mask, change, rng.child("init", i))
-        velocity = rng.child("vel", i).generator().uniform(-1.0, 1.0, size=m)
-        f = fitness(mask)
-        particles.append(
-            Particle(position=mask, velocity=velocity, pbest_mask=mask, pbest_fitness=f)
-        )
-    return particles
+    masks = [input_mask] + [generate_neighbor(input_mask, change, rng.child("init", i))
+                            for i in range(1, config.swarm_size)]
+    return [Particle(position=mask,
+                     velocity=rng.child("vel", i).generator().uniform(-1.0, 1.0, size=m),
+                     pbest_mask=mask, pbest_fitness=f)
+            for i, (mask, f) in enumerate(zip(masks, fitness.batch(masks)))]
 
 
 def pso_select(
@@ -135,24 +132,27 @@ def pso_select(
         it = len(snap.records)  # iterations already run
         frac = it / max(config.max_iterations - 1, 1)
         w = W_START + (W_END - W_START) * frac
+        particles = snap.particles
+        # each particle's stream gives its r1, r2 and resampling draws, in that order
+        r1, r2, r3 = np.stack([rng.child("iter", it).child("particle", i).generator()
+                               .random((3, input_mask.universe))
+                               for i in range(len(particles))], axis=1)
+        x = np.array([p.position.to_array() for p in particles], dtype=float)
+        pb = np.array([p.pbest_mask.to_array() for p in particles], dtype=float)
         gbest_bits = snap.gbest_mask.to_array().astype(float)
-        for i, p in enumerate(snap.particles):
-            gen = rng.child("iter", it).child("particle", i).generator()
-            x = p.position.to_array().astype(float)
-            pb = p.pbest_mask.to_array().astype(float)
-            r1 = gen.random(len(x))
-            r2 = gen.random(len(x))
-            v = w * p.velocity + C1 * r1 * (pb - x) + C2 * r2 * (gbest_bits - x)
-            np.clip(v, -V_MAX, V_MAX, out=v)
-            new_bits = gen.random(len(x)) < sigmoid(v)
-            p.velocity = v
-            p.position = FeatureMask.from_array(new_bits)
-            f = fitness(p.position)  # empty positions score 0.0 by convention
+        v = (w * np.array([p.velocity for p in particles]) + C1 * r1 * (pb - x)
+             + C2 * r2 * (gbest_bits - x))
+        np.clip(v, -V_MAX, V_MAX, out=v)
+        positions = [FeatureMask.from_array(bits) for bits in r3 < sigmoid(v)]
+        # empty positions score 0.0 by convention
+        for p, velocity, position, f in zip(particles, v, positions, fitness.batch(positions)):
+            p.velocity = velocity
+            p.position = position
             if f > p.pbest_fitness:
-                p.pbest_mask = p.position
+                p.pbest_mask = position
                 p.pbest_fitness = f
         # gbest reduction at the iteration barrier, in particle-index order
-        for p in snap.particles:
+        for p in particles:
             if p.pbest_fitness > snap.gbest_fitness:
                 snap.gbest_fitness = p.pbest_fitness
                 snap.gbest_mask = p.pbest_mask

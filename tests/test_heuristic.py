@@ -189,10 +189,11 @@ class TestFitness:
 
 
 @st.composite
-def nb_problems(draw):
-    """Small non-negative matrix with zero rows and columns, 2-6 classes each
-    holding at least k rows (so the kernel's k*C table reaches 30 columns), a
-    fold count k, a fold seed and a non-empty mask."""
+def nb_problems(draw, signed=False):
+    """Small matrix with zero rows and columns, 2-6 classes each holding at
+    least k rows (so the kernel's k*C table reaches 30 columns), a fold count
+    k, a fold seed and a non-empty mask. Its weights are non-negative unless
+    `signed`, which negates about a third of them."""
     k = draw(st.sampled_from([2, 3, 5]))
     sizes = draw(st.lists(st.integers(k, k + 6), min_size=2, max_size=6))
     n_features = draw(st.integers(1, 14))
@@ -211,6 +212,8 @@ def nb_problems(draw):
             dense[i + 1] = dense[i]
     mask = rng.random(n_features) < draw(st.sampled_from([0.3, 0.7, 1.0]))
     mask[rng.integers(n_features)] = True
+    if signed:
+        dense[rng.random((n, n_features)) < 0.35] *= -1.0
     matrix = DocTermMatrix(weights=sp.csr_matrix(dense), labels=labels)
     return matrix, k, draw(st.integers(0, 1000)), mask
 
@@ -261,10 +264,13 @@ class TestFitnessBatch:
     """FitnessFn.batch against NbFoldKernel.mean_accuracy and against calls."""
 
     @settings(max_examples=300, deadline=None)
-    @given(nb_problems(), st.integers(0, 2**32 - 1))
+    @given(st.booleans().flatmap(lambda signed: nb_problems(signed=signed)),
+           st.integers(0, 2**32 - 1))
+    @np.errstate(divide="ignore", invalid="ignore")  # signed weights: log of a negative mass
     def test_matches_kernel_along_flip_chains(self, problem, seed):
-        # several parents a batch, children of children for eight batches, and
-        # a child repeated in its batch and under another parent
+        # eight batches, each of random masks at densities from 2% to 100%,
+        # children of the last batch's masks, and masks repeated in the batch
+        # and from the batch before
         matrix, k, fold_seed, mask = problem
         rng = np.random.default_rng(seed)
         kernel = NbFoldKernel(matrix, k, fold_seed)
@@ -272,15 +278,20 @@ class TestFitnessBatch:
         calls = FitnessFn(matrix, k=k, seed=fold_seed)
         parents = [FeatureMask.from_array(mask)]
         for _ in range(8):
-            pairs = [(p, _flipped(p, rng, 3)) for p in parents for _ in range(4)]
-            pairs += [pairs[0], (parents[-1], pairs[0][1])]
-            for (_, child), got in zip(pairs, fit.batch(pairs)):
-                want = kernel.mean_accuracy(child.to_array()) if child.popcount else 0.0
-                assert got == want == calls(child)
+            masks = [FeatureMask.from_array(rng.random(matrix.n_features) < density)
+                     for density in rng.choice([0.02, 0.1, 0.3, 0.6, 1.0], size=4)]
+            masks += [_flipped(p, rng, 3) for p in parents for _ in range(2)]
+            masks += [masks[0], masks[-1], parents[0]]
+            bits = np.array([m.to_array() for m in masks])
+            for row, value in zip(bits, kernel.accuracy_batch(bits)):
+                assert value is None or (row.any() and value == kernel.mean_accuracy(row))
+            for m, got in zip(masks, fit.batch(masks)):
+                want = kernel.mean_accuracy(m.to_array()) if m.popcount else 0.0
+                assert got == want == calls(m)
             assert fit.evaluations == calls.evaluations
-            children = [c for _, c in pairs if c.popcount] or parents
-            parents = [children[i] for i in
-                       rng.choice(len(children), size=min(3, len(children)), replace=False)]
+            scored = [m for m in masks if m.popcount] or parents
+            parents = [scored[i] for i in
+                       rng.choice(len(scored), size=min(3, len(scored)), replace=False)]
 
     def test_same_as_sequential_calls(self, matrix):
         rng = np.random.default_rng(7)
@@ -289,55 +300,102 @@ class TestFitnessBatch:
         children = [_flipped(base, rng, 4) for _ in range(5)]
         fresh = _flipped(base, rng, 4)
         empty = FeatureMask.zeros(matrix.n_features)
-        pairs = [(base, c) for c in children]
-        pairs += [(seen, children[1]), (base, seen), (base, empty), (base, children[0])]
-        pairs += [(empty, fresh)]  # scored from the empty mask's state
+        masks = children + [children[1], seen, empty, children[0], fresh]
         batched, calls = FitnessFn(matrix, seed=2), FitnessFn(matrix, seed=2)
         assert batched(seen) == calls(seen)  # a memo hit inside the batch
-        assert batched.batch(pairs) == [calls(c) for _, c in pairs]
-        assert batched.batch([(base, empty)]) == [0.0]
-        scored = {c.bits for c in children + [fresh]}
+        assert batched.batch(masks) == [calls(m) for m in masks]
+        assert batched.batch([empty]) == [0.0]
+        assert batched.batch([]) == []
+        scored = {m.bits for m in children + [fresh]}
         assert batched.evaluations == calls.evaluations == 1 + len(scored)
         assert batched._memo == calls._memo
 
     def test_exact_ties_fall_back_to_the_kernel(self):
-        # the tied matrix of TestNbKernelOracle: no delta margin is certified
+        # the tied matrix of TestNbKernelOracle: no margin is certified
         x = np.tile([[0.5, 0.0, 2.0, 1.0]], (12, 1))
         m = DocTermMatrix(weights=sp.csr_matrix(x), labels=np.arange(12) % 2)
         kernel = NbFoldKernel(m, 3, 1)
-        full, child = np.ones(4, dtype=bool), np.array([True, True, False, True])
-        [(_, value)] = kernel.delta_batch([(kernel.state(full), full, child)])
-        assert value is None
+        child = np.array([True, True, False, True])
+        assert kernel.accuracy_batch(child[None]) == [None]
+        assert kernel.accuracy_batch(np.ones((2, 4), dtype=bool)) == [None, None]
         fit = FitnessFn(m, k=3, seed=1)
-        assert fit.batch([(FeatureMask.ones(4), FeatureMask.from_array(child))]) == [0.5]
+        assert fit.batch([FeatureMask.from_array(child)]) == [0.5]
 
-    def test_rebuilt_and_chained_states_score_alike(self):
-        m, _ = make_planted_matrix(n_docs=120, n_features=80, n_informative=10, seed=4,
-                                   noise_p=0.5)  # no row loses all its features
+
+def _gamma(n: int) -> float:
+    eps = np.finfo(float).eps
+    return n * eps / (1.0 - n * eps)
+
+
+class TestAccuracyBatch:
+    """Where NbFoldKernel.accuracy_batch certifies a mask, and where it must not."""
+
+    def test_rows_without_selected_nonzeros_need_no_margin(self, monkeypatch):
+        # balanced classes, so every fold's class priors tie: a row that has
+        # lost every selected nonzero ties in all of its scores
+        m, _ = make_planted_matrix(n_docs=120, n_features=80, n_informative=10, seed=4)
         kernel = NbFoldKernel(m, 5, 0)
+        assert np.all(kernel.row_priors == kernel.row_priors[0, 0])
         rng = np.random.default_rng(0)
-        mask = np.ones(80, dtype=bool)
-        none = np.zeros(80, dtype=bool)
-        empty = kernel.state(none)
-        for field in ("a", "x", "x_abs", "t", "t_abs"):
-            assert not getattr(empty, field).any()
-        assert empty.terms == 0
-        [(_, value)] = kernel.delta_batch([(empty, none, mask)])
-        assert value == kernel.mean_accuracy(mask)
-        chained = kernel.state(mask)
-        for _ in range(40):
-            child = mask.copy()
+        chain = [np.ones(80, dtype=bool)]
+        for _ in range(40):  # three-bit flips, one after another
+            child = chain[-1].copy()
             child[rng.choice(80, size=3, replace=False)] ^= True
-            [(chained, from_chain)] = kernel.delta_batch([(chained, mask, child)])
-            rebuilt = kernel.state(child)
-            [(_, from_rebuilt)] = kernel.delta_batch([(rebuilt, child, child)])
-            assert from_chain == from_rebuilt == kernel.mean_accuracy(child)
-            # the sums; a rebuilt state is a one-step chain from the empty
-            # mask, so its magnitudes count none of the columns the chain dropped
-            for field in ("a", "x", "t"):
-                np.testing.assert_allclose(getattr(chained, field), getattr(rebuilt, field),
-                                           rtol=1e-12, atol=1e-12)
-            mask = child
+            chain.append(child)
+        chain = np.array(chain[1:])
+        lost = (m.weights != 0).astype(float) @ chain.T.astype(float) == 0  # (rows, masks)
+        assert lost.any(axis=0).sum() >= 20
+        values = kernel.accuracy_batch(chain)
+        assert None not in values
+        assert values == [kernel.mean_accuracy(c) for c in chain]
+        fit = FitnessFn(m, k=5, seed=0)
+        monkeypatch.setattr(fit._nb, "mean_accuracy", lambda bits: pytest.fail("kernel called"))
+        assert fit.batch([FeatureMask.from_array(c) for c in chain]) == values
+
+    @np.errstate(invalid="ignore")  # the log of a negative mass, on purpose
+    def test_rows_without_selected_nonzeros_need_finite_scores(self):
+        # Class 1's mass in column 1 is -6, so its log(mass + ALPHA) is NaN, and
+        # so is each class-1 entry of column 1 in the product table; an
+        # unselected column's entry times 0.0 is still NaN. The mask selects
+        # the all-zero column 0 only, so every row has no selected nonzero,
+        # and the class-1 rows' NaN scores must not stand for their priors.
+        labels = np.array([1, 1, 1, 1, 1, 1, 0, 0, 0, 0])
+        x = np.zeros((10, 2))
+        x[labels == 1, 1] = -2.0
+        m = DocTermMatrix(weights=sp.csr_matrix(x), labels=labels)
+        kernel = NbFoldKernel(m, 2, 0)
+        mask = np.array([True, False])
+        assert kernel.mean_accuracy(mask) == 0.6
+        assert kernel.accuracy_batch(mask[None]) == [None]
+        assert FitnessFn(m, k=2, seed=0).batch([FeatureMask.from_array(mask)]) == [0.6]
+
+    def test_bound_decides_certification(self):
+        # One column of weight w in every row, 6 rows of class 0 and 4 of
+        # class 1, two folds: both computations score every row exactly by its
+        # fold's priors, log 0.6 and log 0.4, for any w. So the mask is
+        # certified exactly where that margin beats the docstring's bound,
+        # 2 * (E_kernel + E_batch), which grows with w; here terms = M +
+        # row_terms = 2, X = w and |S| = 1.
+        labels = np.array([0] * 6 + [1] * 4)
+        margin = np.log(0.6) - np.log(0.4)
+        eps = np.finfo(float).eps
+        decided = []
+        for w in 2.0 ** np.arange(36.0, 44.0, 1 / 16):
+            m = DocTermMatrix(weights=sp.csr_matrix(np.full((10, 1), w)), labels=labels)
+            kernel = NbFoldKernel(m, 2, 0)
+            log_t = np.log(np.array([6 * w, 4 * w]) / 2 + 1.0)  # per fold: 3w and 2w
+            e_t = _gamma(3) * (np.array([3 * w, 2 * w]) + 1.0)
+            lam = log_t.max() + 1.0
+            delta = (e_t / (np.exp(log_t) - 2 * e_t)).max() + 8 * eps * lam
+            magnitude = w * (log_t.max() + lam) + abs(np.log(0.4))
+            bound = 2 * ((_gamma(4) + _gamma(5)) * magnitude + 2 * w * delta)
+            if abs(margin - bound) < 1e-6 * margin:
+                continue  # too close to call from outside
+            [value] = kernel.accuracy_batch(np.ones((1, 1), dtype=bool))
+            assert (value is not None) == (margin > bound), w
+            assert value in (None, 0.6)
+            decided.append(value is not None)
+        assert True in decided and False in decided
 
 
 def test_last_gain():

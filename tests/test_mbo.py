@@ -23,8 +23,8 @@ class DensityFitness:
     def __call__(self, mask: FeatureMask) -> float:
         return mask.popcount / mask.universe
 
-    def batch(self, pairs) -> list[float]:
-        return [self(child) for _, child in pairs]
+    def batch(self, masks) -> list[float]:
+        return [self(mask) for mask in masks]
 
 
 density_fitness = DensityFitness()

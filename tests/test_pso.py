@@ -1,8 +1,28 @@
 import numpy as np
 import pytest
 
-from mbofs.heuristic import FeatureMask, FitnessFn, HeuristicError
-from mbofs.pso import V_MAX, PsoConfig, pso_select, sigmoid
+from mbofs.harness import pso_snapshot_from_json, pso_snapshot_to_json
+from mbofs.heuristic import (
+    FeatureMask,
+    FitnessFn,
+    HeuristicError,
+    RngStream,
+    change_count,
+    generate_neighbor,
+)
+from mbofs.pso import (
+    C1,
+    C2,
+    V_MAX,
+    W_END,
+    W_START,
+    IterationRecord,
+    Particle,
+    PsoConfig,
+    PsoSnapshot,
+    pso_select,
+    sigmoid,
+)
 from mbofs.synth import make_planted_matrix
 
 
@@ -97,3 +117,88 @@ class TestPsoSelect:
         assert best == FeatureMask.ones(1)
         assert (trace.termination, trace.records, fitness.evaluations) == (
             "single-feature", [], 0)
+
+
+def _reference_swarm(input_mask, config, fitness) -> PsoSnapshot:
+    """The initial swarm and global best, each particle scored by its own call."""
+    rng = RngStream(config.seed).child("swarm")
+    change = change_count(0, input_mask.popcount, config.schedule)
+    particles = []
+    for i in range(config.swarm_size):
+        mask = input_mask if i == 0 else generate_neighbor(input_mask, change,
+                                                           rng.child("init", i))
+        velocity = rng.child("vel", i).generator().uniform(-1.0, 1.0, size=input_mask.universe)
+        particles.append(Particle(mask, velocity, mask, fitness(mask)))
+    best = max(range(len(particles)), key=lambda i: (particles[i].pbest_fitness, -i))
+    return PsoSnapshot(particles, particles[best].pbest_mask, particles[best].pbest_fitness, [])
+
+
+def _reference_iteration(snap: PsoSnapshot, config: PsoConfig, fitness) -> None:
+    """One PSO iteration a particle at a time: its three draws, its update and
+    its fitness call, then the next particle; the oracle for pso_select's
+    batched iteration."""
+    rng = RngStream(config.seed)
+    it = len(snap.records)
+    frac = it / max(config.max_iterations - 1, 1)
+    w = W_START + (W_END - W_START) * frac
+    gbest_bits = snap.gbest_mask.to_array().astype(float)
+    for i, p in enumerate(snap.particles):
+        gen = rng.child("iter", it).child("particle", i).generator()
+        x = p.position.to_array().astype(float)
+        pb = p.pbest_mask.to_array().astype(float)
+        r1 = gen.random(len(x))
+        r2 = gen.random(len(x))
+        v = w * p.velocity + C1 * r1 * (pb - x) + C2 * r2 * (gbest_bits - x)
+        np.clip(v, -V_MAX, V_MAX, out=v)
+        new_bits = gen.random(len(x)) < sigmoid(v)
+        p.velocity = v
+        p.position = FeatureMask.from_array(new_bits)
+        f = fitness(p.position)
+        if f > p.pbest_fitness:
+            p.pbest_mask = p.position
+            p.pbest_fitness = f
+    for p in snap.particles:
+        if p.pbest_fitness > snap.gbest_fitness:
+            snap.gbest_fitness = p.pbest_fitness
+            snap.gbest_mask = p.pbest_mask
+    snap.records.append(IterationRecord(snap.gbest_fitness, 0.0))
+
+
+def _swarm_state(snap: PsoSnapshot):
+    """Positions, velocity bytes, pbests, the gbest and the gbest records."""
+    return ([(p.position.bits, p.velocity.tobytes(), p.pbest_mask.bits, p.pbest_fitness)
+             for p in snap.particles],
+            snap.gbest_mask.bits, snap.gbest_fitness,
+            [r.gbest_fitness for r in snap.records])
+
+
+class TestPsoOracle:
+    def test_matches_per_particle_reference(self, small_matrix):
+        config = PsoConfig(seed=6, max_iterations=8, swarm_size=10, budget_seconds=120)
+        input_mask = FeatureMask.from_array(np.random.default_rng(1).random(60) < 0.7)
+        reference_fitness = FitnessFn(small_matrix, seed=6)
+        reference = _reference_swarm(input_mask, config, reference_fitness)
+        first_pbests = [p.pbest_fitness for p in reference.particles]
+        want = []
+        for _ in range(config.max_iterations):
+            _reference_iteration(reference, config, reference_fitness)
+            want.append(_swarm_state(reference))
+        assert [p.pbest_fitness for p in reference.particles] != first_pbests  # pbests moved
+
+        fitness = FitnessFn(small_matrix, seed=6)
+        got, checkpoints = [], []
+
+        def on_step(snap):
+            got.append(_swarm_state(snap))
+            checkpoints.append(pso_snapshot_to_json(snap))
+
+        pso_select(input_mask, config, fitness, on_step=on_step)
+        assert got == want
+        assert fitness.evaluations == reference_fitness.evaluations
+        assert fitness._memo == reference_fitness._memo
+
+        resumed = []
+        pso_select(input_mask, config, FitnessFn(small_matrix, seed=6),
+                   resume=pso_snapshot_from_json(checkpoints[2]),
+                   on_step=lambda snap: resumed.append(_swarm_state(snap)))
+        assert resumed == want[3:]
