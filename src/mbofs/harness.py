@@ -4,17 +4,15 @@ evaluate pipeline, mask/report serialization, and checkpointing."""
 from __future__ import annotations
 
 import base64
-import contextlib
 import csv
 import dataclasses
 import functools
 import hashlib
 import io
 import json
-import multiprocessing
+import multiprocessing  # noqa: F401 -- read by forked.side_by_side; tests patch it here
 import os
 import time
-import traceback
 import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -23,6 +21,7 @@ import numpy as np
 
 from . import classifiers, corpus as corpus_mod, filter_ig
 from .corpus import CorpusStats, DocTermMatrix
+from .forked import side_by_side
 from .heuristic import ChangeSchedule, FeatureMask, FitnessFn, HeuristicError, last_gain
 from .mbo import MboConfig, MboSnapshot, mbo_select
 from .pso import PsoConfig, PsoSnapshot, pso_select
@@ -415,6 +414,31 @@ def run_experiment(
             raise CheckpointError(
                 f"{resume_method!r} checkpoint cannot resume method {config.method!r}")
 
+    try:
+        t0 = time.monotonic()
+        scores = filter_ig.ig_scores(matrix)
+        ig_mask = filter_ig.cap_mask(scores, cap=config.ig_cap)
+    except filter_ig.FilterError as exc:
+        raise PipelineError("ig", str(exc)) from exc
+    ig_scoring_s = time.monotonic() - t0
+    ig_columns = np.flatnonzero(ig_mask)
+
+    # built per call, so the engine and codec names are looked up at run time
+    engines = {
+        "mbo": (mbo_select, mbo_snapshot_to_json, mbo_snapshot_from_json),
+        "pso": (pso_select, pso_snapshot_to_json, pso_snapshot_from_json),
+    }
+    resume = None
+    if resume_method is not None:  # decoded here, before any evaluation or search
+        try:
+            resume = engines[resume_method][2](resume_payload)
+        except (KeyError, TypeError, ValueError, HeuristicError) as exc:
+            raise CheckpointError(
+                f"malformed {resume_method} checkpoint: {exc!r}") from exc
+        if set(_lengths(resume)) - {len(ig_columns)}:
+            raise CheckpointError(f"malformed {resume_method} checkpoint: masks and "
+                                  f"velocities must have {len(ig_columns)} entries")
+
     methods: list[MethodResult] = []
 
     t0 = time.monotonic()
@@ -425,39 +449,17 @@ def run_experiment(
     methods.append(MethodResult("raw", matrix.n_features, raw_acc, raw_clf,
                                 time.monotonic() - t0, "ok"))
 
-    try:
-        t0 = time.monotonic()
-        scores = filter_ig.ig_scores(matrix)
-        ig_mask = filter_ig.cap_mask(scores, cap=config.ig_cap)
-    except filter_ig.FilterError as exc:
-        raise PipelineError("ig", str(exc)) from exc
+    t0 = time.monotonic()
     ig_acc, ig_clf = evaluate_mask(matrix, ig_mask, config.eval_classifier,
                                    config.folds, config.seed)
     methods.append(MethodResult("ig", int(ig_mask.sum()), ig_acc, ig_clf,
-                                time.monotonic() - t0, "ok"))
+                                ig_scoring_s + time.monotonic() - t0, "ok"))
     save_mask(out_dir / "mask_ig.txt", ig_mask)
     save_mask_sidecar(out_dir / "mask_ig_features.csv", ig_mask, terms, scores.gain)
 
     if config.method != "ig":
-        ig_columns = np.flatnonzero(ig_mask)
         reduced = matrix.restrict_columns(ig_columns)
         input_mask = FeatureMask.ones(len(ig_columns))
-
-        # built per call, so the engine and codec names are looked up at run time
-        engines = {
-            "mbo": (mbo_select, mbo_snapshot_to_json, mbo_snapshot_from_json),
-            "pso": (pso_select, pso_snapshot_to_json, pso_snapshot_from_json),
-        }
-        resume = None
-        if resume_method is not None:  # decoded here, before any search starts
-            try:
-                resume = engines[resume_method][2](resume_payload)
-            except (KeyError, TypeError, ValueError, HeuristicError) as exc:
-                raise CheckpointError(
-                    f"malformed {resume_method} checkpoint: {exc!r}") from exc
-            if set(_lengths(resume)) - {len(ig_columns)}:
-                raise CheckpointError(f"malformed {resume_method} checkpoint: masks and "
-                                      f"velocities must have {len(ig_columns)} entries")
 
         def search(name: str):
             """One engine's search and its checkpoints. It scores with a fitness
@@ -478,7 +480,8 @@ def run_experiment(
             return best, trace, evaluations, last_gain(trace.records, fitness(input_mask))
 
         names = [name for name in engines if config.method in (name, "all")]
-        with _side_by_side({name: functools.partial(search, name) for name in names}) as results:
+        with side_by_side({f"{name} search": functools.partial(search, name) for name in names},
+                          functools.partial(PipelineError, "search")) as results:
             for name, result in zip(names, results):
                 best, trace, evaluations, gained = result()
                 full = _expand_mask(best, ig_columns, matrix.n_features)
@@ -499,69 +502,6 @@ def run_experiment(
         render_report(report, "json"), encoding="utf-8"
     )
     return report
-
-
-class _ChildTraceback(Exception):
-    """The formatted traceback of an error raised in a forked search."""
-
-    def __str__(self):
-        return self.args[0]
-
-
-def _child(search, conn):
-    """A forked child's body: sends (True, result, None) or (False, error, traceback).
-    An interrupt or exit is not sent: the child ends without a result."""
-    try:
-        message = (True, search(), None)
-    except Exception as exc:
-        message = (False, exc, traceback.format_exc())
-    conn.send(message)
-
-
-def _receive(name: str, proc, conn):
-    """A forked search's result, or its error raised again here."""
-    try:
-        ok, value, remote = conn.recv()
-    except EOFError:
-        proc.join()
-        raise PipelineError("search", f"the {name} search process exited with code "
-                                      f"{proc.exitcode} and sent no result") from None
-    proc.join()
-    if ok:
-        return value
-    raise value from _ChildTraceback(remote)
-
-
-@contextlib.contextmanager
-def _side_by_side(searches: dict):
-    """Yields one callable per search, in order, each giving that search's result.
-
-    The searches are independent, so where the platform can fork, every one
-    after the first starts now in a forked daemonic child, which sends its
-    result (or its error) back over a one-way pipe; the first runs in this
-    process when its callable is called. On the way out, children still
-    running are terminated and every child is joined, so an error here leaves
-    none behind. Without fork, every search runs here, in order.
-    """
-    if "fork" not in multiprocessing.get_all_start_methods():
-        yield list(searches.values())
-        return
-    ctx = multiprocessing.get_context("fork")
-    (_, first), *rest = searches.items()
-    children = []
-    try:
-        for name, search in rest:
-            reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_child, args=(search, writer), daemon=True)
-            proc.start()
-            writer.close()  # so the reader sees EOF if the child dies without a result
-            children.append((name, proc, reader))
-        yield [first] + [functools.partial(_receive, *child) for child in children]
-    finally:
-        for _, proc, reader in children:
-            proc.terminate()  # a no-op once the child has been joined
-            proc.join()
-            reader.close()
 
 
 def _write_trace(path, lines: list[str]):

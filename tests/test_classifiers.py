@@ -1,6 +1,9 @@
 import hashlib
 import importlib
 import math
+import multiprocessing
+import os
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from mbofs.classifiers import (
     _best_split,
     _class_sum,
     _dt_build,
+    _fold_root,
     _gini_best_split,
     _presort,
     cross_val_accuracy,
@@ -321,6 +325,17 @@ class TestPlantedTrees:
         model = dt_train(matrix, mask, np.flatnonzero(folds != fold))
         assert _preorder_digest(model.root) == want
 
+    @pytest.mark.parametrize("mask_name, fold, want", [
+        ("raw", 0, (151, "72ca2220d81f192c")),
+        ("ig", 0, (171, "1e7e57f9d2ecfda3")),
+    ])
+    def test_tree_digest_from_shared_presort(self, planted, mask_name, fold, want):
+        matrix, folds, ig = planted
+        mask = ig if mask_name == "ig" else np.ones(matrix.n_features, dtype=bool)
+        presorted = _presort(matrix.weights[:, np.flatnonzero(mask)])
+        model = dt_train(matrix, mask, np.flatnonzero(folds != fold), presorted=presorted)
+        assert _preorder_digest(model.root) == want
+
     def test_cv_fold_accuracies(self, planted):
         matrix, _, ig = planted
         raw = np.ones(matrix.n_features, dtype=bool)
@@ -395,3 +410,132 @@ class TestCrossVal:
             sum(rep.fold_accuracies) / 5, abs=1e-12
         )
         assert 0.0 <= rep.mean_accuracy <= 1.0
+
+
+@st.composite
+def presort_problems(draw):
+    """A CSR of quarter-step values (exact sums) with negatives, tied values,
+    an all-zero column, a column with no zeros, duplicate stored entries
+    (a value split into two halves, and +-0.5 pairs at zeros, which sum to
+    0.0), and an ascending row subset."""
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.round((rng.random((n, m)) - 0.5) * 8) / 4
+    x *= rng.random((n, m)) < draw(st.sampled_from([0.2, 0.6, 1.0]))
+    x[:, 0] = 0.0
+    x[:, 1] = rng.choice([-1.0, 0.5, 2.0], n)
+    data, indices, indptr = [], [], [0]
+    for i in range(n):
+        for j in range(m):
+            if x[i, j] != 0 and rng.random() < 0.3:
+                data += [x[i, j] / 2, x[i, j] / 2]
+                indices += [j, j]
+            elif x[i, j] == 0 and rng.random() < 0.1:
+                data += [0.5, -0.5]
+                indices += [j, j]
+            elif x[i, j] != 0:
+                data.append(x[i, j])
+                indices.append(j)
+        indptr.append(len(data))
+    csr = sp.csr_matrix((np.array(data), np.array(indices, dtype=np.int32), np.array(indptr)),
+                        shape=(n, m))
+    rows = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.3, 0.8, 1.0])))
+    return csr, x, rows if len(rows) else np.array([0])
+
+
+class TestFoldRoot:
+    """A fold's root filtered from one presort of all rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(presort_problems())
+    def test_equals_presort_of_the_rows(self, problem):
+        csr, _, rows = problem
+        got, want = _fold_root(_presort(csr), rows), _presort(csr[rows])
+        for name, a, b in zip(want._fields, got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @settings(max_examples=50, deadline=None)
+    @given(presort_problems(), st.integers(0, 2**32 - 1))
+    def test_dt_train_from_shared_presort(self, problem, seed):
+        csr, x, rows = problem
+        labels = np.random.default_rng(seed).integers(0, 3, x.shape[0])
+        matrix = DocTermMatrix(weights=csr, labels=labels)
+        mask = np.random.default_rng(seed).random(x.shape[1]) < 0.7
+        mask[1] = True
+        presorted = _presort(csr[:, np.flatnonzero(mask)])
+        shared = dt_train(matrix, mask, rows, presorted=presorted)
+        assert shared.root == dt_train(matrix, mask, rows).root
+
+
+class TestForkedFolds:
+    """DT cross-validation grows its odd folds' trees in a forked child."""
+
+    @pytest.fixture
+    def planted(self):
+        matrix, _ = make_planted_matrix(60, 3, 40, 5, seed=1)
+        return matrix, np.ones(matrix.n_features, dtype=bool)
+
+    @staticmethod
+    def _by_fold(monkeypatch, matrix, act):
+        """Patches dt_train to call act(fold) before training each fold."""
+        fold_of = stratified_folds(matrix.labels, 5, 0)
+        train = classifiers.dt_train
+
+        def patched(matrix, mask, rows, **kwargs):
+            act(int(np.setdiff1d(fold_of, fold_of[rows])[0]))
+            return train(matrix, mask, rows, **kwargs)
+
+        monkeypatch.setattr(classifiers, "dt_train", patched)
+
+    def test_odd_fold_error_comes_back(self, planted, monkeypatch, tmp_path):
+        matrix, mask = planted
+        pids = tmp_path / "pids"
+
+        def act(fold):
+            if fold == 3:
+                pids.write_text(str(os.getpid()), encoding="utf-8")
+                raise ValueError("fold 3 failed")
+
+        self._by_fold(monkeypatch, matrix, act)
+        with pytest.raises(ValueError) as info:
+            cross_val_accuracy(matrix, mask, "dt", 5, 0)
+        assert str(info.value) == "fold 3 failed"
+        assert "ValueError: fold 3 failed" in str(info.value.__cause__)  # the child's traceback
+        assert int(pids.read_text(encoding="utf-8")) != os.getpid()
+        assert multiprocessing.active_children() == []
+
+    def test_parent_fold_error_leaves_no_child(self, planted, monkeypatch):
+        matrix, mask = planted
+        parent = os.getpid()
+
+        def act(fold):
+            if os.getpid() == parent:
+                raise ClassifierError(f"fold {fold} failed")
+            time.sleep(60)
+
+        self._by_fold(monkeypatch, matrix, act)
+        started = time.monotonic()
+        with pytest.raises(ClassifierError, match="^fold 0 failed$"):
+            cross_val_accuracy(matrix, mask, "dt", 5, 0)
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - started < 30  # the sleeping child was terminated
+
+    def test_without_fork_folds_run_here_alike(self, planted, monkeypatch):
+        matrix, mask = planted
+        forked = cross_val_accuracy(matrix, mask, "dt", 5, 0)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        ran = []
+        self._by_fold(monkeypatch, matrix, lambda fold: ran.append((fold, os.getpid())))
+        assert cross_val_accuracy(matrix, mask, "dt", 5, 0) == forked
+        assert ran == [(fold, os.getpid()) for fold in (0, 2, 4, 1, 3)]
+
+    @pytest.mark.parametrize("classifier", ["nb", "dt"])
+    def test_empty_mask_fails_before_fork(self, planted, monkeypatch, classifier):
+        matrix, mask = planted
+        forks = []
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: forks.append("asked") or ["fork"])
+        with pytest.raises(ClassifierError, match="^empty feature mask$"):
+            cross_val_accuracy(matrix, np.zeros_like(mask), classifier, 5, 0)
+        assert forks == []

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from mbofs import harness
+from mbofs import classifiers, harness
 from mbofs.cli import main
 from mbofs.harness import PipelineError
 from mbofs.heuristic import HeuristicError
@@ -179,6 +179,40 @@ def test_evaluate_empty_mask(config_file, demo_tsv, tmp_path, capsys):
     mask.write_text(f"M={m}\n{'0' * m}\n")
     assert main(["evaluate", "--mask", str(mask), "--config", str(config_file)]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: [evaluate] empty feature mask"]
+
+
+def test_evaluate_dt_empty_mask_forks_nothing(config_file, demo_tsv, tmp_path, capsys,
+                                              monkeypatch):
+    assert main(["ingest", str(demo_tsv)]) == 0
+    m = json.loads(capsys.readouterr().out)["n_features"]
+    mask = tmp_path / "mask.txt"
+    mask.write_text(f"M={m}\n{'0' * m}\n")
+    forks = []
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: forks.append("asked") or ["fork"])
+    assert main(["evaluate", "--mask", str(mask), "--classifier", "dt",
+                 "--config", str(config_file)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: [evaluate] empty feature mask"]
+    assert forks == []
+
+
+def test_evaluate_forked_fold_tree_dies_without_result(config_file, tmp_path, capsys,
+                                                       monkeypatch):
+    assert main(["select", "--method", "ig", "--config", str(config_file)]) == 0
+    capsys.readouterr()
+    parent, train = os.getpid(), classifiers.dt_train
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:  # an odd fold, in the forked child
+            os._exit(7)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(classifiers, "dt_train", dying)
+    assert main(["evaluate", "--mask", str(tmp_path / "run" / "mask_ig.txt"),
+                 "--classifier", "dt", "--config", str(config_file)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: [evaluate] the odd-fold tree process exited with code 7 and sent no result"]
+    assert multiprocessing.active_children() == []
 
 
 def test_evaluate_missing_mask(config_file, tmp_path, capsys):
