@@ -487,12 +487,14 @@ class NbFoldKernel:
             [sp.csr_matrix((w.data * log_mass[:, c], w.indices, w.indptr), shape=w.shape)
              for c in range(n_classes)], format="csr")
         self.weights = w
-        self.nonzeros = sp.csr_matrix(((w.data != 0).astype(float), w.indices, w.indptr),
-                                      shape=w.shape)
         self.mass_t = sp.csr_matrix(self.mass.T)
         # the magnitudes' tables; None where no entry is negative, as the sums serve
         self.weights_abs = abs(w) if w.data.min(initial=0.0) < 0 else None
         self.mass_t_abs = abs(self.mass_t) if self.mass_t.data.min(initial=0.0) < 0 else None
+        # where no weight is negative, a row's x is 0.0 exactly when it has no
+        # selected nonzero, and this table is not needed
+        self.nonzeros = None if self.weights_abs is None else sp.csr_matrix(
+            ((w.data != 0).astype(float), w.indices, w.indptr), shape=w.shape)
         self.row_terms = int(np.diff(w.indptr).max(initial=0))
         self.terms = w.shape[1] + self.row_terms
         self.log_mass_max = float(np.abs(self.log_mass).max(initial=0.0))
@@ -510,13 +512,24 @@ class NbFoldKernel:
         log_likelihoods[~np.asarray(mask, dtype=bool)] = 0.0
         return self.rows @ log_likelihoods.reshape(-1, self.n_classes) + self.row_priors
 
-    def _accuracy(self, predicted: np.ndarray) -> float:
-        """Mean over folds of the share of test rows whose class is predicted."""
-        hits = predicted == self.labels
-        return float(np.mean(np.bincount(self.fold_of, weights=hits) / self.n_test))
+    def _accuracies(self, predicted: np.ndarray) -> np.ndarray:
+        """Per column of an (N, B) array of predicted classes, the mean over
+        folds of the share of test rows whose class is predicted.
+
+        One bincount counts the hits of every (mask, fold) pair. Each mask's
+        shares are a row of a C-contiguous (B, k) array, which np.mean reduces
+        along the row as it reduces a 1-D array of k shares (pairwise from
+        k = 8 up), so each mean equals the one-mask expression
+        np.mean(np.bincount(fold_of, weights=hits) / n_test) bit for bit.
+        """
+        k, batch = len(self.n_test), predicted.shape[1]
+        cell = np.arange(0, batch * k, k) + self.fold_of[:, None]  # (N, B): mask b, fold f
+        hits = np.bincount(cell[predicted == self.labels[:, None]], minlength=batch * k)
+        return np.mean(hits.reshape(batch, k) / self.n_test, axis=1)
 
     def mean_accuracy(self, mask) -> float:
-        return self._accuracy(np.argmax(self._scores(mask), axis=1))
+        predicted = np.argmax(self._scores(mask), axis=1)
+        return float(self._accuracies(predicted[:, None])[0])
 
     def accuracy_batch(self, masks) -> list[float | None]:
         """mean_accuracy of each row of a (B, M) mask batch, or None where it
@@ -571,8 +584,13 @@ class NbFoldKernel:
         ties included. A log T that is not finite, or a table entry that is
         not (0.0 times either is NaN), makes a score NaN, and a NaN anywhere
         makes the row's top score NaN; so such a row needs only a finite top
-        score. A mask is certified when every row is; its accuracy then uses
-        mean_accuracy's own expression.
+        score. Where no weight is negative, a row has no selected nonzero
+        exactly when its x is 0.0: a sum of non-negative terms with one
+        positive term is positive, stored 0.0 and -0.0 entries add exact
+        zeros, and a NaN or infinite entry makes x NaN, which counts as a
+        nonzero (that row's scores are NaN too). Otherwise the `nonzeros`
+        table finds the rows. A mask is certified when every row is; its
+        accuracy then uses mean_accuracy's own expression.
         """
         masks = np.asarray(masks, dtype=bool)
         batch = len(masks)
@@ -587,7 +605,8 @@ class NbFoldKernel:
         x_abs = x if self.weights_abs is None else self.weights_abs @ chosen
         t = self.mass_t @ chosen  # (k*C, B)
         t_abs = t if self.mass_t_abs is None else self.mass_t_abs @ chosen
-        no_nonzero = self.nonzeros @ chosen == 0.0  # (N, B)
+        no_nonzero = (x == 0.0 if self.nonzeros is None  # (N, B)
+                      else self.nonzeros @ chosen == 0.0)
         size = masks.sum(axis=1).astype(float)
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -619,5 +638,5 @@ class NbFoldKernel:
             margin_ok = (fold_ok[self.fold_of] & np.isfinite(second)
                          & (top - second > bound))
             certified = (np.isfinite(top) & (no_nonzero | margin_ok)).all(axis=0)
-        return [self._accuracy(predicted[:, b]) if certified[b] else None
-                for b in range(batch)]
+        accuracies = self._accuracies(predicted).tolist()
+        return [value if ok else None for value, ok in zip(accuracies, certified)]

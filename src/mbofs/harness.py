@@ -10,7 +10,6 @@ import functools
 import hashlib
 import io
 import json
-import multiprocessing  # noqa: F401 -- read by forked.side_by_side; tests patch it here
 import os
 import time
 import typing

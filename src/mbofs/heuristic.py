@@ -4,9 +4,10 @@ the search loop both engines run under."""
 
 from __future__ import annotations
 
+import functools
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,14 +90,20 @@ class RngStream:
     path: tuple[tuple[str, int], ...] = ()
 
     def child(self, tag: str, index: int = 0) -> "RngStream":
-        return replace(self, path=self.path + ((tag, index),))
+        return RngStream(self.master_seed, self.path + ((tag, index),))
 
     def generator(self) -> np.random.Generator:
+        """PCG64 seeded by SeedSequence([master_seed, crc32(tag), index, ...])."""
         entropy = [self.master_seed]
         for tag, index in self.path:
-            entropy.append(zlib.crc32(tag.encode()))
+            entropy.append(_tag_crc(tag))
             entropy.append(index)
         return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+@functools.cache  # the tags are the engines' few fixed names
+def _tag_crc(tag: str) -> int:
+    return zlib.crc32(tag.encode())
 
 
 @dataclass(frozen=True)
@@ -149,7 +156,7 @@ class FitnessFn:
         self._nb = NbFoldKernel(matrix, k, seed)
 
     def __call__(self, mask: FeatureMask) -> float:
-        if mask.popcount == 0:
+        if 1 not in mask.bits:
             return 0.0
         key = _key(mask)
         cached = self._memo.get(key)
@@ -165,13 +172,17 @@ class FitnessFn:
         lacks are scored into it, once each: together by
         NbFoldKernel.accuracy_batch, and by mean_accuracy where that
         certifies no value."""
-        todo: dict[bytes, FeatureMask] = {}
-        for mask in masks:
-            if mask.popcount and (key := _key(mask)) not in self._memo:
-                todo.setdefault(key, mask)
+        todo: dict[bytes, bytes] = {}  # packed key -> mask bits
+        nonempty = [mask.bits for mask in masks if 1 in mask.bits]
+        if nonempty:
+            joined = np.frombuffer(b"".join(nonempty), dtype=np.uint8)
+            keys = np.packbits(joined.reshape(len(nonempty), -1), axis=1)
+            for key, bits in zip(map(bytes, keys), nonempty):
+                if key not in self._memo:
+                    todo.setdefault(key, bits)
         if todo:
-            bits = np.array([mask.to_array() for mask in todo.values()])
-            for key, row, value in zip(todo, bits, self._nb.accuracy_batch(bits)):
+            rows = np.frombuffer(b"".join(todo.values()), dtype=bool).reshape(len(todo), -1)
+            for key, row, value in zip(todo, rows, self._nb.accuracy_batch(rows)):
                 self._memo[key] = self._nb.mean_accuracy(row) if value is None else value
                 self.evaluations += 1
         return [self(mask) for mask in masks]

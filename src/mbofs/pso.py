@@ -88,6 +88,12 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-v))
 
 
+def _bit_rows(masks: list[FeatureMask]) -> np.ndarray:
+    """The masks' bits as the rows of one float array."""
+    joined = np.frombuffer(b"".join(mask.bits for mask in masks), dtype=np.uint8)
+    return joined.reshape(len(masks), -1).astype(float)
+
+
 def _init_swarm(
     input_mask: FeatureMask, config: PsoConfig, rng: RngStream, fitness: FitnessFn
 ) -> list[Particle]:
@@ -133,17 +139,21 @@ def pso_select(
         frac = it / max(config.max_iterations - 1, 1)
         w = W_START + (W_END - W_START) * frac
         particles = snap.particles
+        n, m = len(particles), input_mask.universe
         # each particle's stream gives its r1, r2 and resampling draws, in that order
-        r1, r2, r3 = np.stack([rng.child("iter", it).child("particle", i).generator()
-                               .random((3, input_mask.universe))
-                               for i in range(len(particles))], axis=1)
-        x = np.array([p.position.to_array() for p in particles], dtype=float)
-        pb = np.array([p.pbest_mask.to_array() for p in particles], dtype=float)
+        draws = np.empty((n, 3, m))
+        iter_rng = rng.child("iter", it)
+        for i in range(n):
+            iter_rng.child("particle", i).generator().random(out=draws[i])
+        r1, r2, r3 = draws.swapaxes(0, 1)
+        x = _bit_rows([p.position for p in particles])
+        pb = _bit_rows([p.pbest_mask for p in particles])
         gbest_bits = snap.gbest_mask.to_array().astype(float)
         v = (w * np.array([p.velocity for p in particles]) + C1 * r1 * (pb - x)
              + C2 * r2 * (gbest_bits - x))
         np.clip(v, -V_MAX, V_MAX, out=v)
-        positions = [FeatureMask.from_array(bits) for bits in r3 < sigmoid(v)]
+        resampled = (r3 < sigmoid(v)).view(np.uint8).tobytes()
+        positions = [FeatureMask(resampled[i * m:(i + 1) * m]) for i in range(n)]
         # empty positions score 0.0 by convention
         for p, velocity, position, f in zip(particles, v, positions, fitness.batch(positions)):
             p.velocity = velocity

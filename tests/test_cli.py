@@ -400,7 +400,7 @@ def test_select_resume_malformed_checkpoint_before_fork(config_file, tmp_path, c
     _edit_json(lambda doc: doc["payload"]["particles"][0].update(velocity="!!!!"))(checkpoint)
     capsys.readouterr()
     forks = []
-    monkeypatch.setattr(harness.multiprocessing, "get_all_start_methods",
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                         lambda: forks.append("asked") or [])
     errors = []
     for method in ("pso", "all"):

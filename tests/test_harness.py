@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import importlib
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -364,7 +366,7 @@ class TestRunExperiment:
 
     def test_without_fork_both_searches_run_here_alike(self, demo_tsv, tmp_path, monkeypatch):
         forked = run_experiment(_demo_config(demo_tsv, tmp_path, out_dir=str(tmp_path / "f")))
-        monkeypatch.setattr(harness.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         ran = []
         for name in ("mbo_select", "pso_select"):
             def recording(*args, select=getattr(harness, name), **kwargs):
@@ -548,3 +550,22 @@ def test_benchmark_hooks_see_engines_and_checkpoints(monkeypatch, tmp_path):
     fitness_calls = tree.named("heuristic.FitnessFn.__call__")
     for engine in ("mbo.mbo_select", "pso.pso_select"):
         assert any(tree.under(i, engine) for i in fitness_calls), engine
+
+
+def test_planted_search_trajectory_is_pinned(tmp_path):
+    """The benchmark's planted-search run: both searches on the planted
+    500x2000 matrix must end on the masks whose digests perfbench/README.md
+    records, so a faster path cannot move a draw, a score or a mask."""
+    matrix, _ = make_planted_matrix(n_docs=500, n_classes=4, n_features=2000,
+                                    n_informative=50, seed=0)
+    report = run_experiment(ExperimentConfig(
+        ig_cap=500, method="all", eval_classifier="nb", seed=0, budget_seconds=1e9,
+        out_dir=str(tmp_path)), matrix=matrix)
+    digests = {engine: hashlib.sha256((tmp_path / f"mask_{engine}.txt").read_bytes())
+               .hexdigest()[:16] for engine in ("ig", "mbo", "pso")}
+    assert digests == {"ig": "465549ab7a0372da", "mbo": "5e1a71cb200b6681",
+                       "pso": "b5446cfe67dfb2f4"}
+    by_name = {m.name: m for m in report.methods}
+    assert (by_name["mbo"].evaluations, by_name["pso"].evaluations) == (3453, 3030)
+    assert (by_name["mbo"].status, by_name["pso"].status) == (
+        "stagnation", "max-iterations")

@@ -1,3 +1,6 @@
+import dataclasses
+import zlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -80,6 +83,29 @@ class TestRngStream:
         a = RngStream(42).child("x", 1).generator().random(5)
         b = RngStream(42).child("x", 2).generator().random(5)
         assert not np.array_equal(a, b)
+
+    def test_path_seeds_one_seed_sequence(self):
+        # PSO's draw site for particle 7 of iteration 3 under search seed 42:
+        # the entropy is the seed, then crc32(tag) and index for each step
+        crcs = {b"swarm": 3920056993, b"iter": 2450729195, b"particle": 1445240801}
+        assert {tag: zlib.crc32(tag) for tag in crcs} == crcs
+        stream = RngStream(42).child("swarm").child("iter", 3).child("particle", 7)
+        want = np.random.default_rng(np.random.SeedSequence(
+            [42, 3920056993, 0, 2450729195, 3, 1445240801, 7]))
+        np.testing.assert_array_equal(stream.generator().random((3, 50)), want.random((3, 50)))
+        want = np.random.default_rng(np.random.SeedSequence([9]))
+        np.testing.assert_array_equal(RngStream(9).generator().integers(0, 1000, 20),
+                                      want.integers(0, 1000, 20))
+
+    def test_child_is_a_frozen_value(self):
+        child = RngStream(5).child("tour", 2).child("step")
+        same = RngStream(5, (("tour", 2), ("step", 0)))
+        assert child == same and hash(child) == hash(same)
+        assert child != RngStream(5).child("tour", 2).child("step", 1)
+        assert child != RngStream(6).child("tour", 2).child("step")
+        assert len({child, same, RngStream(5)}) == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            child.path = ()
 
 
 class TestGenerateNeighbor:
@@ -396,6 +422,101 @@ class TestAccuracyBatch:
             assert value in (None, 0.6)
             decided.append(value is not None)
         assert True in decided and False in decided
+
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_accuracies_equal_the_one_mask_expression(self, k):
+        # The folds' sizes differ, so the shares are fractions that round, and
+        # from k = 8 up numpy's 1-D mean adds them pairwise: each mask's mean
+        # in a batch must be reduced in that order too.
+        m, _ = make_planted_matrix(n_docs=157, n_classes=3, n_features=30, n_informative=5,
+                                   seed=1)
+        kernel = NbFoldKernel(m, k, k)
+        rng = np.random.default_rng(k)
+
+        def one_mask(predicted):
+            hits = predicted == m.labels
+            return np.mean(np.bincount(kernel.fold_of, weights=hits) / kernel.n_test)
+
+        in_turn_differs = False
+        for batch in (1, 2, 16, 41):
+            predicted = rng.integers(0, 3, size=(m.n_docs, batch))
+            want = [one_mask(column) for column in predicted.T]
+            assert kernel._accuracies(predicted).tolist() == want
+            # the folds' shares added one after another, which differs from k = 8 up
+            shares = [np.bincount(kernel.fold_of, weights=column == m.labels) / kernel.n_test
+                      for column in predicted.T]
+            in_turn = [sum(row.tolist()) / k for row in shares]
+            in_turn_differs |= in_turn != want
+        assert in_turn_differs == (k >= 8)
+        masks = rng.random((6, 30)) < 0.5
+        for mask, value in zip(masks, kernel.accuracy_batch(masks)):
+            want = one_mask(np.argmax(kernel._scores(mask), axis=1))
+            assert kernel.mean_accuracy(mask) == want
+            assert value in (None, want)
+
+    def test_unsigned_rows_without_nonzeros_are_found_by_their_sums(self):
+        # Ten rows of each class and two folds, so every fold's priors tie.
+        # Column 0 stores 0.0 and -0.0 in rows 0-5 and 1.0 in rows 10-19,
+        # column 1 subnormal weights in rows 6-9, and columns 2 and 3 one
+        # weight in each of rows 6-19 by class. Where no weight is negative,
+        # accuracy_batch finds the rows with no selected nonzero from x == 0.0;
+        # it must decide every mask as the `nonzeros` product does.
+        labels = np.arange(20) % 2
+        row_cols = ([[0]] * 6 + [[1, 2 + c] for c in labels[6:10]]
+                    + [[0, 2 + c] for c in labels[10:]])
+        row_data = ([[0.0], [-0.0]] * 3 + [[5e-324 * (i + 1), 2.0] for i in range(4)]
+                    + [[1.0, 2.0]] * 10)
+        indptr = np.cumsum([0] + [len(cols) for cols in row_cols])
+        w = sp.csr_matrix((np.concatenate(row_data), np.concatenate(row_cols), indptr),
+                          shape=(20, 4))
+        assert w.nnz == 34 and np.signbit(w.data[1]) and w.data[6] == 5e-324
+        m = DocTermMatrix(weights=w, labels=labels)
+        kernel = NbFoldKernel(m, 2, 0)
+        assert np.all(kernel.row_priors == kernel.row_priors[0, 0])
+        assert kernel.nonzeros is None
+        by_product = NbFoldKernel(m, 2, 0)
+        by_product.nonzeros = sp.csr_matrix(((w.data != 0).astype(float), w.indices,
+                                             w.indptr), shape=w.shape)
+        masks = np.array([[bool(b >> j & 1) for j in range(4)] for b in range(1, 16)])
+        values = kernel.accuracy_batch(masks)
+        assert values == by_product.accuracy_batch(masks)
+        for mask, value in zip(masks, values):
+            assert value in (None, kernel.mean_accuracy(mask))
+        # rows 0-5 select only stored zeros and tie in every score, yet need
+        # no margin; the subnormal rows' sums are not 0.0, so they need one
+        stored_zeros_only = [0, 2, 3]
+        [value] = kernel.accuracy_batch(np.isin(np.arange(4), stored_zeros_only)[None])
+        scores = kernel._scores(np.isin(np.arange(4), stored_zeros_only))
+        assert np.all(scores[:6] == scores[:6, :1])
+        assert value == kernel.mean_accuracy(np.isin(np.arange(4), stored_zeros_only))
+        assert kernel.accuracy_batch(np.array([[False, True, False, False]])) == [None]
+
+    @np.errstate(divide="ignore", invalid="ignore")  # the log of a negative mass
+    def test_signed_rows_without_nonzeros_use_the_nonzeros_product(self):
+        # row 0's selected weights cancel: its x is 0.0 although it has nonzeros
+        x = np.array([[1.0, -1.0, 0.0]] + [[0.5, 0.0, 1.0], [0.0, 2.0, 1.0]] * 5)
+        labels = np.arange(11) % 2
+        m = DocTermMatrix(weights=sp.csr_matrix(x), labels=labels)
+        kernel = NbFoldKernel(m, 2, 0)
+        assert kernel.nonzeros is not None and kernel.weights_abs is not None
+        chosen = np.array([1.0, 1.0, 1.0])
+        assert (kernel.weights @ chosen)[0] == 0.0 and (kernel.nonzeros @ chosen)[0] == 2.0
+
+        class Spy:
+            def __init__(self, table):
+                self.table, self.calls = table, 0
+
+            def __matmul__(self, other):
+                self.calls += 1
+                return self.table @ other
+
+        kernel.nonzeros = spy = Spy(kernel.nonzeros)
+        masks = np.ones((2, 3), dtype=bool)
+        masks[1, 2] = False
+        for mask, value in zip(masks, kernel.accuracy_batch(masks)):
+            assert value in (None, kernel.mean_accuracy(mask))
+        assert spy.calls == 1
 
 
 def test_last_gain():
