@@ -491,10 +491,6 @@ class NbFoldKernel:
         # the magnitudes' tables; None where no entry is negative, as the sums serve
         self.weights_abs = abs(w) if w.data.min(initial=0.0) < 0 else None
         self.mass_t_abs = abs(self.mass_t) if self.mass_t.data.min(initial=0.0) < 0 else None
-        # where no weight is negative, a row's x is 0.0 exactly when it has no
-        # selected nonzero, and this table is not needed
-        self.nonzeros = None if self.weights_abs is None else sp.csr_matrix(
-            ((w.data != 0).astype(float), w.indices, w.indptr), shape=w.shape)
         self.row_terms = int(np.diff(w.indptr).max(initial=0))
         self.terms = w.shape[1] + self.row_terms
         self.log_mass_max = float(np.abs(self.log_mass).max(initial=0.0))
@@ -584,29 +580,28 @@ class NbFoldKernel:
         ties included. A log T that is not finite, or a table entry that is
         not (0.0 times either is NaN), makes a score NaN, and a NaN anywhere
         makes the row's top score NaN; so such a row needs only a finite top
-        score. Where no weight is negative, a row has no selected nonzero
-        exactly when its x is 0.0: a sum of non-negative terms with one
-        positive term is positive, stored 0.0 and -0.0 entries add exact
-        zeros, and a NaN or infinite entry makes x NaN, which counts as a
-        nonzero (that row's scores are NaN too). Otherwise the `nonzeros`
-        table finds the rows. A mask is certified when every row is; its
-        accuracy then uses mean_accuracy's own expression.
+        score. A row has no selected nonzero exactly when its x_abs is 0.0:
+        a sum of non-negative terms with one positive term is positive,
+        stored 0.0 and -0.0 entries add exact zeros, and a NaN or infinite
+        entry makes x_abs NaN or infinite, not 0.0 (that row's scores are NaN
+        too). A mask is certified when every row is; its accuracy then uses
+        mean_accuracy's own expression.
         """
         masks = np.asarray(masks, dtype=bool)
         batch = len(masks)
         if not batch:
             return []
         k, n_classes, n = len(self.n_test), self.n_classes, len(self.labels)
-        # every array below has the batch as its last axis, so a class is one
-        # contiguous (N, B) slice
+        # every array below has the batch as its last axis; the (C, N, B)
+        # scores, gathered through fold_of, are laid out row by row, so a
+        # class's (N, B) slice of them is strided
         chosen = np.ascontiguousarray(masks.T).astype(float)  # (M, B)
         a = (self.products @ chosen).reshape(n_classes, n, batch)
         x = self.weights @ chosen  # (N, B)
         x_abs = x if self.weights_abs is None else self.weights_abs @ chosen
         t = self.mass_t @ chosen  # (k*C, B)
         t_abs = t if self.mass_t_abs is None else self.mass_t_abs @ chosen
-        no_nonzero = (x == 0.0 if self.nonzeros is None  # (N, B)
-                      else self.nonzeros @ chosen == 0.0)
+        no_nonzero = x_abs == 0.0  # (N, B)
         size = masks.sum(axis=1).astype(float)
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -4,7 +4,6 @@ the search loop both engines run under."""
 
 from __future__ import annotations
 
-import functools
 import time
 import zlib
 from dataclasses import dataclass
@@ -96,14 +95,9 @@ class RngStream:
         """PCG64 seeded by SeedSequence([master_seed, crc32(tag), index, ...])."""
         entropy = [self.master_seed]
         for tag, index in self.path:
-            entropy.append(_tag_crc(tag))
+            entropy.append(zlib.crc32(tag.encode()))
             entropy.append(index)
         return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-@functools.cache  # the tags are the engines' few fixed names
-def _tag_crc(tag: str) -> int:
-    return zlib.crc32(tag.encode())
 
 
 @dataclass(frozen=True)

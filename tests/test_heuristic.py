@@ -423,7 +423,6 @@ class TestAccuracyBatch:
             decided.append(value is not None)
         assert True in decided and False in decided
 
-
     @pytest.mark.parametrize("k", range(2, 13))
     def test_accuracies_equal_the_one_mask_expression(self, k):
         # The folds' sizes differ, so the shares are fractions that round, and
@@ -455,13 +454,12 @@ class TestAccuracyBatch:
             assert kernel.mean_accuracy(mask) == want
             assert value in (None, want)
 
-    def test_unsigned_rows_without_nonzeros_are_found_by_their_sums(self):
-        # Ten rows of each class and two folds, so every fold's priors tie.
-        # Column 0 stores 0.0 and -0.0 in rows 0-5 and 1.0 in rows 10-19,
-        # column 1 subnormal weights in rows 6-9, and columns 2 and 3 one
-        # weight in each of rows 6-19 by class. Where no weight is negative,
-        # accuracy_batch finds the rows with no selected nonzero from x == 0.0;
-        # it must decide every mask as the `nonzeros` product does.
+    def test_rows_without_nonzeros_are_found_by_their_magnitudes(self):
+        # A row has no selected nonzero exactly when its x_abs is 0.0.
+        # Unsigned: ten rows of each class and two folds, so every fold's
+        # priors tie. Column 0 stores 0.0 and -0.0 in rows 0-5 and 1.0 in rows
+        # 10-19, column 1 subnormal weights in rows 6-9, and columns 2 and 3
+        # one weight in each of rows 6-19 by class.
         labels = np.arange(20) % 2
         row_cols = ([[0]] * 6 + [[1, 2 + c] for c in labels[6:10]]
                     + [[0, 2 + c] for c in labels[10:]])
@@ -471,52 +469,35 @@ class TestAccuracyBatch:
         w = sp.csr_matrix((np.concatenate(row_data), np.concatenate(row_cols), indptr),
                           shape=(20, 4))
         assert w.nnz == 34 and np.signbit(w.data[1]) and w.data[6] == 5e-324
-        m = DocTermMatrix(weights=w, labels=labels)
-        kernel = NbFoldKernel(m, 2, 0)
-        assert np.all(kernel.row_priors == kernel.row_priors[0, 0])
-        assert kernel.nonzeros is None
-        by_product = NbFoldKernel(m, 2, 0)
-        by_product.nonzeros = sp.csr_matrix(((w.data != 0).astype(float), w.indices,
-                                             w.indptr), shape=w.shape)
-        masks = np.array([[bool(b >> j & 1) for j in range(4)] for b in range(1, 16)])
-        values = kernel.accuracy_batch(masks)
-        assert values == by_product.accuracy_batch(masks)
-        for mask, value in zip(masks, values):
-            assert value in (None, kernel.mean_accuracy(mask))
+        unsigned = NbFoldKernel(DocTermMatrix(weights=w, labels=labels), 2, 0)
+        assert unsigned.weights_abs is None
+        assert np.all(unsigned.row_priors == unsigned.row_priors[0, 0])
+        # Signed: every row is (0.25, -0.25, 1.0), so each fold's classes have
+        # equal masses and priors and every row's scores tie; columns 0 and 1
+        # cancel, so their x is 0.0 while x_abs is 0.5.
+        signed = NbFoldKernel(DocTermMatrix(weights=sp.csr_matrix(np.tile([0.25, -0.25, 1.0],
+                                                                          (8, 1))),
+                                            labels=np.arange(8) % 2), 2, 0)
+        cancel = np.array([True, True, False])
+        assert signed.weights_abs is not None
+        assert np.all((signed.weights @ cancel.astype(float)) == 0.0)
+        for kernel in (unsigned, signed):
+            universe = kernel.weights.shape[1]
+            masks = np.array([[bool(b >> j & 1) for j in range(universe)]
+                              for b in range(1, 2**universe)])
+            for mask, value in zip(masks, kernel.accuracy_batch(masks)):
+                assert value in (None, kernel.mean_accuracy(mask))
         # rows 0-5 select only stored zeros and tie in every score, yet need
         # no margin; the subnormal rows' sums are not 0.0, so they need one
-        stored_zeros_only = [0, 2, 3]
-        [value] = kernel.accuracy_batch(np.isin(np.arange(4), stored_zeros_only)[None])
-        scores = kernel._scores(np.isin(np.arange(4), stored_zeros_only))
+        stored_zeros_only = np.isin(np.arange(4), [0, 2, 3])
+        scores = unsigned._scores(stored_zeros_only)
         assert np.all(scores[:6] == scores[:6, :1])
-        assert value == kernel.mean_accuracy(np.isin(np.arange(4), stored_zeros_only))
-        assert kernel.accuracy_batch(np.array([[False, True, False, False]])) == [None]
-
-    @np.errstate(divide="ignore", invalid="ignore")  # the log of a negative mass
-    def test_signed_rows_without_nonzeros_use_the_nonzeros_product(self):
-        # row 0's selected weights cancel: its x is 0.0 although it has nonzeros
-        x = np.array([[1.0, -1.0, 0.0]] + [[0.5, 0.0, 1.0], [0.0, 2.0, 1.0]] * 5)
-        labels = np.arange(11) % 2
-        m = DocTermMatrix(weights=sp.csr_matrix(x), labels=labels)
-        kernel = NbFoldKernel(m, 2, 0)
-        assert kernel.nonzeros is not None and kernel.weights_abs is not None
-        chosen = np.array([1.0, 1.0, 1.0])
-        assert (kernel.weights @ chosen)[0] == 0.0 and (kernel.nonzeros @ chosen)[0] == 2.0
-
-        class Spy:
-            def __init__(self, table):
-                self.table, self.calls = table, 0
-
-            def __matmul__(self, other):
-                self.calls += 1
-                return self.table @ other
-
-        kernel.nonzeros = spy = Spy(kernel.nonzeros)
-        masks = np.ones((2, 3), dtype=bool)
-        masks[1, 2] = False
-        for mask, value in zip(masks, kernel.accuracy_batch(masks)):
-            assert value in (None, kernel.mean_accuracy(mask))
-        assert spy.calls == 1
+        assert unsigned.accuracy_batch(stored_zeros_only[None]) == [
+            unsigned.mean_accuracy(stored_zeros_only)]
+        assert unsigned.accuracy_batch(np.array([[False, True, False, False]])) == [None]
+        # the cancelling rows have nonzeros: their tied scores certify nothing
+        assert np.all(signed._scores(cancel) == signed._scores(cancel)[:1, :1])
+        assert signed.accuracy_batch(cancel[None]) == [None]
 
 
 def test_last_gain():
