@@ -8,6 +8,7 @@ ties break to the lowest class index so results are reproducible bit-for-bit.
 from __future__ import annotations
 
 import functools
+import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -389,6 +390,71 @@ def _fold_accuracies(matrix: DocTermMatrix, mask, fold_of: np.ndarray, folds,
     return accs
 
 
+def cross_val_accuracies(
+    matrix: DocTermMatrix,
+    masks: list,
+    kinds: tuple[str, ...],
+    k: int = 5,
+    seed: int = 0,
+) -> list[tuple[dict[str, EvalReport], float]]:
+    """Stratified k-fold accuracy of each named classifier ("nb", "dt") on the
+    columns of each of the masks, with the seconds spent on each mask.
+
+    One evaluation step. Its units are independent: the k fold trees of each
+    mask, the widest mask's first, then one NB cross-validation per mask.
+    With trees among them, the units run from one two-process work queue
+    (forked.side_by_side), largest first, so whichever process is free takes
+    the next. A process presorts a mask's columns over all rows the first
+    time one of its trees needs them, and grows the mask's other trees from
+    that presort. An NB cross-validation takes milliseconds, so without trees
+    the units run here in turn, with no fork. Each mask's seconds are the
+    durations of its own units summed, whichever process ran them. The
+    accuracies are put back in fold order, so every report is the same as
+    when the folds run one after another.
+    """
+    for kind in kinds:
+        if kind not in ("nb", "dt"):
+            raise ClassifierError(f"unknown classifier: {kind!r}")
+    cols = [_mask_columns(mask) for mask in masks]
+    fold_of = stratified_folds(matrix.labels, k, seed)
+    presorted = {}  # mask index -> presort of its columns, made in each process on first use
+
+    def unit(m: int, kind: str, folds) -> tuple[list[float], float]:
+        t0 = time.monotonic()
+        if kind == "nb":
+            train, predict = nb_train, nb_predict
+        else:
+            if m not in presorted:
+                presorted[m] = _presort(matrix.weights[:, cols[m]])
+            train, predict = functools.partial(dt_train, presorted=presorted[m]), dt_predict
+        accs = _fold_accuracies(matrix, masks[m], fold_of, folds, train, predict)
+        return accs, time.monotonic() - t0
+
+    units = {}  # name -> (mask index, classifier, folds)
+    if "dt" in kinds:
+        for m in sorted(range(len(masks)), key=lambda m: -len(cols[m])):
+            units |= {f"mask {m} fold {fold} tree": (m, "dt", [fold]) for fold in range(k)}
+    if "nb" in kinds:
+        units |= {f"mask {m} nb cross-validation": (m, "nb", range(k))
+                  for m in range(len(masks))}
+    tasks = {name: functools.partial(unit, *spec) for name, spec in units.items()}
+    if "dt" in kinds:
+        with side_by_side(tasks, ClassifierError) as results:
+            done = [result() for result in results]
+    else:
+        done = [task() for task in tasks.values()]
+
+    accs = [{kind: [0.0] * k for kind in kinds} for _ in masks]
+    seconds = [0.0] * len(masks)
+    for (m, kind, folds), (fold_accs, s) in zip(units.values(), done):
+        for fold, acc in zip(folds, fold_accs):
+            accs[m][kind][fold] = acc
+        seconds[m] += s
+    return [({kind: EvalReport(mean_accuracy=float(np.mean(a)), fold_accuracies=tuple(a))
+              for kind, a in by_kind.items()}, s)
+            for by_kind, s in zip(accs, seconds)]
+
+
 def cross_val_accuracy(
     matrix: DocTermMatrix,
     mask,
@@ -396,37 +462,11 @@ def cross_val_accuracy(
     k: int = 5,
     seed: int = 0,
 ) -> EvalReport:
-    """Stratified k-fold accuracy of the classifier on the mask's columns.
-
-    NB trains its folds here, one after another. The fold trees of "dt" are
-    independent, so they are grown side by side (forked.side_by_side): the
-    even folds here, the odd ones in a forked child, each from one presort of
-    the masked matrix made before the fork. The accuracies are put back in
-    fold order, so the report is the same as when the folds run in turn.
-    """
-    if classifier not in ("nb", "dt"):
-        raise ClassifierError(f"unknown classifier: {classifier!r}")
-    cols = _mask_columns(mask)
-    fold_of = stratified_folds(matrix.labels, k, seed)
-    if classifier == "nb":
-        accs = _fold_accuracies(matrix, mask, fold_of, range(k), nb_train, nb_predict)
-    else:
-        # sorted before the fork, so both processes read it
-        train = functools.partial(dt_train, presorted=_presort(matrix.weights[:, cols]))
-        even, odd = range(0, k, 2), range(1, k, 2)
-
-        def grow(folds):
-            return _fold_accuracies(matrix, mask, fold_of, folds, train, dt_predict)
-
-        with side_by_side({"even-fold tree": lambda: grow(even),
-                           "odd-fold tree": lambda: grow(odd)},
-                          ClassifierError) as (grow_even, grow_odd):
-            by_fold = dict(zip(even, grow_even())) | dict(zip(odd, grow_odd()))
-        accs = [by_fold[fold] for fold in range(k)]
-    return EvalReport(
-        mean_accuracy=float(np.mean(accs)),
-        fold_accuracies=tuple(accs),
-    )
+    """Stratified k-fold accuracy of the classifier on the mask's columns: an
+    evaluation step of one mask (cross_val_accuracies), so the fold trees of
+    "dt" run from the two-process work queue."""
+    ((reports, _),) = cross_val_accuracies(matrix, [mask], (classifier,), k, seed)
+    return reports[classifier]
 
 
 # Twice the unit roundoff: the certification bound below is evaluated with it

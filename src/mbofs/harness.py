@@ -157,21 +157,31 @@ class RunReport:
             raise PipelineError("report", f"malformed report: {exc!r}") from exc
 
 
+def evaluate_masks(
+    matrix: DocTermMatrix, masks: list, classifier: str, k: int, seed: int
+) -> list[tuple[float, str, float]]:
+    """Each mask's accuracy under the named classifier, or the best of nb/dt
+    (tie -> nb), with the seconds its own cross-validations took. The masks are
+    one evaluation step: their fold trees and NB cross-validations run from one
+    work queue (classifiers.cross_val_accuracies)."""
+    kinds = ("nb", "dt") if classifier == "best" else (classifier,)
+    try:
+        step = classifiers.cross_val_accuracies(matrix, masks, kinds, k, seed)
+    except classifiers.ClassifierError as exc:
+        raise PipelineError("evaluate", str(exc)) from exc
+    out = []
+    for reports, seconds in step:
+        best = max(kinds, key=lambda kind: reports[kind].mean_accuracy)  # first on ties
+        out.append((reports[best].mean_accuracy, best, seconds))
+    return out
+
+
 def evaluate_mask(
     matrix: DocTermMatrix, mask: np.ndarray, classifier: str, k: int, seed: int
 ) -> tuple[float, str]:
     """Accuracy under the named classifier, or the best of nb/dt (tie -> nb)."""
-    try:
-        if classifier in ("nb", "dt"):
-            return (
-                classifiers.cross_val_accuracy(matrix, mask, classifier, k, seed).mean_accuracy,
-                classifier,
-            )
-        nb = classifiers.cross_val_accuracy(matrix, mask, "nb", k, seed).mean_accuracy
-        dt = classifiers.cross_val_accuracy(matrix, mask, "dt", k, seed).mean_accuracy
-    except classifiers.ClassifierError as exc:
-        raise PipelineError("evaluate", str(exc)) from exc
-    return (nb, "nb") if nb >= dt else (dt, "dt")
+    ((accuracy, best, _),) = evaluate_masks(matrix, [mask], classifier, k, seed)
+    return accuracy, best
 
 
 # ---------------------------------------------------------------------------
@@ -440,19 +450,13 @@ def run_experiment(
 
     methods: list[MethodResult] = []
 
-    t0 = time.monotonic()
-    raw_acc, raw_clf = evaluate_mask(
-        matrix, np.ones(matrix.n_features, dtype=bool), config.eval_classifier,
+    (raw_acc, raw_clf, raw_s), (ig_acc, ig_clf, ig_s) = evaluate_masks(
+        matrix, [np.ones(matrix.n_features, dtype=bool), ig_mask], config.eval_classifier,
         config.folds, config.seed,
     )
-    methods.append(MethodResult("raw", matrix.n_features, raw_acc, raw_clf,
-                                time.monotonic() - t0, "ok"))
-
-    t0 = time.monotonic()
-    ig_acc, ig_clf = evaluate_mask(matrix, ig_mask, config.eval_classifier,
-                                   config.folds, config.seed)
+    methods.append(MethodResult("raw", matrix.n_features, raw_acc, raw_clf, raw_s, "ok"))
     methods.append(MethodResult("ig", int(ig_mask.sum()), ig_acc, ig_clf,
-                                ig_scoring_s + time.monotonic() - t0, "ok"))
+                                ig_scoring_s + ig_s, "ok"))
     save_mask(out_dir / "mask_ig.txt", ig_mask)
     save_mask_sidecar(out_dir / "mask_ig_features.csv", ig_mask, terms, scores.gain)
 

@@ -92,12 +92,21 @@ class RngStream:
         return RngStream(self.master_seed, self.path + ((tag, index),))
 
     def generator(self) -> np.random.Generator:
-        """PCG64 seeded by SeedSequence([master_seed, crc32(tag), index, ...])."""
+        """PCG64 seeded by SeedSequence([master_seed, crc32(tag), index, ...]).
+
+        The entropy is handed over as the uint32 words numpy would make of
+        that list (each int's little-endian 32-bit words, 0 as one word 0), so
+        the pool is the same and numpy skips its per-int coercion."""
         entropy = [self.master_seed]
         for tag, index in self.path:
-            entropy.append(zlib.crc32(tag.encode()))
-            entropy.append(index)
-        return np.random.default_rng(np.random.SeedSequence(entropy))
+            entropy += (zlib.crc32(tag.encode()), index)
+        words = []
+        for n in entropy:
+            while n > 0xFFFFFFFF:
+                words.append(n & 0xFFFFFFFF)
+                n >>= 32
+            words.append(n)
+        return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from mbofs.classifiers import (
     _fold_root,
     _gini_best_split,
     _presort,
+    cross_val_accuracies,
     cross_val_accuracy,
     dt_predict,
     dt_train,
@@ -344,6 +345,29 @@ class TestPlantedTrees:
         assert cross_val_accuracy(matrix, ig, "dt", 5, 0).fold_accuracies == (
             0.38, 0.47, 0.43, 0.46, 0.36)
 
+    @pytest.fixture(scope="class")
+    def per_mask(self, planted):
+        """Each classifier's report on the raw and the IG mask, one mask at a time."""
+        matrix, _, ig = planted
+        masks = [np.ones(matrix.n_features, dtype=bool), ig]
+        return masks, [{kind: cross_val_accuracy(matrix, mask, kind, 5, 0)
+                        for kind in ("nb", "dt")} for mask in masks]
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "no-fork"])
+    @pytest.mark.parametrize("kinds", [("dt",), ("nb", "dt")], ids=["dt", "best"])
+    def test_step_equals_per_mask_cross_validation(self, planted, per_mask, kinds, fork,
+                                                   monkeypatch):
+        """The raw and IG masks evaluated in one step get the reports of their
+        own cross-validations, bit for bit; ("nb", "dt") is what
+        eval_classifier = best evaluates."""
+        matrix = planted[0]
+        masks, want = per_mask
+        if not fork:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        step = cross_val_accuracies(matrix, masks, kinds, 5, 0)
+        assert [reports for reports, _ in step] == [
+            {kind: reports[kind] for kind in kinds} for reports in want]
+
 
 class TestStratifiedFolds:
     def test_balanced_deal(self):
@@ -469,7 +493,9 @@ class TestFoldRoot:
 
 
 class TestForkedFolds:
-    """DT cross-validation grows its odd folds' trees in a forked child."""
+    """DT cross-validation's fold trees run from a two-process work queue: this
+    process starts on fold 0, a forked child on fold 1, and then each takes the
+    next fold neither has taken."""
 
     @pytest.fixture
     def planted(self):
@@ -488,21 +514,74 @@ class TestForkedFolds:
 
         monkeypatch.setattr(classifiers, "dt_train", patched)
 
-    def test_odd_fold_error_comes_back(self, planted, monkeypatch, tmp_path):
+    @staticmethod
+    def _ran(path):
+        """The (fold, pid) lines that both processes appended to path."""
+        lines = path.read_text(encoding="utf-8").split()
+        return [tuple(map(int, line.split(":"))) for line in lines]
+
+    def _record(self, monkeypatch, matrix, path, act=lambda fold: None):
+        def record(fold):
+            with path.open("a", encoding="utf-8") as fh:
+                fh.write(f"{fold}:{os.getpid()}\n")
+            act(fold)
+
+        self._by_fold(monkeypatch, matrix, record)
+
+    def test_every_fold_runs_once_in_fold_order(self, planted, monkeypatch, tmp_path):
+        matrix, mask = planted
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        serial = cross_val_accuracy(matrix, mask, "dt", 5, 0)
+        monkeypatch.undo()
+        ran = tmp_path / "ran"
+        self._record(monkeypatch, matrix, ran)
+        assert cross_val_accuracy(matrix, mask, "dt", 5, 0) == serial
+        ran = self._ran(ran)
+        assert sorted(fold for fold, _ in ran) == [0, 1, 2, 3, 4]
+        pids = dict(ran)
+        assert pids[0] == os.getpid() != pids[1]  # the child starts on fold 1
+        assert set(pids.values()) <= {pids[0], pids[1]}
+        assert multiprocessing.active_children() == []
+
+    def test_slow_child_leaves_the_rest_here(self, planted, monkeypatch, tmp_path):
+        matrix, mask = planted
+        parent, ran = os.getpid(), tmp_path / "ran"
+        self._record(monkeypatch, matrix, ran,
+                     lambda fold: os.getpid() != parent and time.sleep(1))
+        cross_val_accuracy(matrix, mask, "dt", 5, 0)
+        pids = dict(self._ran(ran))
+        assert [fold for fold in range(5) if pids[fold] == parent] == [0, 2, 3, 4]
+        assert multiprocessing.active_children() == []
+
+    def test_child_fold_error_comes_back(self, planted, monkeypatch, tmp_path):
         matrix, mask = planted
         pids = tmp_path / "pids"
 
         def act(fold):
-            if fold == 3:
+            if fold == 1:  # the child's first fold
                 pids.write_text(str(os.getpid()), encoding="utf-8")
-                raise ValueError("fold 3 failed")
+                raise ValueError("fold 1 failed")
 
         self._by_fold(monkeypatch, matrix, act)
         with pytest.raises(ValueError) as info:
             cross_val_accuracy(matrix, mask, "dt", 5, 0)
-        assert str(info.value) == "fold 3 failed"
-        assert "ValueError: fold 3 failed" in str(info.value.__cause__)  # the child's traceback
+        assert str(info.value) == "fold 1 failed"
+        assert "ValueError: fold 1 failed" in str(info.value.__cause__)  # the child's traceback
         assert int(pids.read_text(encoding="utf-8")) != os.getpid()
+        assert multiprocessing.active_children() == []
+
+    def test_dying_child_names_its_fold(self, planted, monkeypatch):
+        matrix, mask = planted
+        parent = os.getpid()
+
+        def act(fold):
+            if os.getpid() != parent:
+                os._exit(7)
+
+        self._by_fold(monkeypatch, matrix, act)
+        with pytest.raises(ClassifierError, match="^the mask 0 fold 1 tree process exited "
+                                                  "with code 7 and sent no result$"):
+            cross_val_accuracy(matrix, mask, "dt", 5, 0)
         assert multiprocessing.active_children() == []
 
     def test_parent_fold_error_leaves_no_child(self, planted, monkeypatch):
@@ -521,6 +600,20 @@ class TestForkedFolds:
         assert multiprocessing.active_children() == []
         assert time.monotonic() - started < 30  # the sleeping child was terminated
 
+    def test_step_seconds_are_each_masks_own(self, planted, monkeypatch):
+        matrix, mask = planted
+        narrow = np.arange(matrix.n_features) < 5
+        train = classifiers.dt_train
+
+        def slow_on_the_wide_mask(matrix, mask, rows, **kwargs):
+            if np.count_nonzero(mask) > 5:
+                time.sleep(0.1)
+            return train(matrix, mask, rows, **kwargs)
+
+        monkeypatch.setattr(classifiers, "dt_train", slow_on_the_wide_mask)
+        (_, wide_s), (_, narrow_s) = cross_val_accuracies(matrix, [mask, narrow], ("dt",), 5, 0)
+        assert wide_s >= 0.5 > narrow_s  # five 0.1 s trees, in whichever process
+
     def test_without_fork_folds_run_here_alike(self, planted, monkeypatch):
         matrix, mask = planted
         forked = cross_val_accuracy(matrix, mask, "dt", 5, 0)
@@ -528,7 +621,7 @@ class TestForkedFolds:
         ran = []
         self._by_fold(monkeypatch, matrix, lambda fold: ran.append((fold, os.getpid())))
         assert cross_val_accuracy(matrix, mask, "dt", 5, 0) == forked
-        assert ran == [(fold, os.getpid()) for fold in (0, 2, 4, 1, 3)]
+        assert ran == [(fold, os.getpid()) for fold in range(5)]
 
     @pytest.mark.parametrize("classifier", ["nb", "dt"])
     def test_empty_mask_fails_before_fork(self, planted, monkeypatch, classifier):

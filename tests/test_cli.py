@@ -203,7 +203,7 @@ def test_evaluate_forked_fold_tree_dies_without_result(config_file, tmp_path, ca
     parent, train = os.getpid(), classifiers.dt_train
 
     def dying(*args, **kwargs):
-        if os.getpid() != parent:  # an odd fold, in the forked child
+        if os.getpid() != parent:  # fold 1, the forked child's first tree
             os._exit(7)
         return train(*args, **kwargs)
 
@@ -211,7 +211,7 @@ def test_evaluate_forked_fold_tree_dies_without_result(config_file, tmp_path, ca
     assert main(["evaluate", "--mask", str(tmp_path / "run" / "mask_ig.txt"),
                  "--classifier", "dt", "--config", str(config_file)]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: [evaluate] the odd-fold tree process exited with code 7 and sent no result"]
+        "error: [evaluate] the mask 0 fold 1 tree process exited with code 7 and sent no result"]
     assert multiprocessing.active_children() == []
 
 

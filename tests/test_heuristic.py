@@ -96,6 +96,11 @@ class TestRngStream:
         want = np.random.default_rng(np.random.SeedSequence([9]))
         np.testing.assert_array_equal(RngStream(9).generator().integers(0, 1000, 20),
                                       want.integers(0, 1000, 20))
+        # ints of 2^32 and up: numpy splits each into its 32-bit words
+        stream = RngStream(2**32 + 5).child("iter", 2**33 + 1).child("particle", 2**64 + 3)
+        want = np.random.default_rng(np.random.SeedSequence(
+            [2**32 + 5, 2450729195, 2**33 + 1, 1445240801, 2**64 + 3]))
+        np.testing.assert_array_equal(stream.generator().random(50), want.random(50))
 
     def test_child_is_a_frozen_value(self):
         child = RngStream(5).child("tour", 2).child("step")
