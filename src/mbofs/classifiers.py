@@ -3,6 +3,9 @@
 Multinomial Naive Bayes over fractional TF-IDF weights plus a Gini decision
 tree, both operating on mask-restricted columns of a DocTermMatrix. All argmax
 ties break to the lowest class index so results are reproducible bit-for-bit.
+NbFoldKernel scores batches of masks for the search, and gives a mask an
+accuracy only where a rounding bound proves it equal to cross_val_accuracy's
+NB accuracy, which scores every other mask.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ class ClassifierError(Exception):
 
 
 # Additive (Laplace) smoothing of every NB likelihood. nb_train and
-# NbFoldKernel both read it, so the kernel and its oracle smooth alike.
+# NbFoldKernel both read it, so the batch and its reference smooth alike.
 ALPHA = 1.0
 
 
@@ -484,21 +487,19 @@ def _gamma(n):
 
 
 class NbFoldKernel:
-    """Stratified k-fold multinomial-NB accuracy on folds fixed up front.
+    """Stratified k-fold multinomial-NB accuracy of mask batches, on folds
+    fixed up front.
 
     Everything but the column choice is built once for all k folds. The
     training class mass over all M columns (nb_train's expression, with the
     fold's own rows as exact +0.0 terms) and its smoothed logs are (M, k*C)
-    tables whose column f*C + c holds fold f and class c. Every document sits
-    in one CSR matrix with column j of row i moved to j*k + fold(i), so its
-    product with the (M*k, C) view of the log-likelihoods scores each row with
-    its own fold's model, from the same nonzeros in the same order as that
-    fold's test rows times its (M, C) block. A mask then costs one column sum
-    over the selected rows of the mass, one masked subtract and one sparse
-    product. Unselected columns carry 0.0 log-likelihoods, so every score
-    sums the same terms in the same order as cross_val_accuracy(..., "nb"),
-    plus exact +0.0 terms: accuracies, argmax ties included, are
-    bit-identical to it.
+    tables whose column f*C + c holds fold f and class c; each document's
+    row of `row_priors` is its fold's log priors. On a mask's columns S,
+    fold f's block of log_mass[S] - log(mass[S].sum(axis=0) + ALPHA * |S|)
+    and `row_priors` are nb_train's log-likelihoods and log priors for fold
+    f, bit for bit, which accuracy_batch's certification takes as given (a
+    test pins it). The sparse tables accuracy_batch multiplies with a batch
+    of masks are built from these.
     """
 
     def __init__(self, matrix: DocTermMatrix, k: int = 5, seed: int = 0):
@@ -516,12 +517,10 @@ class NbFoldKernel:
         counts = onehot.sum(axis=0).reshape(k, n_classes)
         with np.errstate(divide="ignore"):
             self.row_priors = np.log(counts / counts.sum(axis=1, keepdims=True))[self.fold_of]
+        # each sum accuracy_batch needs is one product of these sparse tables
+        # with a batch's masks; then the bound's constants
         w = matrix.weights
         fold_of_nz = np.repeat(self.fold_of, np.diff(w.indptr))
-        self.rows = sp.csr_matrix((w.data, w.indices * k + fold_of_nz, w.indptr),
-                                  shape=(n, w.shape[1] * k))
-        # for accuracy_batch: each sum it needs is one product of these sparse
-        # tables with a batch's masks, and the bound's constants
         log_mass = self.log_mass.reshape(-1, k, n_classes)[w.indices, fold_of_nz]
         self.products = sp.vstack(  # row c*N + i: x_ij * log_mass[j, fold(i)*C + c]
             [sp.csr_matrix((w.data * log_mass[:, c], w.indices, w.indptr), shape=w.shape)
@@ -537,45 +536,36 @@ class NbFoldKernel:
         finite = np.isfinite(self.row_priors)
         self.prior_abs = np.where(finite, np.abs(self.row_priors), 0.0).max(axis=1)
 
-    def _scores(self, mask) -> np.ndarray:
-        """(N, C) NB scores of every document under its own fold's model."""
-        cols = _mask_columns(mask)
-        # numpy adds the (M', k*C) rows one after another, sequentially along M'
-        # as nb_train's (C, M') sum; summing along a contiguous M' axis would be
-        # pairwise and could differ in the last bit
-        totals = self.mass[cols].sum(axis=0) + ALPHA * len(cols)
-        log_likelihoods = self.log_mass - np.log(totals)
-        log_likelihoods[~np.asarray(mask, dtype=bool)] = 0.0
-        return self.rows @ log_likelihoods.reshape(-1, self.n_classes) + self.row_priors
-
     def _accuracies(self, predicted: np.ndarray) -> np.ndarray:
         """Per column of an (N, B) array of predicted classes, the mean over
         folds of the share of test rows whose class is predicted.
 
-        One bincount counts the hits of every (mask, fold) pair. Each mask's
-        shares are a row of a C-contiguous (B, k) array, which np.mean reduces
-        along the row as it reduces a 1-D array of k shares (pairwise from
-        k = 8 up), so each mean equals the one-mask expression
-        np.mean(np.bincount(fold_of, weights=hits) / n_test) bit for bit.
+        One bincount counts the hits of every (mask, fold) pair, and a
+        share, hits / n_test, is the mean of a fold's 0/1 hits as
+        cross_val_accuracy takes it. Each mask's shares are a row of a
+        C-contiguous (B, k) array, which np.mean reduces along the row as it
+        reduces a 1-D array of k shares (pairwise from k = 8 up), so each
+        mean equals cross_val_accuracy's mean of the k fold accuracies, and
+        the one-mask expression np.mean(np.bincount(fold_of, weights=hits) /
+        n_test), bit for bit.
         """
         k, batch = len(self.n_test), predicted.shape[1]
         cell = np.arange(0, batch * k, k) + self.fold_of[:, None]  # (N, B): mask b, fold f
         hits = np.bincount(cell[predicted == self.labels[:, None]], minlength=batch * k)
         return np.mean(hits.reshape(batch, k) / self.n_test, axis=1)
 
-    def mean_accuracy(self, mask) -> float:
-        predicted = np.argmax(self._scores(mask), axis=1)
-        return float(self._accuracies(predicted[:, None])[0])
-
     def accuracy_batch(self, masks) -> list[float | None]:
-        """mean_accuracy of each row of a (B, M) mask batch, or None where it
-        is not certified equal to it; mean_accuracy then must score that mask.
+        """cross_val_accuracy(matrix, mask, "nb", k, seed).mean_accuracy of
+        each row of a (B, M) mask batch, or None where it is not certified
+        equal to it; the caller must then score that mask by
+        cross_val_accuracy, the reference.
 
         Over a mask's columns S, row i (fold f) and class c, the NB score is
         s[i, c] = a[i, c] - x[i] * log(T) + prior[i, c], where a sums
         x_ij * log_mass[j, f*C + c], x sums x_ij and T = t + ALPHA * |S| is
-        the fold and class's mass t summed over S, smoothed. These are the
-        reals _scores computes, rounded in another order. Each sum is one
+        the fold and class's mass t summed over S, smoothed. By the premise
+        in the class docstring, these are the reals nb_predict computes with
+        nb_train's fold-f model, rounded in another order. Each sum is one
         scipy product of a sparse table from __init__ with the batch's
         (M, B) masks (`products`, `weights`, `mass_t`, and the magnitudes'
         `weights_abs` and `mass_t_abs`), which adds a row's stored entries
@@ -589,43 +579,44 @@ class NbFoldKernel:
         section 3.1). So:
         - Counts. A term of a is rounded once in its table entry and at most
           row_terms times in its row's sum, a term of x at most row_terms
-          times, and a term of t, like each of the kernel's |S| <= M class
-          masses, at most M times. `terms` = M + row_terms bounds each count.
+          times, and a term of t, like each of the reference's |S| <= M
+          class masses, at most M times. `terms` = M + row_terms bounds each
+          count.
         - T: both computations add ALPHA * |S| once more, so each is within
           e_T = gamma_{terms+1} * (t_abs + ALPHA * |S|) of T, and both are
           at least T_lo = T_batch - 2 * e_T. Where T_lo > 0, each computed
           log(T) is within delta = e_T / T_lo + _LOG_ULPS * 2u * lam of log T
           exact, with lam = |log T_batch| + 1 bounding each of their
           magnitudes when delta <= 1/4 (checked).
-        - Kernel: its log-likelihood subtracts once, its product adds at
-          most row_terms products, each rounded, and the prior adds once, so
-          |s_kernel - s*| <= E_kernel = gamma_{row_terms+3} * (X * (L + lam)
-          + P) + X * delta.
+        - Reference: nb_train's log-likelihood subtracts once, nb_predict's
+          product adds at most row_terms products (the row's selected
+          nonzeros), each rounded, and its prior adds once, so |s_ref - s*|
+          <= E_ref = gamma_{row_terms+3} * (X * (L + lam) + P) + X * delta.
         - Batch: after the sums the score multiplies, subtracts and adds
           once each: |s_batch - s*| <= E_batch = gamma_{terms+3} * (X * (L +
           lam) + P) + X * delta.
         Magnitudes are bounded with absolute values, so no sign is assumed;
         a T near zero, or any infinity or NaN, only fails the check. If the
-        batch's top score beats its second by more than 2 * (E_kernel +
-        E_batch), it beats every other class in the kernel's scores too,
-        with no tie, and the argmax is the kernel's. A class with a -inf
+        batch's top score beats its second by more than 2 * (E_ref +
+        E_batch), it beats every other class in the reference's scores too,
+        with no tie, and the argmax is the reference's. A class with a -inf
         prior scores -inf in both, so it cannot win; a row whose top two
         scores are not both finite fails.
 
         A row with no selected nonzero needs no margin. Every term of its
         sums is an entry times an exact 0.0, so its a and x are zeros, and
-        where log T is finite its batch scores are its priors exactly; the
-        kernel's row adds only entries times 0.0 log-likelihoods, so its
-        scores are its priors exactly too, and the two argmaxes are equal,
-        ties included. A log T that is not finite, or a table entry that is
-        not (0.0 times either is NaN), makes a score NaN, and a NaN anywhere
-        makes the row's top score NaN; so such a row needs only a finite top
-        score. A row has no selected nonzero exactly when its x_abs is 0.0:
-        a sum of non-negative terms with one positive term is positive,
-        stored 0.0 and -0.0 entries add exact zeros, and a NaN or infinite
-        entry makes x_abs NaN or infinite, not 0.0 (that row's scores are NaN
-        too). A mask is certified when every row is; its accuracy then uses
-        mean_accuracy's own expression.
+        where log T is finite its batch scores are its priors exactly. A log
+        T that is not finite, or a table entry that is not (0.0 times either
+        is NaN), makes a score NaN, and a NaN anywhere makes the row's top
+        score NaN; so such a row needs only a finite top score. Then log T
+        and the row's table entries are finite, so the reference multiplies
+        the row's stored 0.0s by finite log-likelihoods, its scores are its
+        priors exactly too, and the two argmaxes are equal, ties included. A row has no selected nonzero
+        exactly when its x_abs is 0.0: a sum of non-negative terms with one
+        positive term is positive, stored 0.0 and -0.0 entries add exact
+        zeros, and a NaN or infinite entry makes x_abs NaN or infinite, not
+        0.0 (that row's scores are NaN too). A mask is certified when every
+        row is; its accuracy then equals the reference's (_accuracies).
         """
         masks = np.asarray(masks, dtype=bool)
         batch = len(masks)

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# cross_val_accuracy is unused here, but perfbench/layers.py wraps it by name
-# as heuristic.cross_val_accuracy.
 from .classifiers import NbFoldKernel, cross_val_accuracy
 from .corpus import DocTermMatrix
 
@@ -149,31 +147,29 @@ class FitnessFn:
 
     Fold seed is fixed for the whole run so every mask is scored on identical
     folds; values are memoized on the mask's packed bits. Empty masks score 0.0
-    so engine selection logic stays total. Masks are scored by an NbFoldKernel
-    built once here, which gives the same values as cross_val_accuracy.
+    so engine selection logic stays total. Every value is
+    cross_val_accuracy(matrix, mask, "nb", k, seed).mean_accuracy: batch
+    computes it, and a call sends a mask the memo lacks through batch.
     """
 
     def __init__(self, matrix: DocTermMatrix, k: int = 5, seed: int = 0):
         self._memo: dict[bytes, float] = {}
         self.evaluations = 0  # distinct CV runs, for trace/diagnostics
+        self._matrix, self._k, self._seed = matrix, k, seed
         self._nb = NbFoldKernel(matrix, k, seed)
 
     def __call__(self, mask: FeatureMask) -> float:
         if 1 not in mask.bits:
             return 0.0
         key = _key(mask)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        value = self._nb.mean_accuracy(mask.to_array())
-        self.evaluations += 1
-        self._memo[key] = value
-        return value
+        if key not in self._memo:
+            self.batch([mask])
+        return self._memo[key]
 
     def batch(self, masks) -> list[float]:
         """`[self(mask) for mask in masks]`, after the non-empty masks the memo
         lacks are scored into it, once each: together by
-        NbFoldKernel.accuracy_batch, and by mean_accuracy where that
+        NbFoldKernel.accuracy_batch, and by cross_val_accuracy where that
         certifies no value."""
         todo: dict[bytes, bytes] = {}  # packed key -> mask bits
         nonempty = [mask.bits for mask in masks if 1 in mask.bits]
@@ -186,7 +182,10 @@ class FitnessFn:
         if todo:
             rows = np.frombuffer(b"".join(todo.values()), dtype=bool).reshape(len(todo), -1)
             for key, row, value in zip(todo, rows, self._nb.accuracy_batch(rows)):
-                self._memo[key] = self._nb.mean_accuracy(row) if value is None else value
+                if value is None:
+                    value = cross_val_accuracy(self._matrix, row, "nb", self._k,
+                                               self._seed).mean_accuracy
+                self._memo[key] = value
                 self.evaluations += 1
         return [self(mask) for mask in masks]
 
@@ -211,18 +210,22 @@ def last_gain(records, start: float) -> int:
     return last
 
 
-def run_search(snapshot, step, stop, budget_seconds: float, on_step=None) -> SearchTrace:
-    """Advance an engine's live snapshot until its stop rule or the budget ends it.
+def run_search(resume, init, step, stop, budget_seconds: float, on_step=None):
+    """Advance an engine's live snapshot until its stop rule or the budget
+    ends it; return the snapshot and the trace.
 
+    The clock starts before the snapshot is taken: `resume`, or `init()`
+    when that is None, so a fresh search's time covers its initialization.
     The snapshot's `records` are its only record of progress: one per step
-    taken, each with the elapsed milliseconds at its end. The clock resumes
-    from the last record's, or from 0 when there is none. Each round checks
-    `stop(snapshot)` (a termination reason or None) before the budget, then
-    runs `step(snapshot, clock)`, one tour or iteration in place, with
-    `clock()` giving the elapsed seconds, and hands the snapshot to `on_step`.
+    taken, each with the elapsed milliseconds at its end; a resume's clock
+    goes on from its last record's. Each round checks `stop(snapshot)` (a
+    termination reason or None) before the budget, then runs `step(snapshot,
+    clock)`, one tour or iteration in place, with `clock()` giving the
+    elapsed seconds, and hands the snapshot to `on_step`.
     """
-    records = snapshot.records
     start = time.monotonic()
+    snapshot = init() if resume is None else resume
+    records = snapshot.records
     already = records[-1].elapsed_ms / 1000.0 if records else 0.0
     clock = lambda: already + (time.monotonic() - start)
     while (reason := stop(snapshot)) is None:
@@ -232,4 +235,4 @@ def run_search(snapshot, step, stop, budget_seconds: float, on_step=None) -> Sea
         step(snapshot, clock)
         if on_step is not None:
             on_step(snapshot)
-    return SearchTrace(records, reason, clock())
+    return snapshot, SearchTrace(records, reason, clock())

@@ -181,11 +181,10 @@ def mbo_select(
     rng = RngStream(config.seed)
     m_prime = input_mask.popcount
 
-    snap = resume
-    if snap is None:
+    def init() -> MboSnapshot:
         f0 = fitness(input_mask)
         flock = initialize_flock(input_mask, config, rng.child("flock"), fitness)
-        snap = MboSnapshot(flock=flock, b_max=input_mask, f_max=f0, records=[])
+        return MboSnapshot(flock=flock, b_max=input_mask, f_max=f0, records=[])
 
     def tour(snap: MboSnapshot, clock):
         done = len(snap.records)  # tours already flown
@@ -201,5 +200,5 @@ def mbo_select(
         snap.flock = reorder(flock)
         snap.records.append(TourRecord(change, snap.f_max, clock() * 1000.0))
 
-    trace = run_search(snap, tour, _stop_rule, config.budget_seconds, on_step)
+    snap, trace = run_search(resume, init, tour, _stop_rule, config.budget_seconds, on_step)
     return snap.b_max, trace

@@ -123,11 +123,10 @@ def pso_select(
         return input_mask, SearchTrace([], "single-feature", 0.0)
     rng = RngStream(config.seed)
 
-    snap = resume
-    if snap is None:
+    def init() -> PsoSnapshot:
         particles = _init_swarm(input_mask, config, rng.child("swarm"), fitness)
         best = max(range(len(particles)), key=lambda i: (particles[i].pbest_fitness, -i))
-        snap = PsoSnapshot(
+        return PsoSnapshot(
             particles=particles,
             gbest_mask=particles[best].pbest_mask,
             gbest_fitness=particles[best].pbest_fitness,
@@ -169,5 +168,5 @@ def pso_select(
         snap.records.append(IterationRecord(snap.gbest_fitness, clock() * 1000.0))
 
     stop = lambda s: "max-iterations" if len(s.records) >= config.max_iterations else None
-    trace = run_search(snap, iteration, stop, config.budget_seconds, on_step)
+    snap, trace = run_search(resume, init, iteration, stop, config.budget_seconds, on_step)
     return snap.gbest_mask, trace

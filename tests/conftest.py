@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+
+from mbofs.heuristic import FitnessFn
 
 
 def write_demo_tsv(path, n_per_class=20, n_classes=3, seed=0):
@@ -17,6 +21,18 @@ def write_demo_tsv(path, n_per_class=20, n_classes=3, seed=0):
             lines.append(f"class{c}\t" + " ".join(words))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+class SlowFirstBatch(FitnessFn):
+    """FitnessFn whose first batch sleeps 0.2 s first."""
+
+    slept = False
+
+    def batch(self, masks):
+        if not self.slept:
+            self.slept = True
+            time.sleep(0.2)
+        return super().batch(masks)
 
 
 @pytest.fixture

@@ -6,8 +6,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from mbofs.classifiers import NbFoldKernel, cross_val_accuracy, nb_train, stratified_folds
+from mbofs import heuristic
+from mbofs.classifiers import ALPHA, NbFoldKernel, cross_val_accuracy, nb_train, stratified_folds
 from mbofs.corpus import DocTermMatrix
+from mbofs.filter_ig import ig_filter
 from mbofs.heuristic import (
     ChangeSchedule,
     FeatureMask,
@@ -249,29 +251,52 @@ def nb_problems(draw, signed=False):
     return matrix, k, draw(st.integers(0, 1000)), mask
 
 
+def _oracle(matrix, mask, k, seed) -> float:
+    """The reference NB accuracy of a mask, which FitnessFn must give."""
+    return cross_val_accuracy(matrix, mask, "nb", k, seed).mean_accuracy
+
+
+def _oracle_scores(matrix, mask, k, seed) -> np.ndarray:
+    """(N, C) scores of every row under its own fold's nb_train model, as
+    nb_predict computes them before its argmax."""
+    fold_of = stratified_folds(matrix.labels, k, seed)
+    scores = np.empty((matrix.n_docs, matrix.n_classes))
+    for fold in range(k):
+        model = nb_train(matrix, mask, np.flatnonzero(fold_of != fold))
+        test = matrix.weights[np.flatnonzero(fold_of == fold)]
+        scores[fold_of == fold] = (test[:, model.feature_indices] @ model.log_likelihoods.T
+                                   + model.log_priors)
+    return scores
+
+
 class TestNbKernelOracle:
-    """FitnessFn's NB kernel against cross_val_accuracy, compared with ==."""
+    """FitnessFn and NbFoldKernel's tables against the reference NB, compared with ==."""
 
     @settings(max_examples=300, deadline=None)
-    @given(nb_problems())
+    @given(st.booleans().flatmap(lambda signed: nb_problems(signed=signed)))
+    @np.errstate(divide="ignore", invalid="ignore")  # signed weights: log of a negative mass
     def test_matches_cross_val_accuracy(self, problem):
         matrix, k, seed, mask = problem
         got = FitnessFn(matrix, k=k, seed=seed)(FeatureMask.from_array(mask))
-        assert got == cross_val_accuracy(matrix, mask, "nb", k, seed).mean_accuracy
+        assert got == _oracle(matrix, mask, k, seed)
 
     @settings(max_examples=300, deadline=None)
-    @given(nb_problems())
-    def test_scores_bit_identical(self, problem):
-        # accuracies hide last-bit drift in the scores; the search needs none
+    @given(st.booleans().flatmap(lambda signed: nb_problems(signed=signed)))
+    @np.errstate(divide="ignore", invalid="ignore")
+    def test_fold_blocks_are_the_reference_models(self, problem):
+        # the premise of accuracy_batch's certification: each fold's block of
+        # the kernel's tables is nb_train's model of that fold, bit for bit
         matrix, k, seed, mask = problem
-        fold_of = stratified_folds(matrix.labels, k, seed)
-        scores = NbFoldKernel(matrix, k, seed)._scores(mask)
+        kernel = NbFoldKernel(matrix, k, seed)
+        cols, c = np.flatnonzero(mask), matrix.n_classes
+        log_likelihoods = (kernel.log_mass[cols]
+                           - np.log(kernel.mass[cols].sum(axis=0) + ALPHA * len(cols)))
         for fold in range(k):
-            got = scores[fold_of == fold]
-            model = nb_train(matrix, mask, np.flatnonzero(fold_of != fold))
-            test = matrix.weights[np.flatnonzero(fold_of == fold)]
-            want = test[:, model.feature_indices] @ model.log_likelihoods.T + model.log_priors
-            np.testing.assert_array_equal(got, np.asarray(want))
+            model = nb_train(matrix, mask, np.flatnonzero(kernel.fold_of != fold))
+            np.testing.assert_array_equal(model.log_likelihoods,
+                                          log_likelihoods[:, fold * c:(fold + 1) * c].T)
+            priors = kernel.row_priors[kernel.fold_of == fold]
+            np.testing.assert_array_equal(np.broadcast_to(model.log_priors, priors.shape), priors)
 
     def test_duplicated_rows_of_different_classes_tie(self):
         # every row is the same document, in two equal classes: every score ties
@@ -279,7 +304,7 @@ class TestNbKernelOracle:
         m = DocTermMatrix(weights=sp.csr_matrix(x), labels=np.arange(12) % 2)
         mask = np.array([True, True, False, True])
         got = FitnessFn(m, k=3, seed=1)(FeatureMask.from_array(mask))
-        assert got == cross_val_accuracy(m, mask, "nb", 3, 1).mean_accuracy
+        assert got == _oracle(m, mask, 3, 1)
         assert got == 0.5  # ties go to class 0
 
 
@@ -292,7 +317,7 @@ def _flipped(mask: FeatureMask, rng, most: int) -> FeatureMask:
 
 
 class TestFitnessBatch:
-    """FitnessFn.batch against NbFoldKernel.mean_accuracy and against calls."""
+    """FitnessFn.batch against the reference NB accuracy and against calls."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.booleans().flatmap(lambda signed: nb_problems(signed=signed)),
@@ -307,6 +332,13 @@ class TestFitnessBatch:
         kernel = NbFoldKernel(matrix, k, fold_seed)
         fit = FitnessFn(matrix, k=k, seed=fold_seed)
         calls = FitnessFn(matrix, k=k, seed=fold_seed)
+        oracle = {}  # mask bits -> the reference's value, computed once per distinct mask
+
+        def want(m: FeatureMask) -> float:
+            if m.bits not in oracle:
+                oracle[m.bits] = _oracle(matrix, m.to_array(), k, fold_seed) if m.popcount else 0.0
+            return oracle[m.bits]
+
         parents = [FeatureMask.from_array(mask)]
         for _ in range(8):
             masks = [FeatureMask.from_array(rng.random(matrix.n_features) < density)
@@ -314,11 +346,10 @@ class TestFitnessBatch:
             masks += [_flipped(p, rng, 3) for p in parents for _ in range(2)]
             masks += [masks[0], masks[-1], parents[0]]
             bits = np.array([m.to_array() for m in masks])
-            for row, value in zip(bits, kernel.accuracy_batch(bits)):
-                assert value is None or (row.any() and value == kernel.mean_accuracy(row))
+            for m, value in zip(masks, kernel.accuracy_batch(bits)):
+                assert value is None or (m.popcount and value == want(m))
             for m, got in zip(masks, fit.batch(masks)):
-                want = kernel.mean_accuracy(m.to_array()) if m.popcount else 0.0
-                assert got == want == calls(m)
+                assert got == want(m) == calls(m)
             assert fit.evaluations == calls.evaluations
             scored = [m for m in masks if m.popcount] or parents
             parents = [scored[i] for i in
@@ -341,7 +372,7 @@ class TestFitnessBatch:
         assert batched.evaluations == calls.evaluations == 1 + len(scored)
         assert batched._memo == calls._memo
 
-    def test_exact_ties_fall_back_to_the_kernel(self):
+    def test_exact_ties_fall_back_to_the_oracle(self):
         # the tied matrix of TestNbKernelOracle: no margin is certified
         x = np.tile([[0.5, 0.0, 2.0, 1.0]], (12, 1))
         m = DocTermMatrix(weights=sp.csr_matrix(x), labels=np.arange(12) % 2)
@@ -350,7 +381,28 @@ class TestFitnessBatch:
         assert kernel.accuracy_batch(child[None]) == [None]
         assert kernel.accuracy_batch(np.ones((2, 4), dtype=bool)) == [None, None]
         fit = FitnessFn(m, k=3, seed=1)
-        assert fit.batch([FeatureMask.from_array(child)]) == [0.5]
+        assert fit.batch([FeatureMask.from_array(child)]) == [0.5] == [_oracle(m, child, 3, 1)]
+
+    def test_uncertified_masks_are_scored_by_the_oracle(self, monkeypatch):
+        # with no mask certified, FitnessFn.batch scores every one by
+        # cross_val_accuracy: the values, evaluations and memo of the
+        # certified run, on the search's IG-reduced planted matrix
+        planted, _ = make_planted_matrix(500, 4, 2000, 50, seed=0)
+        matrix = planted.restrict_columns(np.flatnonzero(ig_filter(planted, cap=500)))
+        rng = RngStream(0)
+        ones = FeatureMask.ones(500)
+        masks = [generate_neighbor(ones, change, rng.child("mask", i))
+                 for i, change in enumerate([1, 1, 5, 5, 10, 10, 100, 490])]
+        masks += [masks[2], ones, masks[0]]
+        certified = FitnessFn(matrix, seed=0)
+        values = certified.batch(masks)
+        assert None not in certified._nb.accuracy_batch(np.array([m.to_array() for m in masks]))
+        monkeypatch.setattr(NbFoldKernel, "accuracy_batch", lambda self, rows: [None] * len(rows))
+        fallback = FitnessFn(matrix, seed=0)
+        assert fallback.batch(masks) == values == [_oracle(matrix, m.to_array(), 5, 0)
+                                                   for m in masks]
+        assert fallback.evaluations == certified.evaluations == 9
+        assert fallback._memo == certified._memo
 
 
 def _gamma(n: int) -> float:
@@ -378,9 +430,10 @@ class TestAccuracyBatch:
         assert lost.any(axis=0).sum() >= 20
         values = kernel.accuracy_batch(chain)
         assert None not in values
-        assert values == [kernel.mean_accuracy(c) for c in chain]
+        assert values == [_oracle(m, c, 5, 0) for c in chain]
         fit = FitnessFn(m, k=5, seed=0)
-        monkeypatch.setattr(fit._nb, "mean_accuracy", lambda bits: pytest.fail("kernel called"))
+        monkeypatch.setattr(heuristic, "cross_val_accuracy",
+                            lambda *args: pytest.fail("fallback called"))
         assert fit.batch([FeatureMask.from_array(c) for c in chain]) == values
 
     @np.errstate(invalid="ignore")  # the log of a negative mass, on purpose
@@ -396,7 +449,7 @@ class TestAccuracyBatch:
         m = DocTermMatrix(weights=sp.csr_matrix(x), labels=labels)
         kernel = NbFoldKernel(m, 2, 0)
         mask = np.array([True, False])
-        assert kernel.mean_accuracy(mask) == 0.6
+        assert _oracle(m, mask, 2, 0) == 0.6
         assert kernel.accuracy_batch(mask[None]) == [None]
         assert FitnessFn(m, k=2, seed=0).batch([FeatureMask.from_array(mask)]) == [0.6]
 
@@ -405,7 +458,7 @@ class TestAccuracyBatch:
         # class 1, two folds: both computations score every row exactly by its
         # fold's priors, log 0.6 and log 0.4, for any w. So the mask is
         # certified exactly where that margin beats the docstring's bound,
-        # 2 * (E_kernel + E_batch), which grows with w; here terms = M +
+        # 2 * (E_ref + E_batch), which grows with w; here terms = M +
         # row_terms = 2, X = w and |S| = 1.
         labels = np.array([0] * 6 + [1] * 4)
         margin = np.log(0.6) - np.log(0.4)
@@ -455,8 +508,8 @@ class TestAccuracyBatch:
         assert in_turn_differs == (k >= 8)
         masks = rng.random((6, 30)) < 0.5
         for mask, value in zip(masks, kernel.accuracy_batch(masks)):
-            want = one_mask(np.argmax(kernel._scores(mask), axis=1))
-            assert kernel.mean_accuracy(mask) == want
+            want = one_mask(np.argmax(_oracle_scores(m, mask, k, k), axis=1))
+            assert _oracle(m, mask, k, k) == want
             assert value in (None, want)
 
     def test_rows_without_nonzeros_are_found_by_their_magnitudes(self):
@@ -474,34 +527,36 @@ class TestAccuracyBatch:
         w = sp.csr_matrix((np.concatenate(row_data), np.concatenate(row_cols), indptr),
                           shape=(20, 4))
         assert w.nnz == 34 and np.signbit(w.data[1]) and w.data[6] == 5e-324
-        unsigned = NbFoldKernel(DocTermMatrix(weights=w, labels=labels), 2, 0)
+        unsigned_m = DocTermMatrix(weights=w, labels=labels)
+        unsigned = NbFoldKernel(unsigned_m, 2, 0)
         assert unsigned.weights_abs is None
         assert np.all(unsigned.row_priors == unsigned.row_priors[0, 0])
         # Signed: every row is (0.25, -0.25, 1.0), so each fold's classes have
         # equal masses and priors and every row's scores tie; columns 0 and 1
         # cancel, so their x is 0.0 while x_abs is 0.5.
-        signed = NbFoldKernel(DocTermMatrix(weights=sp.csr_matrix(np.tile([0.25, -0.25, 1.0],
-                                                                          (8, 1))),
-                                            labels=np.arange(8) % 2), 2, 0)
+        signed_m = DocTermMatrix(weights=sp.csr_matrix(np.tile([0.25, -0.25, 1.0], (8, 1))),
+                                 labels=np.arange(8) % 2)
+        signed = NbFoldKernel(signed_m, 2, 0)
         cancel = np.array([True, True, False])
         assert signed.weights_abs is not None
         assert np.all((signed.weights @ cancel.astype(float)) == 0.0)
-        for kernel in (unsigned, signed):
-            universe = kernel.weights.shape[1]
+        for matrix, kernel in ((unsigned_m, unsigned), (signed_m, signed)):
+            universe = matrix.n_features
             masks = np.array([[bool(b >> j & 1) for j in range(universe)]
                               for b in range(1, 2**universe)])
             for mask, value in zip(masks, kernel.accuracy_batch(masks)):
-                assert value in (None, kernel.mean_accuracy(mask))
+                assert value in (None, _oracle(matrix, mask, 2, 0))
         # rows 0-5 select only stored zeros and tie in every score, yet need
         # no margin; the subnormal rows' sums are not 0.0, so they need one
         stored_zeros_only = np.isin(np.arange(4), [0, 2, 3])
-        scores = unsigned._scores(stored_zeros_only)
+        scores = _oracle_scores(unsigned_m, stored_zeros_only, 2, 0)
         assert np.all(scores[:6] == scores[:6, :1])
         assert unsigned.accuracy_batch(stored_zeros_only[None]) == [
-            unsigned.mean_accuracy(stored_zeros_only)]
+            _oracle(unsigned_m, stored_zeros_only, 2, 0)]
         assert unsigned.accuracy_batch(np.array([[False, True, False, False]])) == [None]
         # the cancelling rows have nonzeros: their tied scores certify nothing
-        assert np.all(signed._scores(cancel) == signed._scores(cancel)[:1, :1])
+        scores = _oracle_scores(signed_m, cancel, 2, 0)
+        assert np.all(scores == scores[:1, :1])
         assert signed.accuracy_batch(cancel[None]) == [None]
 
 

@@ -15,6 +15,7 @@ from mbofs.mbo import (
     reorder,
 )
 from mbofs.synth import make_planted_matrix
+from tests.conftest import SlowFirstBatch
 
 
 class DensityFitness:
@@ -167,6 +168,14 @@ class TestMboSelect:
         assert [(r.change, r.f_max) for r in t1.records] == [
             (r.change, r.f_max) for r in t2.records
         ]
+
+    def test_elapsed_time_covers_initialization(self, small_matrix):
+        # the first batch (initialization's) outlasts the whole budget
+        fit = SlowFirstBatch(small_matrix, seed=0)
+        _, trace = mbo_select(FeatureMask.ones(60), MboConfig(seed=0, budget_seconds=0.1),
+                                  fitness=fit)
+        assert trace.elapsed_seconds >= 0.2
+        assert (trace.termination, trace.records) == ("budget", [])
 
     def test_empty_input_rejected(self, small_matrix):
         with pytest.raises(HeuristicError):

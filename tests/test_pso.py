@@ -24,6 +24,7 @@ from mbofs.pso import (
     sigmoid,
 )
 from mbofs.synth import make_planted_matrix
+from tests.conftest import SlowFirstBatch
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +105,14 @@ class TestPsoSelect:
         _, trace = pso_select(FeatureMask.ones(60), cfg, fitness=fit)
         assert trace.termination == "budget"
         assert trace.records == []
+
+    def test_elapsed_time_covers_initialization(self, small_matrix):
+        # the first batch (initialization's) outlasts the whole budget
+        fit = SlowFirstBatch(small_matrix, seed=0)
+        _, trace = pso_select(FeatureMask.ones(60), PsoConfig(seed=0, budget_seconds=0.1),
+                                  fitness=fit)
+        assert trace.elapsed_seconds >= 0.2
+        assert (trace.termination, trace.records) == ("budget", [])
 
     def test_empty_input_rejected(self, small_matrix):
         with pytest.raises(HeuristicError):
