@@ -3,9 +3,10 @@
 Multinomial Naive Bayes over fractional TF-IDF weights plus a Gini decision
 tree, both operating on mask-restricted columns of a DocTermMatrix. All argmax
 ties break to the lowest class index so results are reproducible bit-for-bit.
-NbFoldKernel scores batches of masks for the search, and gives a mask an
-accuracy only where a rounding bound proves it equal to cross_val_accuracy's
-NB accuracy, which scores every other mask.
+NbFoldKernel scores batches of masks for the search; its accuracies equal
+cross_val_accuracy's NB accuracies bit for bit, because nb_train and
+nb_predict, the reference, round in the same order. NB takes non-negative
+finite weights only; the tree takes any finite weights.
 """
 
 from __future__ import annotations
@@ -34,8 +35,14 @@ ALPHA = 1.0
 @dataclass(frozen=True)
 class NbModel:
     log_priors: np.ndarray  # (C,)
-    log_likelihoods: np.ndarray  # (C, M') over the selected features
+    log_mass: np.ndarray  # (C, M'): log(W(t,c) + ALPHA) over the selected features
+    log_total: np.ndarray  # (C,): log(W(.,c) + ALPHA*M'), W(.,c) summed left to right
     feature_indices: np.ndarray  # columns of the training matrix the model uses
+
+    @property
+    def log_likelihoods(self) -> np.ndarray:
+        """(C, M') log P(t|c)."""
+        return self.log_mass - self.log_total[:, None]
 
 
 @dataclass(frozen=True)
@@ -66,31 +73,42 @@ def _mask_columns(mask) -> np.ndarray:
     return cols
 
 
+def _check_nb_weights(weights) -> None:
+    """Multinomial NB is defined on non-negative finite weights only; -0.0
+    and subnormal weights are fine. (np.min and np.max return NaN if any
+    weight is NaN.)"""
+    data = weights.data
+    if not (data.min(initial=0.0) >= 0.0 and data.max(initial=0.0) < np.inf):
+        bad = data[~((data >= 0.0) & (data < np.inf))][0]
+        raise ClassifierError(
+            f"naive Bayes needs non-negative finite weights, and the matrix stores {bad}")
+
+
 def nb_train(matrix: DocTermMatrix, mask, row_subset) -> NbModel:
-    """P(t|c) = (W(t,c)+ALPHA) / (W(.,c)+ALPHA*M') with W summing TF-IDF weight."""
+    """P(t|c) = (W(t,c)+ALPHA) / (W(.,c)+ALPHA*M') with W summing TF-IDF weight.
+
+    W(t,c) adds the subset's weights one row after another, in ascending
+    row order, over all columns at once; W(.,c) adds the selected columns'
+    W(t,c) left to right. A matrix with a negative or non-finite weight
+    raises ClassifierError.
+    """
     cols = _mask_columns(mask)
     rows = np.asarray(row_subset, dtype=np.int64)
     if len(rows) == 0:
         raise ClassifierError("empty row subset")
+    _check_nb_weights(matrix.weights)
     n_classes = matrix.n_classes
-    sub = matrix.weights[rows][:, cols]
     labels = matrix.labels[rows]
-
-    onehot = np.zeros((len(rows), n_classes))
-    onehot[np.arange(len(rows)), labels] = 1.0
-    class_weight = onehot.T @ sub  # (C, M') summed TF-IDF mass
-    class_weight = np.asarray(class_weight)
-
-    m_prime = len(cols)
-    totals = class_weight.sum(axis=1, keepdims=True) + ALPHA * m_prime
-    log_likelihoods = np.log(class_weight + ALPHA) - np.log(totals)
-
+    onehot = np.zeros((matrix.n_docs, n_classes))
+    np.add.at(onehot, (rows, labels), 1.0)
+    mass = (matrix.weights.T @ onehot)[cols].T  # (C, M') summed TF-IDF mass
     counts = np.bincount(labels, minlength=n_classes).astype(float)
     with np.errstate(divide="ignore"):
         log_priors = np.log(counts / len(rows))
     return NbModel(
         log_priors=log_priors,
-        log_likelihoods=log_likelihoods,
+        log_mass=np.log(mass + ALPHA),
+        log_total=np.log(np.cumsum(mass, axis=1)[:, -1] + ALPHA * len(cols)),
         feature_indices=cols,
     )
 
@@ -98,8 +116,32 @@ def nb_train(matrix: DocTermMatrix, mask, row_subset) -> NbModel:
 def nb_predict(model: NbModel, rows) -> np.ndarray:
     """The class of each of the rows (dense or sparse, rows x the training
     matrix's columns); argmax takes the lowest class on ties."""
-    sel = rows[:, model.feature_indices]
-    return np.argmax(np.asarray(sel @ model.log_likelihoods.T + model.log_priors), axis=1)
+    return np.argmax(_nb_scores(model, rows), axis=0)
+
+
+def _nb_scores(model: NbModel, rows) -> np.ndarray:
+    """(C, rows) scores a - x*log_total + log_prior, rounded in that order.
+
+    The rows' selected stored entries are picked through a column-position
+    table, and each product x_ij*log_mass is rounded before it is added. A
+    row's a adds its products and its x adds its x_ij, one entry after
+    another in stored order: a product with a 0/1 CSR whose row i picks row
+    i's entries. This is NbFoldKernel.accuracy_batch's arithmetic.
+    """
+    x = sp.csr_matrix(rows)
+    position = np.full(x.shape[1], -1)
+    position[model.feature_indices] = np.arange(len(model.feature_indices))
+    picked = position.take(x.indices)
+    entries = np.flatnonzero(picked >= 0)
+    weight = x.data[entries]
+    terms = model.log_mass.take(picked[entries], axis=1) * weight  # (C, entries)
+    member = sp.csr_matrix(
+        (np.ones(len(entries)), np.arange(len(entries)), np.searchsorted(entries, x.indptr)),
+        shape=(x.shape[0], len(entries)))
+    scores = model.log_total[:, None] * (member @ weight)
+    np.subtract([member @ t for t in terms], scores, out=scores)
+    scores += model.log_priors[:, None]
+    return scores
 
 
 # Cap on the cuts one split-search chunk scores at once, which keeps the
@@ -472,20 +514,6 @@ def cross_val_accuracy(
     return reports[classifier]
 
 
-# Twice the unit roundoff: the certification bound below is evaluated with it
-# in place of u, which covers the rounding of the bound's own magnitudes and
-# arithmetic.
-_EPS = np.finfo(float).eps
-# np.log is taken to be within this many ulps of the exact logarithm.
-_LOG_ULPS = 4
-
-
-def _gamma(n):
-    """Higham's gamma_n = n*u / (1 - n*u), evaluated with u = eps."""
-    nu = np.asarray(n, dtype=float) * _EPS
-    return nu / (1.0 - nu)
-
-
 class NbFoldKernel:
     """Stratified k-fold multinomial-NB accuracy of mask batches, on folds
     fixed up front.
@@ -494,15 +522,20 @@ class NbFoldKernel:
     training class mass over all M columns (nb_train's expression, with the
     fold's own rows as exact +0.0 terms) and its smoothed logs are (M, k*C)
     tables whose column f*C + c holds fold f and class c; each document's
-    row of `row_priors` is its fold's log priors. On a mask's columns S,
-    fold f's block of log_mass[S] - log(mass[S].sum(axis=0) + ALPHA * |S|)
-    and `row_priors` are nb_train's log-likelihoods and log priors for fold
-    f, bit for bit, which accuracy_batch's certification takes as given (a
-    test pins it). The sparse tables accuracy_batch multiplies with a batch
-    of masks are built from these.
+    row of `row_priors` is its fold's log priors. accuracy_batch equals
+    cross_val_accuracy's NB accuracy bit for bit, on three premises:
+    - on a mask's columns, fold f's block of `log_mass`, the log of its
+      `mass_t` sum plus ALPHA*|S|, and `row_priors` are nb_train's fold-f
+      model (a test pins it);
+    - scipy's sparse products add a row's stored entries one after another,
+      as _nb_scores does;
+    - an unselected entry adds an exact zero, its finite table entry times
+      0.0, so the kernel refuses weights that are negative or not finite,
+      or so large that a table entry overflows.
     """
 
     def __init__(self, matrix: DocTermMatrix, k: int = 5, seed: int = 0):
+        _check_nb_weights(matrix.weights)
         n, n_classes = matrix.n_docs, matrix.n_classes
         self.fold_of = stratified_folds(matrix.labels, k, seed)
         self.labels = matrix.labels
@@ -512,29 +545,25 @@ class NbFoldKernel:
         onehot[np.arange(n), :, matrix.labels] = 1.0
         onehot[np.arange(n), self.fold_of, :] = 0.0
         onehot = onehot.reshape(n, k * n_classes)
-        self.mass = np.ascontiguousarray(np.asarray(onehot.T @ matrix.weights).T)
-        self.log_mass = np.log(self.mass + ALPHA)
+        mass = np.ascontiguousarray(np.asarray(onehot.T @ matrix.weights).T)
+        self.log_mass = np.log(mass + ALPHA)
         counts = onehot.sum(axis=0).reshape(k, n_classes)
         with np.errstate(divide="ignore"):
             self.row_priors = np.log(counts / counts.sum(axis=1, keepdims=True))[self.fold_of]
         # each sum accuracy_batch needs is one product of these sparse tables
-        # with a batch's masks; then the bound's constants
+        # with a batch's masks
         w = matrix.weights
         fold_of_nz = np.repeat(self.fold_of, np.diff(w.indptr))
         log_mass = self.log_mass.reshape(-1, k, n_classes)[w.indices, fold_of_nz]
-        self.products = sp.vstack(  # row c*N + i: x_ij * log_mass[j, fold(i)*C + c]
-            [sp.csr_matrix((w.data * log_mass[:, c], w.indices, w.indptr), shape=w.shape)
-             for c in range(n_classes)], format="csr")
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            self.products = sp.vstack(  # row c*N + i: x_ij * log_mass[j, fold(i)*C + c]
+                [sp.csr_matrix((w.data * log_mass[:, c], w.indices, w.indptr), shape=w.shape)
+                 for c in range(n_classes)], format="csr")
+        if not (np.isfinite(mass).all() and np.isfinite(self.products.data).all()):
+            raise ClassifierError("naive Bayes weights too large: a class's summed "
+                                  "weight, or a weight times its log, overflows")
         self.weights = w
-        self.mass_t = sp.csr_matrix(self.mass.T)
-        # the magnitudes' tables; None where no entry is negative, as the sums serve
-        self.weights_abs = abs(w) if w.data.min(initial=0.0) < 0 else None
-        self.mass_t_abs = abs(self.mass_t) if self.mass_t.data.min(initial=0.0) < 0 else None
-        self.row_terms = int(np.diff(w.indptr).max(initial=0))
-        self.terms = w.shape[1] + self.row_terms
-        self.log_mass_max = float(np.abs(self.log_mass).max(initial=0.0))
-        finite = np.isfinite(self.row_priors)
-        self.prior_abs = np.where(finite, np.abs(self.row_priors), 0.0).max(axis=1)
+        self.mass_t = sp.csr_matrix(mass.T)
 
     def _accuracies(self, predicted: np.ndarray) -> np.ndarray:
         """Per column of an (N, B) array of predicted classes, the mean over
@@ -554,115 +583,34 @@ class NbFoldKernel:
         hits = np.bincount(cell[predicted == self.labels[:, None]], minlength=batch * k)
         return np.mean(hits.reshape(batch, k) / self.n_test, axis=1)
 
-    def accuracy_batch(self, masks) -> list[float | None]:
+    def accuracy_batch(self, masks) -> list[float]:
         """cross_val_accuracy(matrix, mask, "nb", k, seed).mean_accuracy of
-        each row of a (B, M) mask batch, or None where it is not certified
-        equal to it; the caller must then score that mask by
-        cross_val_accuracy, the reference.
+        each row of a (B, M) mask batch, bit for bit.
 
         Over a mask's columns S, row i (fold f) and class c, the NB score is
-        s[i, c] = a[i, c] - x[i] * log(T) + prior[i, c], where a sums
-        x_ij * log_mass[j, f*C + c], x sums x_ij and T = t + ALPHA * |S| is
-        the fold and class's mass t summed over S, smoothed. By the premise
-        in the class docstring, these are the reals nb_predict computes with
-        nb_train's fold-f model, rounded in another order. Each sum is one
-        scipy product of a sparse table from __init__ with the batch's
-        (M, B) masks (`products`, `weights`, `mass_t`, and the magnitudes'
-        `weights_abs` and `mass_t_abs`), which adds a row's stored entries
-        one after another, each times an exact 1.0 or 0.0; no BLAS call runs.
-
-        Certification. Write u for the unit roundoff, gamma_n = n*u/(1-n*u),
-        L = max |log_mass|, X = x_abs[i], P = max |finite prior[i, c]|, and
-        let s* be the exact score with the exact log of the exact T. A sum
-        whose terms each go through at most n roundings, in any order, is
-        within gamma_n * (sum of |terms|) of the exact sum (Higham 2002,
-        section 3.1). So:
-        - Counts. A term of a is rounded once in its table entry and at most
-          row_terms times in its row's sum, a term of x at most row_terms
-          times, and a term of t, like each of the reference's |S| <= M
-          class masses, at most M times. `terms` = M + row_terms bounds each
-          count.
-        - T: both computations add ALPHA * |S| once more, so each is within
-          e_T = gamma_{terms+1} * (t_abs + ALPHA * |S|) of T, and both are
-          at least T_lo = T_batch - 2 * e_T. Where T_lo > 0, each computed
-          log(T) is within delta = e_T / T_lo + _LOG_ULPS * 2u * lam of log T
-          exact, with lam = |log T_batch| + 1 bounding each of their
-          magnitudes when delta <= 1/4 (checked).
-        - Reference: nb_train's log-likelihood subtracts once, nb_predict's
-          product adds at most row_terms products (the row's selected
-          nonzeros), each rounded, and its prior adds once, so |s_ref - s*|
-          <= E_ref = gamma_{row_terms+3} * (X * (L + lam) + P) + X * delta.
-        - Batch: after the sums the score multiplies, subtracts and adds
-          once each: |s_batch - s*| <= E_batch = gamma_{terms+3} * (X * (L +
-          lam) + P) + X * delta.
-        Magnitudes are bounded with absolute values, so no sign is assumed;
-        a T near zero, or any infinity or NaN, only fails the check. If the
-        batch's top score beats its second by more than 2 * (E_ref +
-        E_batch), it beats every other class in the reference's scores too,
-        with no tie, and the argmax is the reference's. A class with a -inf
-        prior scores -inf in both, so it cannot win; a row whose top two
-        scores are not both finite fails.
-
-        A row with no selected nonzero needs no margin. Every term of its
-        sums is an entry times an exact 0.0, so its a and x are zeros, and
-        where log T is finite its batch scores are its priors exactly. A log
-        T that is not finite, or a table entry that is not (0.0 times either
-        is NaN), makes a score NaN, and a NaN anywhere makes the row's top
-        score NaN; so such a row needs only a finite top score. Then log T
-        and the row's table entries are finite, so the reference multiplies
-        the row's stored 0.0s by finite log-likelihoods, its scores are its
-        priors exactly too, and the two argmaxes are equal, ties included. A row has no selected nonzero
-        exactly when its x_abs is 0.0: a sum of non-negative terms with one
-        positive term is positive, stored 0.0 and -0.0 entries add exact
-        zeros, and a NaN or infinite entry makes x_abs NaN or infinite, not
-        0.0 (that row's scores are NaN too). A mask is certified when every
-        row is; its accuracy then equals the reference's (_accuracies).
+        a[i, c] - x[i] * log(T) + prior[i, c], rounded in that order, where
+        a sums x_ij * log_mass[j, f*C + c], x sums x_ij and T is the fold and
+        class's mass summed over S, plus ALPHA * |S|: _nb_scores's arithmetic
+        with nb_train's fold-f model. Each sum is one scipy product of a
+        sparse table from __init__ (`products`, `weights`, `mass_t`) with
+        the batch's (M, B) masks, which adds a row's stored entries one
+        after another, each times an exact 1.0 or 0.0; no BLAS call runs.
+        np.argmax takes the lowest class on ties, as nb_predict does.
         """
         masks = np.asarray(masks, dtype=bool)
         batch = len(masks)
         if not batch:
             return []
+        if not masks.any(axis=1).all():
+            raise ClassifierError("empty feature mask")
         k, n_classes, n = len(self.n_test), self.n_classes, len(self.labels)
         # every array below has the batch as its last axis; the (C, N, B)
-        # scores, gathered through fold_of, are laid out row by row, so a
-        # class's (N, B) slice of them is strided
+        # scores, gathered through fold_of, are laid out row by row
         chosen = np.ascontiguousarray(masks.T).astype(float)  # (M, B)
         a = (self.products @ chosen).reshape(n_classes, n, batch)
-        x = self.weights @ chosen  # (N, B)
-        x_abs = x if self.weights_abs is None else self.weights_abs @ chosen
-        t = self.mass_t @ chosen  # (k*C, B)
-        t_abs = t if self.mass_t_abs is None else self.mass_t_abs @ chosen
-        no_nonzero = x_abs == 0.0  # (N, B)
-        size = masks.sum(axis=1).astype(float)
-
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            total = t + ALPHA * size
-            log_t = np.log(total)
-            # a - x * log T + prior, rounded in that order, in one (C, N, B) buffer
-            scores = log_t.reshape(k, n_classes, batch).swapaxes(0, 1)[:, self.fold_of]
-            scores *= x
-            np.subtract(a, scores, out=scores)
-            scores += self.row_priors.T[:, :, None]
-            # top is NaN where any class is; predicted is argmax's first top class
-            top = np.maximum.reduce(scores)
-            predicted = np.zeros((n, batch), dtype=np.intp)
-            for c in range(n_classes - 1, -1, -1):
-                predicted[scores[c] == top] = c
-            np.put_along_axis(scores, predicted[None], -np.inf, axis=0)
-            second = np.maximum.reduce(scores)
-            # the bound, per mask and fold, then per row
-            e_t = _gamma(self.terms + 1) * (t_abs + ALPHA * size)
-            t_lo = total - 2.0 * e_t
-            lam = np.abs(log_t) + 1.0
-            delta = e_t / t_lo + 2.0 * _LOG_ULPS * _EPS * lam
-            fold_ok = ((t_lo > 0.0) & (delta <= 0.25)).reshape(k, n_classes, batch).all(axis=1)
-            lam = lam.reshape(k, n_classes, batch).max(axis=1)[self.fold_of]
-            delta = delta.reshape(k, n_classes, batch).max(axis=1)[self.fold_of]
-            magnitude = x_abs * (self.log_mass_max + lam) + self.prior_abs[:, None]
-            gammas = _gamma(self.row_terms + 3) + _gamma(self.terms + 3)
-            bound = 2.0 * (gammas * magnitude + 2.0 * x_abs * delta)
-            margin_ok = (fold_ok[self.fold_of] & np.isfinite(second)
-                         & (top - second > bound))
-            certified = (np.isfinite(top) & (no_nonzero | margin_ok)).all(axis=0)
-        accuracies = self._accuracies(predicted).tolist()
-        return [value if ok else None for value, ok in zip(accuracies, certified)]
+        log_t = np.log(self.mass_t @ chosen + ALPHA * masks.sum(axis=1))  # (k*C, B)
+        scores = log_t.reshape(k, n_classes, batch).swapaxes(0, 1)[:, self.fold_of]
+        scores *= self.weights @ chosen  # x, (N, B)
+        np.subtract(a, scores, out=scores)
+        scores += self.row_priors.T[:, :, None]
+        return self._accuracies(np.argmax(scores, axis=0)).tolist()

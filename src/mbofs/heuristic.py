@@ -10,7 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import NbFoldKernel, cross_val_accuracy
+# cross_val_accuracy is not called here; the benchmark's tracer
+# (perfbench/layers.py) wraps heuristic.cross_val_accuracy by name
+from .classifiers import NbFoldKernel, cross_val_accuracy  # noqa: F401
 from .corpus import DocTermMatrix
 
 
@@ -148,14 +150,15 @@ class FitnessFn:
     Fold seed is fixed for the whole run so every mask is scored on identical
     folds; values are memoized on the mask's packed bits. Empty masks score 0.0
     so engine selection logic stays total. Every value is
-    cross_val_accuracy(matrix, mask, "nb", k, seed).mean_accuracy: batch
-    computes it, and a call sends a mask the memo lacks through batch.
+    cross_val_accuracy(matrix, mask, "nb", k, seed).mean_accuracy, bit for
+    bit: batch scores masks by NbFoldKernel.accuracy_batch, and a call sends a
+    mask the memo lacks through batch. A matrix with a negative or non-finite
+    weight raises ClassifierError.
     """
 
     def __init__(self, matrix: DocTermMatrix, k: int = 5, seed: int = 0):
         self._memo: dict[bytes, float] = {}
-        self.evaluations = 0  # distinct CV runs, for trace/diagnostics
-        self._matrix, self._k, self._seed = matrix, k, seed
+        self.evaluations = 0  # masks scored (memo misses), for trace/diagnostics
         self._nb = NbFoldKernel(matrix, k, seed)
 
     def __call__(self, mask: FeatureMask) -> float:
@@ -168,9 +171,8 @@ class FitnessFn:
 
     def batch(self, masks) -> list[float]:
         """`[self(mask) for mask in masks]`, after the non-empty masks the memo
-        lacks are scored into it, once each: together by
-        NbFoldKernel.accuracy_batch, and by cross_val_accuracy where that
-        certifies no value."""
+        lacks are scored into it, once each, together by
+        NbFoldKernel.accuracy_batch."""
         todo: dict[bytes, bytes] = {}  # packed key -> mask bits
         nonempty = [mask.bits for mask in masks if 1 in mask.bits]
         if nonempty:
@@ -181,12 +183,8 @@ class FitnessFn:
                     todo.setdefault(key, bits)
         if todo:
             rows = np.frombuffer(b"".join(todo.values()), dtype=bool).reshape(len(todo), -1)
-            for key, row, value in zip(todo, rows, self._nb.accuracy_batch(rows)):
-                if value is None:
-                    value = cross_val_accuracy(self._matrix, row, "nb", self._k,
-                                               self._seed).mean_accuracy
-                self._memo[key] = value
-                self.evaluations += 1
+            self._memo.update(zip(todo, self._nb.accuracy_batch(rows)))
+            self.evaluations += len(todo)
         return [self(mask) for mask in masks]
 
 

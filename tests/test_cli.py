@@ -165,6 +165,26 @@ def _one_error_line(capsys, prefix):
     assert len(err) == 1 and err[0].startswith(prefix), err
 
 
+def test_select_signed_weights_one_error_line(config_file, tmp_path, capsys, monkeypatch):
+    # no loader makes a negative weight, so one is put into the loaded matrix
+    load = harness.load_input
+
+    def signed(config):
+        matrix, terms, stats = load(config)
+        matrix.weights.data[0] = -1.0
+        return matrix, terms, stats
+
+    monkeypatch.setattr(harness, "load_input", signed)
+    for engine in ("mbo_select", "pso_select"):
+        monkeypatch.setattr(harness, engine, lambda *args, **kw: pytest.fail("search ran"))
+    with config_file.open("a", encoding="utf-8") as fh:
+        fh.write("eval_classifier = nb\n")
+    assert main(["select", "--method", "all", "--config", str(config_file)]) == 2
+    _one_error_line(capsys, "error: [evaluate] naive Bayes needs non-negative finite "
+                            "weights, and the matrix stores -1.0")
+    assert not (tmp_path / "run" / "mask_ig.txt").exists()
+
+
 def test_evaluate_bad_mask_universe(config_file, tmp_path, capsys):
     mask = tmp_path / "mask.txt"
     mask.write_text("M=abc\n0101\n")

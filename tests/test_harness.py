@@ -389,6 +389,20 @@ class TestRunExperiment:
         with pytest.raises(PipelineError, match=r"\[load\]"):
             run_experiment(cfg)
 
+    def test_signed_weights_stop_before_any_search_step(self, tmp_path, monkeypatch):
+        # naive Bayes refuses a negative weight: the raw evaluation fails with
+        # one line, before any engine runs or any mask is written
+        matrix, _ = make_planted_matrix(n_docs=80, n_features=60, n_informative=10, seed=3)
+        matrix.weights.data[7] = -0.5
+        for engine in ("mbo_select", "pso_select"):
+            monkeypatch.setattr(harness, engine, lambda *args, **kw: pytest.fail("search ran"))
+        cfg = ExperimentConfig(ig_cap=30, eval_classifier="nb", out_dir=str(tmp_path / "run"))
+        with pytest.raises(PipelineError) as err:
+            run_experiment(cfg, matrix=matrix)
+        assert str(err.value) == ("[evaluate] naive Bayes needs non-negative finite weights, "
+                                  "and the matrix stores -0.5")
+        assert not list((tmp_path / "run").iterdir())
+
 
 def _trace_lines(run, engine):
     return len((run / f"trace_{engine}.txt").read_text(encoding="utf-8").splitlines())
