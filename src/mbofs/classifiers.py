@@ -325,27 +325,6 @@ def _split(node: _Entries, feature: int, threshold: float, n_rows: int):
     return _take(node, left_of, n_rows), _take(node, ~left_of, n_rows)
 
 
-def _fold_root(presorted: _Entries, rows: np.ndarray) -> _Entries:
-    """_presort(x[rows]) for ascending rows, filtered from presorted = _presort(x).
-
-    Filtering keeps the entries' order, and renumbering the rows by their
-    place in `rows` (the marker row last) keeps it ascending, so the arrays
-    equal those of the sub-matrix's own sort.
-    """
-    n = len(presorted.rows)
-    inside = np.zeros(n + 1, dtype=bool)
-    inside[rows] = True
-    node = _take(presorted, inside, n)
-    renumber = np.full(n + 1, len(rows))
-    renumber[rows] = np.arange(len(rows))
-    return _Entries(renumber[node.rows], renumber[node.row], node.col, node.value)
-
-
-def _dt_build(x, y: np.ndarray, n_classes: int, max_depth: int, min_split: int) -> DtNode:
-    """The Gini tree on x (dense or sparse, rows x columns) and its labels y."""
-    return _grow(_presort(x), np.asarray(y), n_classes, 0, max_depth, min_split)
-
-
 def _grow(node: _Entries, y: np.ndarray, n_classes: int, depth: int,
           max_depth: int, min_split: int) -> DtNode:
     counts = np.bincount(y[node.rows], minlength=n_classes)
@@ -369,20 +348,23 @@ def dt_train(
     matrix: DocTermMatrix, mask, row_subset, max_depth: int = 20, min_split: int = 2,
     presorted: _Entries | None = None,
 ) -> DtModel:
-    """The Gini tree on the mask's columns of the row subset. `presorted`, when
-    given, is _presort of the mask's columns over all of matrix's rows, and
-    the row subset must be ascending: the tree's root is then filtered from
-    it instead of sorted again."""
+    """The Gini tree on the mask's columns of the row subset, a set of rows
+    in any order. `presorted` is _presort of the mask's columns over all of
+    matrix's rows, made here when not given. The tree's root is filtered from
+    it, as a child is filtered from its node, and keeps the matrix's own row
+    numbers: the fold's own sort, its rows relabelled in the same order, so
+    the tree is the same node for node."""
     cols = _mask_columns(mask)
     rows = np.asarray(row_subset, dtype=np.int64)
     if len(rows) == 0:
         raise ClassifierError("empty row subset")
-    y = matrix.labels[rows]
     if presorted is None:
-        root = _dt_build(matrix.weights[rows][:, cols], y, matrix.n_classes, max_depth, min_split)
-    else:
-        root = _grow(_fold_root(presorted, rows), y, matrix.n_classes, 0, max_depth, min_split)
-    return DtModel(root=root, feature_indices=cols)
+        presorted = _presort(matrix.weights[:, cols])
+    inside = np.zeros(matrix.n_docs + 1, dtype=bool)
+    inside[rows] = True
+    root = _take(presorted, inside, matrix.n_docs)
+    return DtModel(root=_grow(root, matrix.labels, matrix.n_classes, 0, max_depth, min_split),
+                   feature_indices=cols)
 
 
 def dt_predict(model: DtModel, rows) -> np.ndarray:
@@ -423,18 +405,6 @@ def stratified_folds(labels, k: int, seed: int) -> np.ndarray:
     return fold_of
 
 
-def _fold_accuracies(matrix: DocTermMatrix, mask, fold_of: np.ndarray, folds,
-                     train, predict) -> list[float]:
-    """The test accuracy of each of the folds, each trained on the other folds' rows."""
-    accs = []
-    for fold in folds:
-        model = train(matrix, mask, np.flatnonzero(fold_of != fold))
-        test = np.flatnonzero(fold_of == fold)
-        pred = predict(model, matrix.weights[test])
-        accs.append(float(np.mean(pred == matrix.labels[test])))
-    return accs
-
-
 def cross_val_accuracies(
     matrix: DocTermMatrix,
     masks: list,
@@ -445,43 +415,47 @@ def cross_val_accuracies(
     """Stratified k-fold accuracy of each named classifier ("nb", "dt") on the
     columns of each of the masks, with the seconds spent on each mask.
 
-    One evaluation step. Its units are independent: the k fold trees of each
-    mask, the widest mask's first, then one NB cross-validation per mask.
-    With trees among them, the units run from one two-process work queue
-    (forked.side_by_side), largest first, so whichever process is free takes
-    the next. A process presorts a mask's columns over all rows the first
-    time one of its trees needs them, and grows the mask's other trees from
-    that presort. An NB cross-validation takes milliseconds, so without trees
-    the units run here in turn, with no fork. Each mask's seconds are the
-    durations of its own units summed, whichever process ran them. The
-    accuracies are put back in fold order, so every report is the same as
-    when the folds run one after another.
+    One evaluation step. Its units are independent, each one fold of one
+    mask under one classifier: the fold trees, the widest mask's first, then
+    the NB folds. With trees among them, each mask's columns are presorted
+    over all rows here, once, and the units run from one two-process work
+    queue (forked.side_by_side), largest first, so whichever process is free
+    takes the next; the forked child reads the presorts it was forked with.
+    An NB fold takes about a millisecond, so without trees the units run
+    here in turn, with no fork. Each mask's seconds are its presort's and
+    the durations of its own units summed, whichever process ran them. Every
+    report is the same as when the folds run one after another.
     """
     for kind in kinds:
         if kind not in ("nb", "dt"):
             raise ClassifierError(f"unknown classifier: {kind!r}")
     cols = [_mask_columns(mask) for mask in masks]
     fold_of = stratified_folds(matrix.labels, k, seed)
-    presorted = {}  # mask index -> presort of its columns, made in each process on first use
+    seconds = [0.0] * len(masks)
+    presorted = {}  # mask index -> presort of its columns over all rows
+    if "dt" in kinds:
+        for m in range(len(masks)):
+            t0 = time.monotonic()
+            presorted[m] = _presort(matrix.weights[:, cols[m]])
+            seconds[m] += time.monotonic() - t0
 
-    def unit(m: int, kind: str, folds) -> tuple[list[float], float]:
+    def unit(m: int, kind: str, fold: int) -> tuple[float, float]:
         t0 = time.monotonic()
+        train, test = np.flatnonzero(fold_of != fold), np.flatnonzero(fold_of == fold)
         if kind == "nb":
-            train, predict = nb_train, nb_predict
+            model, predict = nb_train(matrix, masks[m], train), nb_predict
         else:
-            if m not in presorted:
-                presorted[m] = _presort(matrix.weights[:, cols[m]])
-            train, predict = functools.partial(dt_train, presorted=presorted[m]), dt_predict
-        accs = _fold_accuracies(matrix, masks[m], fold_of, folds, train, predict)
-        return accs, time.monotonic() - t0
+            model, predict = dt_train(matrix, masks[m], train, presorted=presorted[m]), dt_predict
+        acc = float(np.mean(predict(model, matrix.weights[test]) == matrix.labels[test]))
+        return acc, time.monotonic() - t0
 
-    units = {}  # name -> (mask index, classifier, folds)
+    units = {}  # name -> (mask index, classifier, fold)
     if "dt" in kinds:
         for m in sorted(range(len(masks)), key=lambda m: -len(cols[m])):
-            units |= {f"mask {m} fold {fold} tree": (m, "dt", [fold]) for fold in range(k)}
+            units |= {f"mask {m} fold {fold} tree": (m, "dt", fold) for fold in range(k)}
     if "nb" in kinds:
-        units |= {f"mask {m} nb cross-validation": (m, "nb", range(k))
-                  for m in range(len(masks))}
+        units |= {f"mask {m} fold {fold} nb": (m, "nb", fold)
+                  for m in range(len(masks)) for fold in range(k)}
     tasks = {name: functools.partial(unit, *spec) for name, spec in units.items()}
     if "dt" in kinds:
         with side_by_side(tasks, ClassifierError) as results:
@@ -490,10 +464,8 @@ def cross_val_accuracies(
         done = [task() for task in tasks.values()]
 
     accs = [{kind: [0.0] * k for kind in kinds} for _ in masks]
-    seconds = [0.0] * len(masks)
-    for (m, kind, folds), (fold_accs, s) in zip(units.values(), done):
-        for fold, acc in zip(folds, fold_accs):
-            accs[m][kind][fold] = acc
+    for (m, kind, fold), (acc, s) in zip(units.values(), done):
+        accs[m][kind][fold] = acc
         seconds[m] += s
     return [({kind: EvalReport(mean_accuracy=float(np.mean(a)), fold_accuracies=tuple(a))
               for kind, a in by_kind.items()}, s)

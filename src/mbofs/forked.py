@@ -1,8 +1,7 @@
 """Independent tasks run from one two-process work queue.
 
-The `method = all` searches (harness) and the fold trees and NB
-cross-validations of an evaluation step (classifiers) all run through
-`side_by_side`.
+The `method = all` searches (harness) and the fold trees and NB folds of
+an evaluation step (classifiers) all run through `side_by_side`.
 """
 
 from __future__ import annotations

@@ -162,8 +162,8 @@ def evaluate_masks(
 ) -> list[tuple[float, str, float]]:
     """Each mask's accuracy under the named classifier, or the best of nb/dt
     (tie -> nb), with the seconds its own cross-validations took. The masks are
-    one evaluation step: their fold trees and NB cross-validations run from one
-    work queue (classifiers.cross_val_accuracies)."""
+    one evaluation step: their fold trees and NB folds run from one work
+    queue (classifiers.cross_val_accuracies)."""
     kinds = ("nb", "dt") if classifier == "best" else (classifier,)
     try:
         step = classifiers.cross_val_accuracies(matrix, masks, kinds, k, seed)
@@ -447,6 +447,17 @@ def run_experiment(
         if set(_lengths(resume)) - {len(ig_columns)}:
             raise CheckpointError(f"malformed {resume_method} checkpoint: masks and "
                                   f"velocities must have {len(ig_columns)} entries")
+
+    # NB reads every column when it evaluates, and the IG columns when only a
+    # search scores with it: a weight it refuses stops the run before any output
+    nb_stage = ("evaluate" if config.eval_classifier in ("nb", "best")
+                else "search" if config.method != "ig" else None)
+    if nb_stage:
+        try:
+            classifiers._check_nb_weights(
+                matrix.weights if nb_stage == "evaluate" else matrix.weights[:, ig_columns])
+        except classifiers.ClassifierError as exc:
+            raise PipelineError(nb_stage, str(exc)) from exc
 
     methods: list[MethodResult] = []
 

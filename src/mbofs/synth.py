@@ -12,6 +12,12 @@ import scipy.sparse as sp
 
 from .corpus import DocTermMatrix
 
+# The chance that a document holds a planted feature of its own class
+# (SIGNAL_P) or of another class (CROSS_P), and that it holds a noise feature.
+SIGNAL_P = 0.25
+CROSS_P = 0.08
+NOISE_P = 0.08
+
 
 def make_planted_matrix(
     n_docs: int = 500,
@@ -19,9 +25,6 @@ def make_planted_matrix(
     n_features: int = 2000,
     n_informative: int = 50,
     seed: int = 0,
-    signal_p: float = 0.25,
-    cross_p: float = 0.08,
-    noise_p: float = 0.08,
 ) -> tuple[DocTermMatrix, np.ndarray]:
     """Balanced labeled matrix plus the planted (informative) feature indices."""
     rng = np.random.default_rng(seed)
@@ -29,11 +32,11 @@ def make_planted_matrix(
     planted = np.sort(rng.choice(n_features, size=n_informative, replace=False))
     class_of_feature = np.arange(n_informative) % n_classes
 
-    probs = np.full((n_docs, n_features), noise_p)
+    probs = np.full((n_docs, n_features), NOISE_P)
     for j, feat in enumerate(planted):
         same = labels == class_of_feature[j]
-        probs[same, feat] = signal_p
-        probs[~same, feat] = cross_p
+        probs[same, feat] = SIGNAL_P
+        probs[~same, feat] = CROSS_P
 
     present = rng.random((n_docs, n_features)) < probs
     weights = np.where(present, rng.uniform(0.2, 1.0, size=present.shape), 0.0)

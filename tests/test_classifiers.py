@@ -18,10 +18,10 @@ from mbofs.classifiers import (
     DtNode,
     _best_split,
     _class_sum,
-    _dt_build,
-    _fold_root,
     _gini_best_split,
+    _grow,
     _presort,
+    _take,
     cross_val_accuracies,
     cross_val_accuracy,
     dt_predict,
@@ -131,6 +131,12 @@ class TestDecisionTree:
             model = dt_train(m, [True] * 3, rows, max_depth=depth)
             accs.append(np.mean(dt_predict(model, x[rows]) == y))
         assert all(a <= b + 1e-12 for a, b in zip(accs, accs[1:]))
+
+
+def _dt_build(x, y, n_classes, max_depth, min_split):
+    """The Gini tree on x (dense or sparse, rows x columns) and its labels y,
+    grown from x's own presort."""
+    return _grow(_presort(x), np.asarray(y), n_classes, 0, max_depth, min_split)
 
 
 def _reference_split(x, y, n_classes):
@@ -474,22 +480,48 @@ class TestFoldRoot:
     @settings(max_examples=150, deadline=None)
     @given(presort_problems())
     def test_equals_presort_of_the_rows(self, problem):
+        """The root dt_train filters from the presort of all rows is the
+        sub-matrix's own sort, array for array, once its rows are numbered
+        by their place in the subset: a monotone relabelling, under which the
+        marker row stays last."""
         csr, _, rows = problem
-        got, want = _fold_root(_presort(csr), rows), _presort(csr[rows])
+        n = csr.shape[0]
+        inside = np.zeros(n + 1, dtype=bool)
+        inside[rows] = True
+        got, want = _take(_presort(csr), inside, n), _presort(csr[rows])
+        place = np.full(n + 1, len(rows))
+        place[rows] = np.arange(len(rows))
+        got = got._replace(rows=place[got.rows], row=place[got.row])
         for name, a, b in zip(want._fields, got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @staticmethod
+    def _problem(problem, seed):
+        csr, x, rows = problem
+        labels = np.random.default_rng(seed).integers(0, 3, x.shape[0])
+        mask = np.random.default_rng(seed).random(x.shape[1]) < 0.7
+        mask[1] = True
+        return DocTermMatrix(weights=csr, labels=labels), mask, rows
 
     @settings(max_examples=50, deadline=None)
     @given(presort_problems(), st.integers(0, 2**32 - 1))
     def test_dt_train_from_shared_presort(self, problem, seed):
-        csr, x, rows = problem
-        labels = np.random.default_rng(seed).integers(0, 3, x.shape[0])
-        matrix = DocTermMatrix(weights=csr, labels=labels)
-        mask = np.random.default_rng(seed).random(x.shape[1]) < 0.7
-        mask[1] = True
-        presorted = _presort(csr[:, np.flatnonzero(mask)])
+        """The tree grown from the presort of all rows equals the tree grown
+        on the fold's own sub-matrix."""
+        matrix, mask, rows = self._problem(problem, seed)
+        cols = np.flatnonzero(mask)
+        presorted = _presort(matrix.weights[:, cols])
         shared = dt_train(matrix, mask, rows, presorted=presorted)
-        assert shared.root == dt_train(matrix, mask, rows).root
+        own = _grow(_presort(matrix.weights[rows][:, cols]), matrix.labels[rows],
+                    matrix.n_classes, 0, 20, 2)
+        assert shared.root == own
+
+    @settings(max_examples=50, deadline=None)
+    @given(presort_problems(), st.integers(0, 2**32 - 1))
+    def test_row_subset_in_any_order(self, problem, seed):
+        matrix, mask, rows = self._problem(problem, seed)
+        permuted = np.random.default_rng(seed).permutation(rows)
+        assert dt_train(matrix, mask, permuted).root == dt_train(matrix, mask, rows).root
 
 
 class TestForkedFolds:

@@ -32,6 +32,7 @@ from mbofs.harness import (
 )
 from mbofs import harness
 from mbofs.corpus import CorpusStats
+from mbofs.filter_ig import cap_mask, ig_scores
 from mbofs.heuristic import FeatureMask, FitnessFn
 from mbofs.mbo import MboConfig, mbo_select
 from mbofs.pso import PsoConfig, pso_select
@@ -402,6 +403,39 @@ class TestRunExperiment:
         assert str(err.value) == ("[evaluate] naive Bayes needs non-negative finite weights, "
                                   "and the matrix stores -0.5")
         assert not list((tmp_path / "run").iterdir())
+
+    @staticmethod
+    def _signed_in_an_ig_column(cap):
+        """A planted matrix with one weight of an IG column set to -0.5."""
+        matrix, _ = make_planted_matrix(n_docs=80, n_features=60, n_informative=10, seed=3)
+        ig = np.flatnonzero(cap_mask(ig_scores(matrix), cap))
+        columns = matrix.weights.indices
+        at = np.flatnonzero(np.isin(columns, ig))[0]
+        matrix.weights.data[at] = -0.5
+        assert cap_mask(ig_scores(matrix), cap)[columns[at]]
+        return matrix
+
+    def test_signed_weight_under_dt_evaluation_stops_before_any_output(self, tmp_path,
+                                                                      monkeypatch):
+        # the search's NB fitness reads the IG columns: the run stops before
+        # it evaluates or writes anything
+        matrix = self._signed_in_an_ig_column(30)
+        for engine in ("mbo_select", "pso_select"):
+            monkeypatch.setattr(harness, engine, lambda *args, **kw: pytest.fail("search ran"))
+        cfg = ExperimentConfig(ig_cap=30, method="mbo", eval_classifier="dt",
+                               out_dir=str(tmp_path / "run"))
+        with pytest.raises(PipelineError) as err:
+            run_experiment(cfg, matrix=matrix)
+        assert str(err.value) == ("[search] naive Bayes needs non-negative finite weights, "
+                                  "and the matrix stores -0.5")
+        assert not list((tmp_path / "run").iterdir())
+
+    def test_signed_weight_under_dt_without_search_runs(self, tmp_path):
+        matrix = self._signed_in_an_ig_column(30)
+        cfg = ExperimentConfig(ig_cap=30, method="ig", eval_classifier="dt",
+                               out_dir=str(tmp_path / "run"))
+        report = run_experiment(cfg, matrix=matrix)
+        assert [(m.name, m.classifier) for m in report.methods] == [("raw", "dt"), ("ig", "dt")]
 
 
 def _trace_lines(run, engine):
