@@ -184,41 +184,6 @@ def _presort(x) -> _Entries:
     return _Entries(np.arange(n), row[order], col[order], value[order])
 
 
-def _gini_best_split(values: np.ndarray, labels: np.ndarray, n_classes: int):
-    """Best (threshold, impurity) for one feature, or None if constant.
-
-    The per-feature reference: looped over a node's columns, keeping the
-    first lowest impurity, it gives the (impurity, feature, threshold) that
-    _best_split finds on the node's presorted entries, bit for bit.
-    Thresholds are midpoints between consecutive distinct sorted values.
-    """
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    y = labels[order]
-    n = len(v)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
-    left_counts = np.cumsum(onehot, axis=0)  # counts with the first i+1 rows left
-    total = left_counts[-1]
-
-    boundaries = np.flatnonzero(v[:-1] < v[1:])  # split after position b
-    if len(boundaries) == 0:
-        return None
-    lc = left_counts[boundaries]
-    rc = total - lc
-    nl = lc.sum(axis=1)  # exact: any order gives the same integer
-    nr = rc.sum(axis=1)
-    # classes added one after another, as the formula reads: from 8 classes
-    # numpy's .sum(axis=1) adds them pairwise, which can differ in the last bit
-    gini_l = 1.0 - sum((lc[:, c] / nl) ** 2 for c in range(n_classes))
-    gini_r = 1.0 - sum((rc[:, c] / nr) ** 2 for c in range(n_classes))
-    weighted = (nl * gini_l + nr * gini_r) / n
-    best = int(np.argmin(weighted))  # first index on ties -> lowest threshold
-    b = boundaries[best]
-    threshold = (v[b] + v[b + 1]) / 2.0
-    return threshold, float(weighted[best])
-
-
 def _class_sum(q: np.ndarray) -> np.ndarray:
     """The sum over classes of a class-major (C, cuts) array, the classes
     added one after another as the impurity's formula adds them. Not
@@ -242,9 +207,10 @@ def _best_split(node: _Entries, y: np.ndarray, n_classes: int):
     The counts are class-major: a (C, runs) array, whose gathered cuts form
     a (C, cuts) array with one contiguous row per class. Every step of the
     scoring then runs along the cuts, C rows at a time, instead of reducing
-    a short class axis one cut at a time. Each cut is still scored with
-    _gini_best_split's arithmetic, element for element, so the impurities
-    agree bit for bit.
+    a short class axis one cut at a time. Each cut is still scored with the
+    arithmetic of the per-feature oracle in tests/test_classifiers.py
+    (_gini_best_split), element for element, so the impurities agree bit
+    for bit.
 
     Cuts are listed column by column, lowest threshold first, and a later
     chunk wins only when strictly lower, so the first minimum keeps the

@@ -96,6 +96,7 @@ def cmd_select(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = ExperimentConfig.from_file(args.config)
+    config.validate()
     mask = load_mask(args.mask)  # a bad mask path fails before the corpus load
     matrix, _, _ = load_input(config)
     if len(mask) != matrix.n_features:

@@ -27,8 +27,9 @@ from .pso import PsoConfig, PsoSnapshot, pso_select
 
 # 2: PSO velocities as base64 float64; 3: traces as dataclasses; 4: step counts
 # and elapsed time kept only in the trace; 5: the snapshot holds the records and
-# no trace
-CHECKPOINT_VERSION = 5
+# no trace; 6: both engines name the global best best_mask and best_fitness, and
+# each record's best fitness best
+CHECKPOINT_VERSION = 6
 # Config fields that change a search's trajectory; a checkpoint is bound to them.
 SEARCH_FIELDS = ("seed", "folds", "ig_cap", "flock_size", "neighbors",
                  "base_fraction", "swarm_size", "pso_iterations")
@@ -77,8 +78,8 @@ class ExperimentConfig:
         types = {f.name: type(getattr(cfg, f.name)) for f in cfg.__dataclass_fields__.values()}
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise PipelineError("config", f"cannot read {path}: {exc.strerror}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise PipelineError("config", str(corpus_mod._unreadable(path, exc))) from exc
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -283,16 +284,8 @@ def mbo_snapshot_to_json(snap: MboSnapshot) -> dict:
     return _encode(snap)
 
 
-def mbo_snapshot_from_json(d: dict) -> MboSnapshot:
-    return _decode(MboSnapshot, d)
-
-
 def pso_snapshot_to_json(snap: PsoSnapshot) -> dict:
     return _encode(snap)
-
-
-def pso_snapshot_from_json(d: dict) -> PsoSnapshot:
-    return _decode(PsoSnapshot, d)
 
 
 def checkpoint_save(path, method: str, fingerprint: str, payload: dict):
@@ -432,15 +425,15 @@ def run_experiment(
     ig_scoring_s = time.monotonic() - t0
     ig_columns = np.flatnonzero(ig_mask)
 
-    # built per call, so the engine and codec names are looked up at run time
+    # built per call, so the engine and encoder names are looked up at run time
     engines = {
-        "mbo": (mbo_select, mbo_snapshot_to_json, mbo_snapshot_from_json),
-        "pso": (pso_select, pso_snapshot_to_json, pso_snapshot_from_json),
+        "mbo": (mbo_select, mbo_snapshot_to_json, MboSnapshot),
+        "pso": (pso_select, pso_snapshot_to_json, PsoSnapshot),
     }
     resume = None
     if resume_method is not None:  # decoded here, before any evaluation or search
         try:
-            resume = engines[resume_method][2](resume_payload)
+            resume = _decode(engines[resume_method][2], resume_payload)
         except (KeyError, TypeError, ValueError, HeuristicError) as exc:
             raise CheckpointError(
                 f"malformed {resume_method} checkpoint: {exc!r}") from exc

@@ -208,19 +208,28 @@ def last_gain(records, start: float) -> int:
     return last
 
 
-def run_search(resume, init, step, stop, budget_seconds: float, on_step=None):
-    """Advance an engine's live snapshot until its stop rule or the budget
-    ends it; return the snapshot and the trace.
+def run_search(input_mask: FeatureMask, resume, init, step, stop, budget_seconds: float,
+               on_step=None) -> tuple[FeatureMask, SearchTrace]:
+    """Advance an engine's live snapshot from the input mask until its stop
+    rule or the budget ends it; return the snapshot's `best_mask` and the
+    trace.
 
-    The clock starts before the snapshot is taken: `resume`, or `init()`
-    when that is None, so a fresh search's time covers its initialization.
-    The snapshot's `records` are its only record of progress: one per step
-    taken, each with the elapsed milliseconds at its end; a resume's clock
-    goes on from its last record's. Each round checks `stop(snapshot)` (a
-    termination reason or None) before the budget, then runs `step(snapshot,
-    clock)`, one tour or iteration in place, with `clock()` giving the
-    elapsed seconds, and hands the snapshot to `on_step`.
+    An input that selects nothing is refused, and a one-feature universe,
+    whose only non-empty mask is the input, is returned as is. Otherwise the
+    clock starts before the snapshot is taken: `resume`, or `init()` when
+    that is None, so a fresh search's time covers its initialization. The
+    snapshot keeps its global best as `best_mask` and `best_fitness`, and
+    its `records` are its only record of progress: one per step taken, each
+    with the best fitness so far (`best`) and the elapsed milliseconds at its
+    end; a resume's clock goes on from its last record's. Each round checks
+    `stop(snapshot)` (a termination reason or None) before the budget, then
+    runs `step(snapshot, clock)`, one tour or iteration in place, with
+    `clock()` giving the elapsed seconds, and hands the snapshot to `on_step`.
     """
+    if input_mask.popcount < 1:
+        raise HeuristicError("input mask must select at least one feature")
+    if input_mask.universe == 1:
+        return input_mask, SearchTrace([], "single-feature", 0.0)
     start = time.monotonic()
     snapshot = init() if resume is None else resume
     records = snapshot.records
@@ -233,4 +242,4 @@ def run_search(resume, init, step, stop, budget_seconds: float, on_step=None):
         step(snapshot, clock)
         if on_step is not None:
             on_step(snapshot)
-    return snapshot, SearchTrace(records, reason, clock())
+    return snapshot.best_mask, SearchTrace(records, reason, clock())

@@ -71,16 +71,12 @@ class MboConfig:
 @dataclass(frozen=True)
 class TourRecord:
     change: int
-    f_max: float
+    best: float  # the global best fitness after the tour
     elapsed_ms: float
-
-    @property
-    def best(self) -> float:
-        return self.f_max
 
     def trace_line(self, tour: int) -> str:
         """This record's line in trace_mbo.txt; `tour` is its 1-based position."""
-        return (f"tour={tour} change={self.change} f_max={self.f_max!r} "
+        return (f"tour={tour} change={self.change} f_max={self.best!r} "
                 f"elapsed_ms={self.elapsed_ms:.1f}")
 
 
@@ -148,14 +144,14 @@ class MboSnapshot:
     `records` lists the tours flown so far."""
 
     flock: Flock
-    b_max: FeatureMask
-    f_max: float
+    best_mask: FeatureMask
+    best_fitness: float
     records: list[TourRecord]
 
 
 def _stop_rule(snap: MboSnapshot) -> str | None:
     r = snap.records
-    if len(r) >= 3 and r[-1].f_max == r[-3].f_max:
+    if len(r) >= 3 and r[-1].best == r[-3].best:
         return "stagnation"
     return "max-tours" if len(r) >= MAX_TOURS else None
 
@@ -174,17 +170,13 @@ def mbo_select(
     initialized to the input itself, so a failed search falls back to the
     prefilter selection.
     """
-    if input_mask.popcount < 1:
-        raise HeuristicError("input mask must select at least one feature")
-    if input_mask.universe == 1:  # the input is the only non-empty mask: no neighbours
-        return input_mask, SearchTrace([], "single-feature", 0.0)
     rng = RngStream(config.seed)
     m_prime = input_mask.popcount
 
     def init() -> MboSnapshot:
         f0 = fitness(input_mask)
         flock = initialize_flock(input_mask, config, rng.child("flock"), fitness)
-        return MboSnapshot(flock=flock, b_max=input_mask, f_max=f0, records=[])
+        return MboSnapshot(flock=flock, best_mask=input_mask, best_fitness=f0, records=[])
 
     def tour(snap: MboSnapshot, clock):
         done = len(snap.records)  # tours already flown
@@ -194,11 +186,11 @@ def mbo_select(
         for step in range(STEPS_PER_TOUR):
             flock = fly(flock, change, tour_rng.child("step", step), fitness, config.neighbors)
             best = find_best_bird(flock)
-            if best.fitness > snap.f_max:
-                snap.f_max = best.fitness
-                snap.b_max = best.mask
+            if best.fitness > snap.best_fitness:
+                snap.best_fitness = best.fitness
+                snap.best_mask = best.mask
         snap.flock = reorder(flock)
-        snap.records.append(TourRecord(change, snap.f_max, clock() * 1000.0))
+        snap.records.append(TourRecord(change, snap.best_fitness, clock() * 1000.0))
 
-    snap, trace = run_search(resume, init, tour, _stop_rule, config.budget_seconds, on_step)
-    return snap.b_max, trace
+    return run_search(input_mask, resume, init, tour, _stop_rule, config.budget_seconds,
+                      on_step)

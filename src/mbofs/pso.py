@@ -59,16 +59,12 @@ class Particle:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    gbest_fitness: float
+    best: float  # the global best fitness after the iteration
     elapsed_ms: float
-
-    @property
-    def best(self) -> float:
-        return self.gbest_fitness
 
     def trace_line(self, iteration: int) -> str:
         """This record's line in trace_pso.txt; `iteration` is its 1-based position."""
-        return (f"iteration={iteration} gbest={self.gbest_fitness!r} "
+        return (f"iteration={iteration} gbest={self.best!r} "
                 f"elapsed_ms={self.elapsed_ms:.1f}")
 
 
@@ -78,8 +74,8 @@ class PsoSnapshot:
     `records` lists the iterations run so far."""
 
     particles: list[Particle]
-    gbest_mask: FeatureMask
-    gbest_fitness: float
+    best_mask: FeatureMask
+    best_fitness: float
     records: list[IterationRecord]
 
 
@@ -117,21 +113,13 @@ def pso_select(
 ) -> tuple[FeatureMask, SearchTrace]:
     """Run the swarm from (or resuming toward) the input mask; return the global
     best mask and the trace. `on_step` gets the live snapshot after each iteration."""
-    if input_mask.popcount < 1:
-        raise HeuristicError("input mask must select at least one feature")
-    if input_mask.universe == 1:  # the input is the only non-empty mask: no neighbours
-        return input_mask, SearchTrace([], "single-feature", 0.0)
     rng = RngStream(config.seed)
 
     def init() -> PsoSnapshot:
         particles = _init_swarm(input_mask, config, rng.child("swarm"), fitness)
         best = max(range(len(particles)), key=lambda i: (particles[i].pbest_fitness, -i))
-        return PsoSnapshot(
-            particles=particles,
-            gbest_mask=particles[best].pbest_mask,
-            gbest_fitness=particles[best].pbest_fitness,
-            records=[],
-        )
+        return PsoSnapshot(particles, particles[best].pbest_mask,
+                           particles[best].pbest_fitness, records=[])
 
     def iteration(snap: PsoSnapshot, clock):
         it = len(snap.records)  # iterations already run
@@ -147,7 +135,7 @@ def pso_select(
         r1, r2, r3 = draws.swapaxes(0, 1)
         x = _bit_rows([p.position for p in particles])
         pb = _bit_rows([p.pbest_mask for p in particles])
-        gbest_bits = snap.gbest_mask.to_array().astype(float)
+        gbest_bits = snap.best_mask.to_array().astype(float)
         v = (w * np.array([p.velocity for p in particles]) + C1 * r1 * (pb - x)
              + C2 * r2 * (gbest_bits - x))
         np.clip(v, -V_MAX, V_MAX, out=v)
@@ -162,11 +150,11 @@ def pso_select(
                 p.pbest_fitness = f
         # gbest reduction at the iteration barrier, in particle-index order
         for p in particles:
-            if p.pbest_fitness > snap.gbest_fitness:
-                snap.gbest_fitness = p.pbest_fitness
-                snap.gbest_mask = p.pbest_mask
-        snap.records.append(IterationRecord(snap.gbest_fitness, clock() * 1000.0))
+            if p.pbest_fitness > snap.best_fitness:
+                snap.best_fitness = p.pbest_fitness
+                snap.best_mask = p.pbest_mask
+        snap.records.append(IterationRecord(snap.best_fitness, clock() * 1000.0))
 
     stop = lambda s: "max-iterations" if len(s.records) >= config.max_iterations else None
-    snap, trace = run_search(resume, init, iteration, stop, config.budget_seconds, on_step)
-    return snap.gbest_mask, trace
+    return run_search(input_mask, resume, init, iteration, stop, config.budget_seconds,
+                      on_step)

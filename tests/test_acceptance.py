@@ -26,8 +26,8 @@ from mbofs.corpus import (
 from mbofs.filter_ig import ig_filter, ig_scores
 from mbofs.harness import (
     ExperimentConfig,
+    _decode,
     load_mask,
-    mbo_snapshot_from_json,
     mbo_snapshot_to_json,
     render_report,
     run_experiment,
@@ -45,6 +45,7 @@ from mbofs.mbo import (
     MAX_TOURS,
     STEPS_PER_TOUR,
     MboConfig,
+    MboSnapshot,
     find_best_bird,
     fly,
     initialize_flock,
@@ -93,7 +94,7 @@ def sweep(planted):
         runs.append({
             "seed": seed,
             "base": base,
-            "f_max": trace.records[-1].f_max,
+            "f_max": trace.records[-1].best,
             "best_fitness": fitness(best),
             "m_prime": best.popcount,
         })
@@ -236,12 +237,12 @@ def test_criterion_8_pso_baseline_integrity(planted, tmp_path):
     best1, trace1 = pso_select(
         input_mask, cfg, fitness=fitness,
         on_step=lambda s: peaks.append(max(np.abs(p.velocity).max() for p in s.particles)))
-    g = [r.gbest_fitness for r in trace1.records]
+    g = [r.best for r in trace1.records]
     non_decreasing = all(a <= b for a, b in zip(g, g[1:]))
     clamped = len(peaks) == cfg.max_iterations and max(peaks) <= V_MAX + 1e-12
     best2, trace2 = pso_select(
         input_mask, cfg, fitness=FitnessFn(reduced, k=5, seed=0))
-    deterministic = best1 == best2 and g == [r.gbest_fitness for r in trace2.records]
+    deterministic = best1 == best2 and g == [r.best for r in trace2.records]
     within_budget = trace1.termination == "max-iterations"
 
     # harness rendering, including the budget-expiry dash
@@ -304,7 +305,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
 
     with pytest.raises(Killed):
         mbo_select(mask, mcfg, fitness=FitnessFn(matrix, seed=5), on_step=on_step)
-    resumed_state = mbo_snapshot_from_json(json.loads(snaps[-1]))
+    resumed_state = _decode(MboSnapshot, json.loads(snaps[-1]))
     resumed_best, _ = mbo_select(mask, mcfg,
                                  fitness=FitnessFn(matrix, seed=5),
                                  resume=resumed_state)

@@ -18,7 +18,6 @@ from mbofs.classifiers import (
     DtNode,
     _best_split,
     _class_sum,
-    _gini_best_split,
     _grow,
     _presort,
     _take,
@@ -137,6 +136,42 @@ def _dt_build(x, y, n_classes, max_depth, min_split):
     """The Gini tree on x (dense or sparse, rows x columns) and its labels y,
     grown from x's own presort."""
     return _grow(_presort(x), np.asarray(y), n_classes, 0, max_depth, min_split)
+
+
+def _gini_best_split(values: np.ndarray, labels: np.ndarray, n_classes: int):
+    """Best (threshold, impurity) for one feature, or None if constant.
+
+    The per-feature oracle of classifiers._best_split: looped over a node's
+    columns, keeping the first lowest impurity, it gives the (impurity,
+    feature, threshold) that _best_split finds on the node's presorted
+    entries, bit for bit.
+    Thresholds are midpoints between consecutive distinct sorted values.
+    """
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    y = labels[order]
+    n = len(v)
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y] = 1.0
+    left_counts = np.cumsum(onehot, axis=0)  # counts with the first i+1 rows left
+    total = left_counts[-1]
+
+    boundaries = np.flatnonzero(v[:-1] < v[1:])  # split after position b
+    if len(boundaries) == 0:
+        return None
+    lc = left_counts[boundaries]
+    rc = total - lc
+    nl = lc.sum(axis=1)  # exact: any order gives the same integer
+    nr = rc.sum(axis=1)
+    # classes added one after another, as the formula reads: from 8 classes
+    # numpy's .sum(axis=1) adds them pairwise, which can differ in the last bit
+    gini_l = 1.0 - sum((lc[:, c] / nl) ** 2 for c in range(n_classes))
+    gini_r = 1.0 - sum((rc[:, c] / nr) ** 2 for c in range(n_classes))
+    weighted = (nl * gini_l + nr * gini_r) / n
+    best = int(np.argmin(weighted))  # first index on ties -> lowest threshold
+    b = boundaries[best]
+    threshold = (v[b] + v[b + 1]) / 2.0
+    return threshold, float(weighted[best])
 
 
 def _reference_split(x, y, n_classes):

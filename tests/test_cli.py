@@ -105,13 +105,31 @@ def test_select_bad_config_value(config_file, capsys):
     ("neighbors = 2", "neighbors must be >= 3"),
     ("pso_iterations = 0", "pso_iterations must be >= 1"),
     ("pso_iterations = -5", "pso_iterations must be >= 1"),
+    ("folds = 1", "folds must be >= 2"),
 ])
 def test_select_config_value_out_of_range(config_file, tmp_path, capsys, line, message):
+    # evaluate checks its config as select does, so it gets a mask it would accept
+    n = harness.load_input(harness.ExperimentConfig.from_file(config_file))[0].n_features
+    mask = tmp_path / "mask.txt"
+    mask.write_text(f"M={n}\n{'1' * n}\n")
     with config_file.open("a", encoding="utf-8") as fh:  # later keys win
         fh.write(line + "\n")
-    assert main(["select", "--method", "all", "--config", str(config_file)]) == 2
-    _one_error_line(capsys, f"error: [config] {message}")
+    for argv in (["select", "--method", "all", "--config", str(config_file)],
+                 ["evaluate", "--mask", str(mask), "--config", str(config_file)]):
+        assert main(argv) == 2, argv[0]
+        _one_error_line(capsys, f"error: [config] {message}")
     assert not (tmp_path / "run" / "mask_ig.txt").exists()  # refused before any work
+
+
+@pytest.mark.parametrize("command", ["select", "evaluate"])
+def test_config_not_utf8(tmp_path, capsys, command):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes(b"# caf\xe9\n")
+    argv = {"select": ["select", "--config", str(config)],
+            "evaluate": ["evaluate", "--mask", str(tmp_path / "mask.txt"),
+                         "--config", str(config)]}[command]
+    assert main(argv) == 2
+    _one_error_line(capsys, f"error: [config] cannot read {config}: not valid UTF-8")
 
 
 @pytest.mark.parametrize("method", ["mbo", "pso"])
@@ -327,7 +345,7 @@ def _leader_mask(edit):
     ("mbo", lambda p: p.write_bytes(b"\xff" + p.read_bytes())),  # not UTF-8
     ("mbo", lambda p: p.write_text(json.dumps([json.loads(p.read_text())]))),  # a JSON array
     ("mbo", _edit_json(lambda doc: doc["payload"].update(flock=5))),
-    ("mbo", _edit_json(lambda doc: doc["payload"].pop("b_max"))),
+    ("mbo", _edit_json(lambda doc: doc["payload"].pop("best_mask"))),
     ("mbo", _leader_mask(lambda bits: "x" + bits[1:])),
     ("mbo", _leader_mask(lambda bits: bits[1:])),
     ("pso", _edit_json(lambda doc: doc["payload"]["particles"][0].update(velocity="!!!!"))),

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from mbofs.harness import (
+    _decode,
     CheckpointError,
     ExperimentConfig,
     MethodResult,
@@ -21,9 +22,7 @@ from mbofs.harness import (
     checkpoint_save,
     run_fingerprint,
     load_mask,
-    mbo_snapshot_from_json,
     mbo_snapshot_to_json,
-    pso_snapshot_from_json,
     pso_snapshot_to_json,
     render_report,
     run_experiment,
@@ -34,8 +33,8 @@ from mbofs import harness
 from mbofs.corpus import CorpusStats
 from mbofs.filter_ig import cap_mask, ig_scores
 from mbofs.heuristic import FeatureMask, FitnessFn
-from mbofs.mbo import MboConfig, mbo_select
-from mbofs.pso import PsoConfig, pso_select
+from mbofs.mbo import MboConfig, MboSnapshot, mbo_select
+from mbofs.pso import PsoConfig, PsoSnapshot, pso_select
 from mbofs.synth import make_planted_matrix
 
 
@@ -124,8 +123,9 @@ class TestCheckpoint:
     def test_version_mismatch(self, tmp_path):
         p = tmp_path / "ck.json"
         # 1: velocities as float lists; 2: traces as bare record lists; 3: step counts
-        # and elapsed time kept beside the trace; 4: records inside a trace
-        for version in (1, 2, 3, 4, 99):
+        # and elapsed time kept beside the trace; 4: records inside a trace; 5: the
+        # best kept as b_max/f_max (MBO) and gbest_mask/gbest_fitness (PSO)
+        for version in (1, 2, 3, 4, 5, 99):
             p.write_text(json.dumps({"format_version": version, "fingerprint": "fp"}))
             with pytest.raises(CheckpointError, match="version"):
                 checkpoint_load(p, "fp")
@@ -156,7 +156,7 @@ class TestCheckpoint:
 
         with pytest.raises(Stop):
             mbo_select(mask, cfg, fitness=FitnessFn(matrix, seed=5), on_step=on_step)
-        resumed = mbo_snapshot_from_json(snaps[-1])
+        resumed = _decode(MboSnapshot, snaps[-1])
         res_best, res_trace = mbo_select(mask, cfg,
                                          fitness=FitnessFn(matrix, seed=5), resume=resumed)
         assert res_best == full_best
@@ -184,7 +184,7 @@ class TestCheckpoint:
 
         with pytest.raises(Stop):
             pso_select(mask, cfg, fitness=FitnessFn(matrix, seed=5), on_step=on_step)
-        resumed = pso_snapshot_from_json(json.loads(json.dumps(snaps[-1])))
+        resumed = _decode(PsoSnapshot, json.loads(json.dumps(snaps[-1])))
         assert pso_snapshot_to_json(resumed) == snaps[-1]  # velocities round-trip exactly
         res_best, res_trace = pso_select(mask, cfg,
                                          fitness=FitnessFn(matrix, seed=5), resume=resumed)
@@ -214,9 +214,9 @@ def test_snapshot_codec_roundtrip_exact():
     pso_select(mask, PsoConfig(seed=1, swarm_size=4, max_iterations=3),
                fitness=FitnessFn(matrix, seed=1),
                on_step=lambda snap: docs.update(pso=pso_snapshot_to_json(snap)))
-    for name, to_json, from_json in [("mbo", mbo_snapshot_to_json, mbo_snapshot_from_json),
-                                     ("pso", pso_snapshot_to_json, pso_snapshot_from_json)]:
-        back = from_json(json.loads(json.dumps(docs[name])))
+    for name, to_json, cls in [("mbo", mbo_snapshot_to_json, MboSnapshot),
+                               ("pso", pso_snapshot_to_json, PsoSnapshot)]:
+        back = _decode(cls, json.loads(json.dumps(docs[name])))
         assert to_json(back) == docs[name], name
         assert back.records and back.records[-1].elapsed_ms > 0.0
 
@@ -328,6 +328,20 @@ class TestRunExperiment:
                 assert int(match[1]) == n
                 assert match[2] == repr(float(match[2])), line  # repr, not rounded
         assert len(pso["payload"]["records"]) == 5  # pso_iterations
+
+    @pytest.mark.parametrize("engine, key", [("mbo", "f_max"), ("pso", "gbest")])
+    def test_checkpoint_keeps_best_as_the_trace_shows(self, demo_tsv, tmp_path, engine, key):
+        # both snapshots keep their global best under one name, and each
+        # record's best is the value its trace-file line prints
+        run_experiment(_demo_config(demo_tsv, tmp_path, method=engine))
+        run = tmp_path / "run"
+        doc = json.loads((run / f"checkpoint_{engine}.json").read_text(encoding="utf-8"))
+        payload = doc["payload"]
+        assert {"best_mask", "best_fitness", "records"} <= payload.keys()
+        lines = (run / f"trace_{engine}.txt").read_text(encoding="utf-8").splitlines()
+        shown = [float(re.search(rf" {key}=(\S+) ", line)[1]) for line in lines]
+        assert [record["best"] for record in payload["records"]] == shown
+        assert payload["best_fitness"] == shown[-1]
 
     def test_rows_count_evaluations_and_last_gain(self, demo_tsv, tmp_path, monkeypatch):
         made = []

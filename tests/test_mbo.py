@@ -130,15 +130,15 @@ class TestMboSelect:
         best, trace = mbo_select(
             mask, MboConfig(seed=1, budget_seconds=60), fitness=fit
         )
-        assert trace.records[-1].f_max >= fit(mask)
-        assert fit(best) == trace.records[-1].f_max
+        assert trace.records[-1].best >= fit(mask)
+        assert fit(best) == trace.records[-1].best
 
     def test_trace_non_decreasing(self, small_matrix):
         cfg = MboConfig(seed=2, budget_seconds=60)
         _, trace = mbo_select(
             FeatureMask.ones(60), cfg, fitness=FitnessFn(small_matrix, seed=cfg.seed)
         )
-        fs = [r.f_max for r in trace.records]
+        fs = [r.best for r in trace.records]
         assert all(a <= b for a, b in zip(fs, fs[1:]))
         assert len(trace.records) <= MAX_TOURS
 
@@ -164,9 +164,9 @@ class TestMboSelect:
         b1, t1 = mbo_select(mask, cfg, fitness=FitnessFn(small_matrix, seed=cfg.seed))
         b2, t2 = mbo_select(mask, cfg, fitness=FitnessFn(small_matrix, seed=cfg.seed))
         assert b1 == b2
-        assert t1.records[-1].f_max == t2.records[-1].f_max
-        assert [(r.change, r.f_max) for r in t1.records] == [
-            (r.change, r.f_max) for r in t2.records
+        assert t1.records[-1].best == t2.records[-1].best
+        assert [(r.change, r.best) for r in t1.records] == [
+            (r.change, r.best) for r in t2.records
         ]
 
     def test_elapsed_time_covers_initialization(self, small_matrix):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mbofs.harness import pso_snapshot_from_json, pso_snapshot_to_json
+from mbofs.harness import _decode, pso_snapshot_to_json
 from mbofs.heuristic import (
     FeatureMask,
     FitnessFn,
@@ -68,7 +68,7 @@ class TestPsoSelect:
 
     def test_gbest_trace_non_decreasing(self, small_matrix):
         _, _, _, trace, _ = self.run(small_matrix, seed=1)
-        g = [r.gbest_fitness for r in trace.records]
+        g = [r.best for r in trace.records]
         assert all(a <= b for a, b in zip(g, g[1:]))
 
     # The callback gets the live snapshot, whose particles change in place, so
@@ -94,8 +94,8 @@ class TestPsoSelect:
         _, _, b1, t1, _ = self.run(small_matrix, seed=4)
         _, _, b2, t2, _ = self.run(small_matrix, seed=4)
         assert b1 == b2
-        assert [r.gbest_fitness for r in t1.records] == [
-            r.gbest_fitness for r in t2.records
+        assert [r.best for r in t1.records] == [
+            r.best for r in t2.records
         ]
 
     def test_budget_termination(self, small_matrix):
@@ -150,7 +150,7 @@ def _reference_iteration(snap: PsoSnapshot, config: PsoConfig, fitness) -> None:
     it = len(snap.records)
     frac = it / max(config.max_iterations - 1, 1)
     w = W_START + (W_END - W_START) * frac
-    gbest_bits = snap.gbest_mask.to_array().astype(float)
+    gbest_bits = snap.best_mask.to_array().astype(float)
     for i, p in enumerate(snap.particles):
         gen = rng.child("iter", it).child("particle", i).generator()
         x = p.position.to_array().astype(float)
@@ -167,18 +167,18 @@ def _reference_iteration(snap: PsoSnapshot, config: PsoConfig, fitness) -> None:
             p.pbest_mask = p.position
             p.pbest_fitness = f
     for p in snap.particles:
-        if p.pbest_fitness > snap.gbest_fitness:
-            snap.gbest_fitness = p.pbest_fitness
-            snap.gbest_mask = p.pbest_mask
-    snap.records.append(IterationRecord(snap.gbest_fitness, 0.0))
+        if p.pbest_fitness > snap.best_fitness:
+            snap.best_fitness = p.pbest_fitness
+            snap.best_mask = p.pbest_mask
+    snap.records.append(IterationRecord(snap.best_fitness, 0.0))
 
 
 def _swarm_state(snap: PsoSnapshot):
     """Positions, velocity bytes, pbests, the gbest and the gbest records."""
     return ([(p.position.bits, p.velocity.tobytes(), p.pbest_mask.bits, p.pbest_fitness)
              for p in snap.particles],
-            snap.gbest_mask.bits, snap.gbest_fitness,
-            [r.gbest_fitness for r in snap.records])
+            snap.best_mask.bits, snap.best_fitness,
+            [r.best for r in snap.records])
 
 
 class TestPsoOracle:
@@ -208,6 +208,6 @@ class TestPsoOracle:
 
         resumed = []
         pso_select(input_mask, config, FitnessFn(small_matrix, seed=6),
-                   resume=pso_snapshot_from_json(checkpoints[2]),
+                   resume=_decode(PsoSnapshot, checkpoints[2]),
                    on_step=lambda snap: resumed.append(_swarm_state(snap)))
         assert resumed == want[3:]
