@@ -10,6 +10,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import time
 import typing
@@ -189,6 +190,11 @@ def evaluate_mask(
 # Mask files
 
 
+def _unwritable(path, exc: OSError) -> PipelineError:
+    """The one-line error for an output file that cannot be written."""
+    return PipelineError("output", f"cannot write {path}: {exc.strerror}")
+
+
 def save_mask(path, mask: np.ndarray):
     """First line M=<universe>, second line the bits as {0,1} characters."""
     bits = FeatureMask.from_array(mask).to_bitstring()
@@ -266,18 +272,38 @@ def _decode(hint, value):
     return float(value) if hint is float else value
 
 
-def _lengths(value):
-    """The universe of every mask and the length of every array in a snapshot."""
-    if isinstance(value, FeatureMask):
-        yield value.universe
-    elif isinstance(value, np.ndarray):
-        yield len(value)
-    elif dataclasses.is_dataclass(value):
+def _leaves(value, name=None):
+    """(field name, value) of each field of a snapshot that holds no dataclass
+    or list: the masks' bits, the velocity arrays and the numbers."""
+    if dataclasses.is_dataclass(value):
         for f in dataclasses.fields(value):
-            yield from _lengths(getattr(value, f.name))
+            yield from _leaves(getattr(value, f.name), f.name)
     elif isinstance(value, (list, tuple)):
         for v in value:
-            yield from _lengths(v)
+            yield from _leaves(v, name)
+    else:
+        yield name, value
+
+
+def _resume_problem(snapshot, universe: int, config: ExperimentConfig) -> str | None:
+    """Why the config's search could not have made a decoded snapshot, or None:
+    a mask or velocity not over the IG-reduced universe, a flock or swarm of
+    another size, a fitness outside [0, 1] (NaN too), or an elapsed time that
+    is not finite and >= 0."""
+    leaves = list(_leaves(snapshot))
+    if {len(v) for _, v in leaves if isinstance(v, (bytes, np.ndarray))} - {universe}:
+        return f"masks and velocities must have {universe} entries"
+    if isinstance(snapshot, MboSnapshot):
+        if snapshot.flock.size != config.flock_size:
+            return f"the flock must have {config.flock_size} birds"
+    elif len(snapshot.particles) != config.swarm_size:
+        return f"the swarm must have {config.swarm_size} particles"
+    for name, value in leaves:
+        if name in ("fitness", "pbest_fitness", "best_fitness", "best") and not 0 <= value <= 1:
+            return f"{name} {value!r} is outside [0, 1]"
+        if name == "elapsed_ms" and not 0 <= value < math.inf:
+            return f"elapsed_ms {value!r} is not finite and >= 0"
+    return None
 
 
 def mbo_snapshot_to_json(snap: MboSnapshot) -> dict:
@@ -298,11 +324,14 @@ def checkpoint_save(path, method: str, fingerprint: str, payload: dict):
     }
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
 
 
 class _CheckpointWriter:
@@ -388,9 +417,10 @@ def run_experiment(
     stats: CorpusStats | None = None,
     resume_path: str | None = None,
 ) -> RunReport:
-    """Full pipeline: load -> vectorize -> raw baseline -> IG filter -> engines
-    seeded from the IG mask -> evaluation. A pre-built matrix may be injected
-    (synthetic benchmarks); otherwise the corpus is loaded from config."""
+    """Full pipeline: load -> vectorize -> IG filter -> engines seeded from the
+    IG mask -> one evaluation step of the raw, IG and searched masks -> every
+    output. A pre-built matrix may be injected (synthetic benchmarks);
+    otherwise the corpus is loaded from config."""
     config.validate()
     if matrix is None:
         matrix, terms, stats = load_input(config)
@@ -437,9 +467,9 @@ def run_experiment(
         except (KeyError, TypeError, ValueError, HeuristicError) as exc:
             raise CheckpointError(
                 f"malformed {resume_method} checkpoint: {exc!r}") from exc
-        if set(_lengths(resume)) - {len(ig_columns)}:
-            raise CheckpointError(f"malformed {resume_method} checkpoint: masks and "
-                                  f"velocities must have {len(ig_columns)} entries")
+        problem = _resume_problem(resume, len(ig_columns), config)
+        if problem:
+            raise CheckpointError(f"malformed {resume_method} checkpoint: {problem}")
 
     # NB reads every column when it evaluates, and the IG columns when only a
     # search scores with it: a weight it refuses stops the run before any output
@@ -451,19 +481,15 @@ def run_experiment(
                 matrix.weights if nb_stage == "evaluate" else matrix.weights[:, ig_columns])
         except classifiers.ClassifierError as exc:
             raise PipelineError(nb_stage, str(exc)) from exc
+    try:  # a class with fewer rows than folds, refused before any search or output
+        classifiers.stratified_folds(matrix.labels, config.folds, config.seed)
+    except classifiers.ClassifierError as exc:
+        raise PipelineError("evaluate", str(exc)) from exc
 
-    methods: list[MethodResult] = []
-
-    (raw_acc, raw_clf, raw_s), (ig_acc, ig_clf, ig_s) = evaluate_masks(
-        matrix, [np.ones(matrix.n_features, dtype=bool), ig_mask], config.eval_classifier,
-        config.folds, config.seed,
-    )
-    methods.append(MethodResult("raw", matrix.n_features, raw_acc, raw_clf, raw_s, "ok"))
-    methods.append(MethodResult("ig", int(ig_mask.sum()), ig_acc, ig_clf,
-                                ig_scoring_s + ig_s, "ok"))
-    save_mask(out_dir / "mask_ig.txt", ig_mask)
-    save_mask_sidecar(out_dir / "mask_ig_features.csv", ig_mask, terms, scores.gain)
-
+    # name -> (mask, seconds spent making it, status, evaluations, last gain)
+    made = {"raw": (np.ones(matrix.n_features, dtype=bool), 0.0, "ok", 0, 0),
+            "ig": (ig_mask, ig_scoring_s, "ok", 0, 0)}
+    traces = {}
     if config.method != "ig":
         reduced = matrix.restrict_columns(ig_columns)
         input_mask = FeatureMask.ones(len(ig_columns))
@@ -489,25 +515,34 @@ def run_experiment(
         names = [name for name in engines if config.method in (name, "all")]
         with side_by_side({f"{name} search": functools.partial(search, name) for name in names},
                           functools.partial(PipelineError, "search")) as results:
-            for name, result in zip(names, results):
-                best, trace, evaluations, gained = result()
-                full = _expand_mask(best, ig_columns, matrix.n_features)
-                acc, clf = evaluate_mask(matrix, full, config.eval_classifier,
-                                         config.folds, config.seed)
-                methods.append(MethodResult(name, int(full.sum()), acc, clf,
-                                            trace.elapsed_seconds, trace.termination,
-                                            evaluations, gained))
-                save_mask(out_dir / f"mask_{name}.txt", full)
-                save_mask_sidecar(out_dir / f"mask_{name}_features.csv", full, terms,
-                                  scores.gain)
-                _write_trace(out_dir / f"trace_{name}.txt",
-                             [r.trace_line(n) for n, r in enumerate(trace.records, 1)])
+            found = [result() for result in results]
+        for name, (best, trace, evaluations, gained) in zip(names, found):
+            made[name] = (_expand_mask(best, ig_columns, matrix.n_features),
+                          trace.elapsed_seconds, trace.termination, evaluations, gained)
+            traces[name] = trace
 
-    report = RunReport(corpus=stats, methods=methods, seed=config.seed,
-                       config=asdict(config))
-    (out_dir / "report.json").write_text(
-        render_report(report, "json"), encoding="utf-8"
-    )
+    # one evaluation step, once no search child is left: each row's elapsed_s
+    # is the making of its mask plus its own evaluation units
+    scored = evaluate_masks(matrix, [mask for mask, *_ in made.values()],
+                            config.eval_classifier, config.folds, config.seed)
+    methods: list[MethodResult] = []
+    try:
+        for (name, (mask, made_s, *rest)), (accuracy, classifier, eval_s) in zip(
+                made.items(), scored):
+            methods.append(MethodResult(name, int(mask.sum()), accuracy, classifier,
+                                        made_s + eval_s, *rest))
+            if name == "raw":  # every feature: no files
+                continue
+            save_mask(out_dir / f"mask_{name}.txt", mask)
+            save_mask_sidecar(out_dir / f"mask_{name}_features.csv", mask, terms, scores.gain)
+            if name in traces:
+                _write_trace(out_dir / f"trace_{name}.txt",
+                             [r.trace_line(n) for n, r in enumerate(traces[name].records, 1)])
+        report = RunReport(corpus=stats, methods=methods, seed=config.seed,
+                           config=asdict(config))
+        (out_dir / "report.json").write_text(render_report(report, "json"), encoding="utf-8")
+    except OSError as exc:  # a write error may name no file: the run directory then
+        raise _unwritable(exc.filename or out_dir, exc) from exc
     return report
 
 

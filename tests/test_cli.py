@@ -165,13 +165,27 @@ def test_select_out_dir_blocked_by_a_file(config_file, tmp_path, capsys, out):
     _one_error_line(capsys, f"error: [output] cannot create {tmp_path / out}: ")
 
 
-def test_select_class_smaller_than_folds(config_file, demo_tsv, capsys):
+@pytest.mark.parametrize("method", ["ig", "mbo", "all"])
+def test_select_class_smaller_than_folds(config_file, demo_tsv, tmp_path, capsys, method):
     with demo_tsv.open("a", encoding="utf-8") as fh:
         fh.write("rare\tmarker00 noise1\nrare\tmarker10 noise2\n")  # 2 docs < 5 folds
-    assert main(["select", "--method", "ig", "--config", str(config_file)]) == 2
+    assert main(["select", "--method", method, "--config", str(config_file)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: [evaluate] class") and "fewer than k=5" in err[0]
+    assert not list((tmp_path / "run").glob("mask_*.txt"))
+
+
+@pytest.mark.parametrize("blocked", ["mask_ig.txt", "mask_mbo_features.csv", "trace_mbo.txt",
+                                     "report.json", "checkpoint_mbo.json",
+                                     "checkpoint_pso.json"])
+def test_select_output_blocked_by_a_directory(config_file, tmp_path, capsys, blocked):
+    path = tmp_path / "run" / blocked
+    path.mkdir(parents=True)
+    assert main(["select", "--method", "all", "--config", str(config_file)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: [output] cannot write {path}: Is a directory"]
+    assert multiprocessing.active_children() == []
 
 
 def test_report_missing_dir(tmp_path, capsys):
@@ -352,8 +366,23 @@ def _leader_mask(edit):
     ("pso", _edit_json(lambda doc: doc["payload"]["particles"][0].update(
         velocity="AAAAAAAAAAA="))),  # one float
     ("mbo", _edit_json(lambda doc: doc.pop("payload"))),
+    # decodable, but no search under this config makes it
+    ("pso", _edit_json(lambda doc: doc["payload"].update(particles=[]))),
+    ("pso", _edit_json(lambda doc: doc["payload"].update(
+        particles=doc["payload"]["particles"][:2]))),  # swarm_size = 8
+    ("mbo", _edit_json(lambda doc: doc["payload"]["flock"].update(left=[], right=[]))),
+    ("mbo", _edit_json(lambda doc: doc["payload"].update(best_fitness=float("nan")))),
+    ("mbo", _edit_json(lambda doc: doc["payload"]["flock"]["leader"].update(fitness=-0.5))),
+    ("pso", _edit_json(lambda doc: doc["payload"]["particles"][0].update(pbest_fitness=1.5))),
+    ("pso", _edit_json(lambda doc: doc["payload"]["records"][0].update(best=float("inf")))),
+    ("mbo", _edit_json(lambda doc: doc["payload"]["records"][-1].update(
+        elapsed_ms=float("nan")))),
+    ("pso", _edit_json(lambda doc: doc["payload"]["records"][-1].update(elapsed_ms=-1e12))),
 ], ids=["not-utf8", "json-array", "flock-not-object", "no-state", "mask-not-bits",
-        "mask-too-short", "velocity-not-base64", "velocity-too-short", "no-payload"])
+        "mask-too-short", "velocity-not-base64", "velocity-too-short", "no-payload",
+        "no-particles", "two-particles", "lone-leader", "best-fitness-nan",
+        "bird-fitness-negative", "pbest-fitness-above-one", "record-best-inf", "elapsed-nan",
+        "elapsed-negative"])
 def test_select_resume_malformed_checkpoint(config_file, tmp_path, capsys, method, corrupt):
     assert main(["select", "--method", method, "--config", str(config_file),
                  "--out", str(tmp_path / "u")]) == 0

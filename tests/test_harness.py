@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import re
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from mbofs.harness import (
     save_mask,
     save_mask_sidecar,
 )
-from mbofs import harness
+from mbofs import classifiers, harness
 from mbofs.corpus import CorpusStats
 from mbofs.filter_ig import cap_mask, ig_scores
 from mbofs.heuristic import FeatureMask, FitnessFn
@@ -397,6 +398,31 @@ class TestRunExperiment:
                 tmp_path / "f" / f"mask_{engine}.txt").read_bytes(), engine
             assert _untimed_lines(tmp_path / "s", engine) == _untimed_lines(
                 tmp_path / "f", engine), engine
+
+    def test_evaluation_starts_after_every_search_child_is_gone(self, tmp_path, monkeypatch):
+        # PSO's child outlives MBO's search; every mask is scored in one
+        # step, once the child is joined, so its fold trees fork beside no
+        # search child
+        select = harness.pso_select
+        cross_val = classifiers.cross_val_accuracies
+        alive = []
+
+        def slow(*args, **kwargs):
+            time.sleep(1.0)
+            return select(*args, **kwargs)
+
+        def probed(*args, **kwargs):
+            alive.append(len(multiprocessing.active_children()))
+            return cross_val(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "pso_select", slow)
+        monkeypatch.setattr(classifiers, "cross_val_accuracies", probed)
+        matrix, _ = make_planted_matrix(n_docs=80, n_features=60, n_informative=10, seed=3)
+        report = run_experiment(ExperimentConfig(
+            ig_cap=30, method="all", eval_classifier="best", flock_size=5, swarm_size=6,
+            pso_iterations=3, out_dir=str(tmp_path / "run")), matrix=matrix)
+        assert [m.name for m in report.methods] == ["raw", "ig", "mbo", "pso"]
+        assert alive == [0]
 
     def test_missing_corpus_is_pipeline_error(self, tmp_path):
         cfg = ExperimentConfig(corpus_path=str(tmp_path / "nope.tsv"),

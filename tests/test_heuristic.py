@@ -424,7 +424,7 @@ class TestFitnessBatch:
         assert batched.evaluations == calls.evaluations == 1 + len(scored)
         assert batched._memo == calls._memo
 
-    def test_exact_ties_fall_back_to_the_oracle(self):
+    def test_exact_ties_give_class_0_as_in_the_oracle(self):
         # the tied matrix of TestNbKernelOracle: every score ties, so every
         # row takes class 0 in the batch as in the reference
         x = np.tile([[0.5, 0.0, 2.0, 1.0]], (12, 1))
@@ -449,7 +449,7 @@ class TestAccuracyBatch:
     """NbFoldKernel.accuracy_batch against the reference where the scores tie
     or the sums meet exact zeros."""
 
-    def test_rows_without_selected_nonzeros_need_no_margin(self, monkeypatch):
+    def test_rows_without_selected_nonzeros_equal_the_oracle(self, monkeypatch):
         # balanced classes, so every fold's class priors tie: a row that has
         # lost every selected nonzero ties in all of its scores
         m, _ = make_planted_matrix(n_docs=120, n_features=80, n_informative=10, seed=4)
@@ -487,7 +487,7 @@ class TestAccuracyBatch:
             with pytest.raises(ClassifierError, match="stores -2.0"):
                 refused()
 
-    def test_bound_decides_certification(self):
+    def test_huge_uniform_weights_equal_the_oracle(self):
         # One column of weight w in every row, 6 rows of class 0 and 4 of
         # class 1, two folds: the reference scores every row by its fold's
         # priors, log 0.6 and log 0.4, and the sums grow with w. Over this
