@@ -385,8 +385,9 @@ def cross_val_accuracies(
     mask under one classifier: the fold trees, the widest mask's first, then
     the NB folds. With trees among them, each mask's columns are presorted
     over all rows here, once, and the units run from one two-process work
-    queue (forked.side_by_side), largest first, so whichever process is free
-    takes the next; the forked child reads the presorts it was forked with.
+    queue (forked.side_by_side, which returns their results in unit order),
+    largest first, so whichever process is free takes the next; the forked
+    child reads the presorts it was forked with.
     An NB fold takes about a millisecond, so without trees the units run
     here in turn, with no fork. Each mask's seconds are its presort's and
     the durations of its own units summed, whichever process ran them. Every
@@ -423,11 +424,8 @@ def cross_val_accuracies(
         units |= {f"mask {m} fold {fold} nb": (m, "nb", fold)
                   for m in range(len(masks)) for fold in range(k)}
     tasks = {name: functools.partial(unit, *spec) for name, spec in units.items()}
-    if "dt" in kinds:
-        with side_by_side(tasks, ClassifierError) as results:
-            done = [result() for result in results]
-    else:
-        done = [task() for task in tasks.values()]
+    done = (side_by_side(tasks, ClassifierError) if "dt" in kinds
+            else [task() for task in tasks.values()])
 
     accs = [{kind: [0.0] * k for kind in kinds} for _ in masks]
     for (m, kind, fold), (acc, s) in zip(units.values(), done):

@@ -155,7 +155,10 @@ def load_corpus(path, format: str = "tsv") -> Corpus:
         elif format == "dirs":
             for class_dir in sorted(p for p in path.iterdir() if p.is_dir()):
                 for doc_file in sorted(p for p in class_dir.iterdir() if p.is_file()):
-                    text = doc_file.read_text(encoding="utf-8", errors="replace")
+                    try:  # the error names the document
+                        text = doc_file.read_text(encoding="utf-8")
+                    except (OSError, UnicodeDecodeError) as exc:
+                        raise _unreadable(doc_file, exc) from exc
                     docs.append(RawDocument(label=class_dir.name, text=text))
         else:
             raise CorpusError(f"unknown corpus format: {format!r}")

@@ -4,6 +4,7 @@ evaluate pipeline, mask/report serialization, and checkpointing."""
 from __future__ import annotations
 
 import base64
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -22,9 +23,10 @@ import numpy as np
 from . import classifiers, corpus as corpus_mod, filter_ig
 from .corpus import CorpusStats, DocTermMatrix
 from .forked import side_by_side
-from .heuristic import ChangeSchedule, FeatureMask, FitnessFn, HeuristicError, last_gain
+from .heuristic import (ChangeSchedule, FeatureMask, FitnessFn, HeuristicError, change_count,
+                        last_gain)
 from .mbo import MboConfig, MboSnapshot, mbo_select
-from .pso import PsoConfig, PsoSnapshot, pso_select
+from .pso import V_MAX, PsoConfig, PsoSnapshot, pso_select
 
 # 2: PSO velocities as base64 float64; 3: traces as dataclasses; 4: step counts
 # and elapsed time kept only in the trace; 5: the snapshot holds the records and
@@ -288,19 +290,27 @@ def _leaves(value, name=None):
 def _resume_problem(snapshot, universe: int, config: ExperimentConfig) -> str | None:
     """Why the config's search could not have made a decoded snapshot, or None:
     a mask or velocity not over the IG-reduced universe, a flock or swarm of
-    another size, a fitness outside [0, 1] (NaN too), or an elapsed time that
-    is not finite and >= 0."""
+    another size, a tour whose change is not the schedule's, a fitness outside
+    [0, 1], a velocity outside [-V_MAX, V_MAX] (NaN too, for both), or an
+    elapsed time that is not finite and >= 0."""
     leaves = list(_leaves(snapshot))
     if {len(v) for _, v in leaves if isinstance(v, (bytes, np.ndarray))} - {universe}:
         return f"masks and velocities must have {universe} entries"
     if isinstance(snapshot, MboSnapshot):
         if snapshot.flock.size != config.flock_size:
             return f"the flock must have {config.flock_size} birds"
+        schedule = config.engine_configs()["mbo"].schedule
+        for n, record in enumerate(snapshot.records):
+            change = change_count(n, universe, schedule)  # the input mask has m' = universe
+            if record.change != change:
+                return f"tour {n + 1} change {record.change!r} is not the schedule's {change}"
     elif len(snapshot.particles) != config.swarm_size:
         return f"the swarm must have {config.swarm_size} particles"
     for name, value in leaves:
         if name in ("fitness", "pbest_fitness", "best_fitness", "best") and not 0 <= value <= 1:
             return f"{name} {value!r} is outside [0, 1]"
+        if name == "velocity" and not np.all(np.abs(value) <= V_MAX):
+            return f"a velocity is outside [-{V_MAX}, {V_MAX}]"
         if name == "elapsed_ms" and not 0 <= value < math.inf:
             return f"elapsed_ms {value!r} is not finite and >= 0"
     return None
@@ -315,7 +325,8 @@ def pso_snapshot_to_json(snap: PsoSnapshot) -> dict:
 
 
 def checkpoint_save(path, method: str, fingerprint: str, payload: dict):
-    """Atomic write (synced temp + rename) so a crash never leaves a torn file."""
+    """Atomic write (synced temp + rename) so a crash never leaves a torn file;
+    a write that fails removes its temp file."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "method": method,
@@ -331,6 +342,8 @@ def checkpoint_save(path, method: str, fingerprint: str, payload: dict):
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
         raise _unwritable(path, exc) from exc
 
 
@@ -513,9 +526,8 @@ def run_experiment(
             return best, trace, evaluations, last_gain(trace.records, fitness(input_mask))
 
         names = [name for name in engines if config.method in (name, "all")]
-        with side_by_side({f"{name} search": functools.partial(search, name) for name in names},
-                          functools.partial(PipelineError, "search")) as results:
-            found = [result() for result in results]
+        found = side_by_side({f"{name} search": functools.partial(search, name) for name in names},
+                             functools.partial(PipelineError, "search"))
         for name, (best, trace, evaluations, gained) in zip(names, found):
             made[name] = (_expand_mask(best, ig_columns, matrix.n_features),
                           trace.elapsed_seconds, trace.termination, evaluations, gained)

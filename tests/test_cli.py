@@ -1,8 +1,10 @@
+import base64
 import json
 import multiprocessing
 import os
 import time
 
+import numpy as np
 import pytest
 
 from mbofs import classifiers, harness
@@ -186,6 +188,7 @@ def test_select_output_blocked_by_a_directory(config_file, tmp_path, capsys, blo
     assert capsys.readouterr().err.splitlines() == [
         f"error: [output] cannot write {path}: Is a directory"]
     assert multiprocessing.active_children() == []
+    assert not list((tmp_path / "run").glob("*.tmp"))
 
 
 def test_report_missing_dir(tmp_path, capsys):
@@ -316,13 +319,22 @@ def test_report_incomplete(tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize("command", ["ingest", "select", "evaluate"])
-@pytest.mark.parametrize("case", ["missing-stopwords", "dirs-on-a-file", "not-utf8"])
+@pytest.mark.parametrize("case", ["missing-stopwords", "dirs-on-a-file", "not-utf8",
+                                  "dirs-not-utf8"])
 def test_unreadable_corpus_input(config_file, demo_tsv, tmp_path, capsys, command, case):
     corpus, fmt, stopwords = str(demo_tsv), "tsv", ""
+    line = "error: [load] cannot read"
     if case == "missing-stopwords":
         stopwords = str(tmp_path / "missing-stopwords.txt")
     elif case == "dirs-on-a-file":
         fmt = "dirs"
+    elif case == "dirs-not-utf8":
+        corpus, fmt = str(tmp_path / "dirs"), "dirs"
+        for label in ("class0", "class1"):
+            (tmp_path / "dirs" / label).mkdir(parents=True)
+            (tmp_path / "dirs" / label / "a.txt").write_text("milk tea\n", encoding="utf-8")
+        (tmp_path / "dirs" / "class1" / "b.txt").write_bytes(b"caf\xe9 au lait\n")
+        line += f" {tmp_path / 'dirs' / 'class1' / 'b.txt'}: not valid UTF-8"
     else:
         corpus = str(tmp_path / "latin1.tsv")
         (tmp_path / "latin1.tsv").write_bytes(b"class0\tcaf\xe9 au lait\n")
@@ -337,7 +349,7 @@ def test_unreadable_corpus_input(config_file, demo_tsv, tmp_path, capsys, comman
                      "--config", str(config_file)],
     }[command]
     assert main(argv) == 2
-    _one_error_line(capsys, "error: [load] cannot read")
+    _one_error_line(capsys, line)
 
 
 def _edit_json(edit):
@@ -352,6 +364,15 @@ def _leader_mask(edit):
     def corrupt(doc):
         leader = doc["payload"]["flock"]["leader"]
         leader["mask"] = edit(leader["mask"])
+    return _edit_json(corrupt)
+
+
+def _first_velocity(value):
+    def corrupt(doc):
+        particle = doc["payload"]["particles"][0]
+        velocity = np.frombuffer(base64.b64decode(particle["velocity"]), dtype="<f8").copy()
+        velocity[0] = value
+        particle["velocity"] = base64.b64encode(velocity.tobytes()).decode("ascii")
     return _edit_json(corrupt)
 
 
@@ -378,11 +399,14 @@ def _leader_mask(edit):
     ("mbo", _edit_json(lambda doc: doc["payload"]["records"][-1].update(
         elapsed_ms=float("nan")))),
     ("pso", _edit_json(lambda doc: doc["payload"]["records"][-1].update(elapsed_ms=-1e12))),
+    ("pso", _first_velocity(float("nan"))),
+    ("pso", _first_velocity(6.5)),  # V_MAX = 6
+    ("mbo", _edit_json(lambda doc: doc["payload"]["records"][0].update(change=-3))),
 ], ids=["not-utf8", "json-array", "flock-not-object", "no-state", "mask-not-bits",
         "mask-too-short", "velocity-not-base64", "velocity-too-short", "no-payload",
         "no-particles", "two-particles", "lone-leader", "best-fitness-nan",
         "bird-fitness-negative", "pbest-fitness-above-one", "record-best-inf", "elapsed-nan",
-        "elapsed-negative"])
+        "elapsed-negative", "velocity-nan", "velocity-above-vmax", "record-change-off-schedule"])
 def test_select_resume_malformed_checkpoint(config_file, tmp_path, capsys, method, corrupt):
     assert main(["select", "--method", method, "--config", str(config_file),
                  "--out", str(tmp_path / "u")]) == 0
