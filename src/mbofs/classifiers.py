@@ -84,6 +84,16 @@ def _check_nb_weights(weights) -> None:
             f"naive Bayes needs non-negative finite weights, and the matrix stores {bad}")
 
 
+def _check_tree_weights(weights) -> None:
+    """The tree orders any finite weights; NaN and infinite weights are
+    refused."""
+    data = weights.data
+    finite = np.isfinite(data)
+    if not finite.all():
+        raise ClassifierError(
+            f"the decision tree needs finite weights, and the matrix stores {data[~finite][0]}")
+
+
 def nb_train(matrix: DocTermMatrix, mask, row_subset) -> NbModel:
     """P(t|c) = (W(t,c)+ALPHA) / (W(.,c)+ALPHA*M') with W summing TF-IDF weight.
 
@@ -169,9 +179,11 @@ class _Entries(NamedTuple):
 
 
 def _presort(x) -> _Entries:
-    """The root of a tree on x (dense or sparse, rows x columns): the one sort."""
+    """The root of a tree on x (dense or sparse, rows x columns): the one sort.
+    A NaN or infinite weight in x raises ClassifierError."""
     x = sp.csr_matrix(x, dtype=float, copy=True)
     x.sum_duplicates()
+    _check_tree_weights(x)
     coo = x.tocoo()
     nz = coo.data != 0
     n, m = x.shape
@@ -204,11 +216,14 @@ def _best_split(node: _Entries, y: np.ndarray, n_classes: int):
     the column's nonzeros miss, and one cumsum over the runs gives the left
     class counts at every cut between two runs.
 
-    The counts are class-major: a (C, runs) array, whose gathered cuts form
-    a (C, cuts) array with one contiguous row per class. Every step of the
-    scoring then runs along the cuts, C rows at a time, instead of reducing
-    a short class axis one cut at a time. Each cut is still scored with the
-    arithmetic of the per-feature oracle in tests/test_classifiers.py
+    The counts are class-major: a (C, runs) int32 array, whose gathered
+    cuts form a (C, cuts) array with one contiguous row per class. Every
+    step of the scoring then runs along the cuts, C rows at a time, instead
+    of reducing a short class axis one cut at a time. The counts are summed
+    as integers, in place, and the left counts of a chunk of cuts are turned
+    to float when it is scored: each is an integer below 2**53, the float a
+    float cumsum would give. Each cut is still scored with the arithmetic
+    of the per-feature oracle in tests/test_classifiers.py
     (_gini_best_split), element for element, so the impurities agree bit
     for bit.
 
@@ -225,25 +240,30 @@ def _best_split(node: _Entries, y: np.ndarray, n_classes: int):
     new_run = np.r_[True, (col[1:] != col[:-1]) | (value[1:] != value[:-1])]
     first = np.flatnonzero(new_run)
     run_col, run_value = col[first], value[first]
-    labels = np.append(y, n_classes)[row]  # a marker counts in class C, dropped here
-    counts = np.bincount(labels * len(first) + np.cumsum(new_run) - 1,
-                         minlength=(n_classes + 1) * len(first))
-    counts = counts.reshape(n_classes + 1, -1)[:n_classes]
+    key = np.append(y, n_classes)[row]  # a marker counts in class C, dropped here
+    key *= len(first)  # the key of (class, run), built in place
+    key += np.cumsum(new_run)
+    key -= 1
+    counts = np.bincount(key, minlength=(n_classes + 1) * len(first))
+    del key
+    # the counts, and below their cumsum, are exact integers in [-n, n]
+    counts = counts.reshape(n_classes + 1, -1)[:n_classes].astype(np.int32)
     # a zero run holds the rows the column's nonzeros miss
     col_start = np.flatnonzero(np.r_[True, run_col[1:] != run_col[:-1]])
     zero = np.flatnonzero(run_value == 0.0)
     col_of_zero = np.searchsorted(col_start, zero, side="right") - 1
-    counts[:, zero] = totals - np.add.reduceat(counts, col_start, axis=1)[:, col_of_zero]
+    in_col = np.add.reduceat(counts, col_start, axis=1, dtype=np.int32)  # not cast to int64
+    counts[:, zero] = totals - in_col[:, col_of_zero]
     # every column's runs hold each of the node's rows once: taking the totals
     # off each column's first run (but the first column's) makes one cumsum
     # over all runs the left counts within each column
     counts[:, col_start[1:]] -= totals
-    left = np.cumsum(counts, axis=1, dtype=float)
+    left = np.cumsum(counts, axis=1, out=counts)
     cuts = np.flatnonzero(run_col[:-1] == run_col[1:])  # between run r and run r+1
     best = None
     for start in range(0, len(cuts), _SPLIT_CHUNK_CUTS):
         r = cuts[start:start + _SPLIT_CHUNK_CUTS]
-        lc = left.take(r, axis=1)
+        lc = left.take(r, axis=1).astype(float)
         rc = totals - lc
         nl = _class_sum(lc)  # exact: any order gives the same integer
         nr = n - nl
@@ -291,23 +311,44 @@ def _split(node: _Entries, feature: int, threshold: float, n_rows: int):
     return _take(node, left_of, n_rows), _take(node, ~left_of, n_rows)
 
 
-def _grow(node: _Entries, y: np.ndarray, n_classes: int, depth: int,
+def _grow(root: list, y: np.ndarray, n_classes: int, depth: int,
           max_depth: int, min_split: int) -> DtNode:
-    counts = np.bincount(y[node.rows], minlength=n_classes)
-    majority = int(np.argmax(counts))
-    n = len(node.rows)
-    if depth >= max_depth or n < min_split or counts.max() == n:
-        return DtNode(feature=-1, threshold=0.0, left=None, right=None, klass=majority)
+    """The tree grown from `root`, a one-item list of the root's entries at
+    `depth`, which _grow takes out of the list: no caller's reference then
+    keeps them alive while the tree grows.
 
-    best = _best_split(node, y, n_classes)
-    if best is None:
-        return DtNode(feature=-1, threshold=0.0, left=None, right=None, klass=majority)
-
-    _, j, threshold = best
-    left, right = _split(node, j, threshold, len(y))
-    left = _grow(left, y, n_classes, depth + 1, max_depth, min_split)
-    right = _grow(right, y, n_classes, depth + 1, max_depth, min_split)
-    return DtNode(feature=j, threshold=threshold, left=left, right=right, klass=majority)
+    The nodes grow depth first, left before right, from an explicit stack.
+    A split node's entries are dropped once its two children are filtered
+    from them, before either child grows. So the entries alive at any time
+    are those of the node being split and of the right siblings pending on
+    the stack, which cover disjoint rows: about one root's worth, at any
+    depth. Each node's (feature, threshold, class) is listed in preorder,
+    and the DtNodes are built from that list, children before parents.
+    """
+    preorder = []
+    pending = [(root.pop(), depth)]
+    while pending:
+        node, depth = pending.pop()
+        counts = np.bincount(y[node.rows], minlength=n_classes)
+        majority = int(np.argmax(counts))
+        n = len(node.rows)
+        best = None
+        if not (depth >= max_depth or n < min_split or counts.max() == n):
+            best = _best_split(node, y, n_classes)
+        if best is None:
+            preorder.append((-1, 0.0, majority))
+        else:
+            _, j, threshold = best
+            preorder.append((j, threshold, majority))
+            left, right = _split(node, j, threshold, len(y))
+            pending += [(right, depth + 1), (left, depth + 1)]
+            del left, right  # the stack alone holds the children
+    built = []  # subtrees, the last one leftmost
+    for j, threshold, majority in reversed(preorder):
+        left, right = (built.pop(), built.pop()) if j >= 0 else (None, None)
+        built.append(DtNode(feature=j, threshold=threshold, left=left, right=right,
+                            klass=majority))
+    return built.pop()
 
 
 def dt_train(
@@ -328,7 +369,7 @@ def dt_train(
         presorted = _presort(matrix.weights[:, cols])
     inside = np.zeros(matrix.n_docs + 1, dtype=bool)
     inside[rows] = True
-    root = _take(presorted, inside, matrix.n_docs)
+    root = [_take(presorted, inside, matrix.n_docs)]
     return DtModel(root=_grow(root, matrix.labels, matrix.n_classes, 0, max_depth, min_split),
                    feature_indices=cols)
 

@@ -484,8 +484,14 @@ def run_experiment(
         if problem:
             raise CheckpointError(f"malformed {resume_method} checkpoint: {problem}")
 
-    # NB reads every column when it evaluates, and the IG columns when only a
-    # search scores with it: a weight it refuses stops the run before any output
+    # The tree reads every column when it evaluates, and NB reads them all when
+    # it evaluates and the IG columns when only a search scores with it: a
+    # weight either refuses stops the run before any search or output
+    if config.eval_classifier in ("dt", "best"):
+        try:
+            classifiers._check_tree_weights(matrix.weights)
+        except classifiers.ClassifierError as exc:
+            raise PipelineError("evaluate", str(exc)) from exc
     nb_stage = ("evaluate" if config.eval_classifier in ("nb", "best")
                 else "search" if config.method != "ig" else None)
     if nb_stage:

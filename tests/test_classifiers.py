@@ -4,6 +4,8 @@ import math
 import multiprocessing
 import os
 import time
+import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -95,6 +97,17 @@ class TestNaiveBayes:
 
 
 class TestDecisionTree:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_in_the_mask_is_refused(self, bad):
+        m = dtm([[0.0, 1.0], [bad, 2.0], [1.0, 0.0]], [0, 1, 1])
+        message = f"the decision tree needs finite weights, and the matrix stores {bad}"
+        with pytest.raises(ClassifierError, match=f"^{message}$"):
+            dt_train(m, [True, True], [0, 1, 2])
+        with pytest.raises(ClassifierError, match=f"^{message}$"):
+            _presort(m.weights)
+        # a column outside the mask is not read
+        assert dt_train(m, [False, True], [0, 1, 2]).root.feature == 0
+
     def test_pure_subset_single_leaf(self):
         m = dtm([[1.0], [2.0]], [0, 0])
         model = dt_train(m, [True], [0, 1])
@@ -135,7 +148,7 @@ class TestDecisionTree:
 def _dt_build(x, y, n_classes, max_depth, min_split):
     """The Gini tree on x (dense or sparse, rows x columns) and its labels y,
     grown from x's own presort."""
-    return _grow(_presort(x), np.asarray(y), n_classes, 0, max_depth, min_split)
+    return _grow([_presort(x)], np.asarray(y), n_classes, 0, max_depth, min_split)
 
 
 def _gini_best_split(values: np.ndarray, labels: np.ndarray, n_classes: int):
@@ -410,6 +423,48 @@ class TestPlantedTrees:
             {kind: reports[kind] for kind in kinds} for reports in want]
 
 
+class TestTreeMemory:
+    """A tree holds the entries of the node it splits and of the right
+    siblings pending on its stack, never an ancestor's."""
+
+    def test_ancestor_entries_are_freed(self, monkeypatch):
+        """When a node's split search runs, every array of every ancestor's
+        entries is gone: an ancestor is an earlier node whose rows hold the
+        node's rows (children split a node's rows, both non-empty)."""
+        matrix, _ = make_planted_matrix(200, 4, 300, 20, seed=0)
+        seen = []  # (rows, weak references to the entry arrays) of each node
+        depths = []  # each node's depth: the ancestors checked
+        best_split = classifiers._best_split
+
+        def watched(node, y, n_classes):
+            rows = set(node.rows.tolist())
+            ancestors = [refs for earlier, refs in seen if rows < earlier]
+            assert all(ref() is None for refs in ancestors for ref in refs)
+            depths.append(len(ancestors))
+            seen.append((rows, [weakref.ref(a) for a in node]))
+            return best_split(node, y, n_classes)
+
+        monkeypatch.setattr(classifiers, "_best_split", watched)
+        dt_train(matrix, np.ones(matrix.n_features, dtype=bool), np.arange(160))
+        assert depths[0] == 0 and max(depths) >= 5 and len(depths) > 20
+
+    def test_planted_tree_peak_is_a_few_presorts(self):
+        """The traced peak of the planted raw fold-0 tree, grown from a given
+        presort, is under 6 times the presort's bytes (8.7 times when every
+        ancestor's entries stayed alive, 3.7 times without them)."""
+        matrix, _ = make_planted_matrix(500, 4, 2000, 50, seed=0)
+        rows = np.flatnonzero(stratified_folds(matrix.labels, 5, 0) != 0)
+        presorted = _presort(matrix.weights)
+        tracemalloc.start()
+        try:
+            dt_train(matrix, np.ones(matrix.n_features, dtype=bool), rows,
+                     presorted=presorted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * sum(a.nbytes for a in presorted)
+
+
 class TestStratifiedFolds:
     def test_balanced_deal(self):
         labels = [0] * 5 + [1] * 5
@@ -547,7 +602,7 @@ class TestFoldRoot:
         cols = np.flatnonzero(mask)
         presorted = _presort(matrix.weights[:, cols])
         shared = dt_train(matrix, mask, rows, presorted=presorted)
-        own = _grow(_presort(matrix.weights[rows][:, cols]), matrix.labels[rows],
+        own = _grow([_presort(matrix.weights[rows][:, cols])], matrix.labels[rows],
                     matrix.n_classes, 0, 20, 2)
         assert shared.root == own
 

@@ -477,6 +477,25 @@ class TestRunExperiment:
         report = run_experiment(cfg, matrix=matrix)
         assert [(m.name, m.classifier) for m in report.methods] == [("raw", "dt"), ("ig", "dt")]
 
+    @pytest.mark.parametrize("method", ["ig", "mbo"])
+    @pytest.mark.parametrize("eval_classifier", ["dt", "best"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_under_tree_evaluation_stops_before_any_output(
+            self, tmp_path, monkeypatch, method, eval_classifier, bad):
+        # the tree orders finite weights only: a NaN or infinite weight stops
+        # the run with one line, before any search runs or any file is written
+        matrix, _ = make_planted_matrix(n_docs=60, n_features=40, n_informative=8, seed=3)
+        matrix.weights.data[5] = bad
+        for engine in ("mbo_select", "pso_select"):
+            monkeypatch.setattr(harness, engine, lambda *args, **kw: pytest.fail("search ran"))
+        cfg = ExperimentConfig(ig_cap=20, method=method, eval_classifier=eval_classifier,
+                               out_dir=str(tmp_path / "run"))
+        with pytest.raises(PipelineError) as err:
+            run_experiment(cfg, matrix=matrix)
+        assert str(err.value) == ("[evaluate] the decision tree needs finite weights, "
+                                  f"and the matrix stores {bad}")
+        assert not list((tmp_path / "run").iterdir())
+
 
 def _trace_lines(run, engine):
     return len((run / f"trace_{engine}.txt").read_text(encoding="utf-8").splitlines())
