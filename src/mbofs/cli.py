@@ -42,7 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--format", choices=["tsv", "dirs"], default="tsv")
     p.add_argument("--stopwords", default="")
-    p.add_argument("--stats", action="store_true", help="print corpus statistics")
 
     p = sub.add_parser("select", help="run feature selection")
     p.add_argument("--method", choices=["ig", "mbo", "pso", "all"], default=None)

@@ -137,6 +137,10 @@ def load_stopwords(path) -> frozenset[str]:
 
 
 def load_corpus(path, format: str = "tsv") -> Corpus:
+    """The documents at `path`, in the format the config's `corpus_format`
+    names: "tsv", one `label<TAB>text` line per document, or "dirs",
+    `path/<class>/<file>` with one UTF-8 document per file, in sorted order.
+    An unreadable or non-UTF-8 file raises CorpusError naming that file."""
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"corpus path does not exist: {path}")
@@ -203,6 +207,8 @@ def vectorize_tfidf(corpus: Corpus, vocab: Vocabulary) -> DocTermMatrix:
 
 
 def compute_stats(corpus: Corpus, vocab: Vocabulary) -> CorpusStats:
+    """Word and character totals read from `vocab.counts`, so no
+    per-document loop runs after tokenization."""
     if not corpus.docs:
         raise CorpusError("empty corpus")
     term_length = np.array([len(t) for t in vocab.term_list()], dtype=np.int64)

@@ -2,6 +2,16 @@
 
 The `method = all` searches (harness) and the fold trees and NB folds of
 an evaluation step (classifiers) all run through `side_by_side`.
+
+A fork, not a spawned interpreter: the child needs the matrix and the
+imports this process already holds, and a spawned worker took 0.5-0.7 s to
+start on a 2-core host. A child starts as a copy-on-write image of this
+process and adds its own working set; it reads the presorts made before the
+fork without copying them. mbofs starts no thread of its own, and numpy's
+OpenBLAS stops its thread pool before a fork (a pthread_atfork handler) and
+starts it again on its next call, in parent and child alike.
+From Python 3.12 on, a fork in a process with more than one thread raises a
+DeprecationWarning.
 """
 
 from __future__ import annotations
@@ -45,7 +55,8 @@ def side_by_side(tasks: dict, lost) -> list:
 
     The tasks are independent, so where the platform can fork and there are
     two or more, they run from a two-process work queue (Graham's list
-    scheduling): one daemonic child is forked and starts on task 1 while
+    scheduling, SIAM J. Appl. Math., 1969): one daemonic child is forked
+    with multiprocessing's "fork" start method and starts on task 1 while
     this process runs task 0. After that, each process takes the next task
     neither has taken, from a counter they share, made before the fork;
     list the largest tasks first. The child sends back each result (or
@@ -58,7 +69,7 @@ def side_by_side(tasks: dict, lost) -> list:
     result raises `lost("the <name> process exited with code <n> and sent
     no result")`, <name> being the task it was running. On the way out, a
     child still running is terminated and joined, so an error here leaves
-    none behind. Without fork, every task runs here, in order.
+    none behind. Without fork (Windows), every task runs here, in order.
     """
     names, calls = list(tasks), list(tasks.values())
     if len(calls) < 2 or "fork" not in multiprocessing.get_all_start_methods():

@@ -133,6 +133,10 @@ class ExperimentConfig:
 
 @dataclass
 class MethodResult:
+    """One report row. `elapsed_s` is the seconds spent making the mask plus
+    the durations of its own evaluation units summed, whichever process ran
+    them; the trace files keep the search's times alone."""
+
     name: str  # raw | ig | mbo | pso
     m_prime: int
     accuracy: float
@@ -351,7 +355,10 @@ class _CheckpointWriter:
     """One search's `on_step`: writes the live snapshot once CHECKPOINT_INTERVAL_S
     has passed since the search started or since the last write. `flush()`, called
     after the search returns, writes the last step if it is not on disk yet.
-    Nothing is written on an exception: a snapshot caught mid-step is torn."""
+    A search that ran no step (a budget that ends before the first one, or a
+    resume from a final checkpoint) writes no file. Nothing is written on an
+    exception: a snapshot caught mid-step is torn. So a crash loses at most
+    one interval of search, plus the step it interrupts."""
 
     def __init__(self, write):
         self._write = write  # snapshot -> None; encodes only when called
@@ -378,6 +385,9 @@ def run_fingerprint(matrix: DocTermMatrix, config: ExperimentConfig) -> str:
 
 
 def checkpoint_load(path, fingerprint: str) -> tuple[str, dict]:
+    """The (method, payload) of a checkpoint written under `fingerprint`; a
+    file that is not a JSON object, of another format version (1 to 5
+    included) or of another corpus or search config raises CheckpointError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
@@ -433,7 +443,30 @@ def run_experiment(
     """Full pipeline: load -> vectorize -> IG filter -> engines seeded from the
     IG mask -> one evaluation step of the raw, IG and searched masks -> every
     output. A pre-built matrix may be injected (synthetic benchmarks);
-    otherwise the corpus is loaded from config."""
+    otherwise the corpus is loaded from config.
+
+    Every refusal comes before any search, fork or output, and before the
+    run directory is made: the config, the corpus, IG, a resume checkpoint
+    (loaded, then decoded and checked by _resume_problem once the IG mask
+    is known), the weights, and a class with fewer rows than `folds`. The
+    weights are checked once, for the columns each classifier will read:
+    with `eval_classifier` dt or best, every column for the tree first;
+    then NB's, every column when the evaluation runs NB (nb or best), else
+    the IG columns when a search runs. A refused weight gives one
+    `[evaluate]` or `[search]` error; a signed weight passes the tree, so
+    `method = ig` with `eval_classifier = dt` runs.
+
+    Every run searches first, then evaluates once, then writes once. With
+    `method = all` the searches run side by side (forked.side_by_side): MBO
+    here and PSO in a forked child, so the run takes about as long as the
+    longer search. The child writes PSO's checkpoints itself and sends back
+    the best mask, the trace and the evaluation count; an error there gives
+    the exit code and error line of the same error in a one-engine run.
+    Once the child is joined, one evaluation step (evaluate_masks) scores
+    every mask, so at most one child is alive at any time. One loop then
+    writes every mask, sidecar and trace file, in method order, and the
+    report. A run that fails in its search or its evaluation writes no mask;
+    checkpoints are still written on the clock during the search."""
     config.validate()
     if matrix is None:
         matrix, terms, stats = load_input(config)
@@ -446,11 +479,6 @@ def run_experiment(
             avg_word_length=0.0,
         )
 
-    out_dir = Path(config.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file is in the way
-        raise PipelineError("output", f"cannot create {out_dir}: {exc.strerror}") from exc
     fingerprint = run_fingerprint(matrix, config)
     resume_method, resume_payload = (None, None)
     if resume_path:
@@ -504,6 +532,13 @@ def run_experiment(
         classifiers.stratified_folds(matrix.labels, config.folds, config.seed)
     except classifiers.ClassifierError as exc:
         raise PipelineError("evaluate", str(exc)) from exc
+
+    # made once nothing more is refused, so a refused run leaves no directory
+    out_dir = Path(config.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file is in the way
+        raise PipelineError("output", f"cannot create {out_dir}: {exc.strerror}") from exc
 
     # name -> (mask, seconds spent making it, status, evaluations, last gain)
     made = {"raw": (np.ones(matrix.n_features, dtype=bool), 0.0, "ok", 0, 0),

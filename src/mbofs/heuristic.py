@@ -172,7 +172,9 @@ class FitnessFn:
     def batch(self, masks) -> list[float]:
         """`[self(mask) for mask in masks]`, after the non-empty masks the memo
         lacks are scored into it, once each, together by
-        NbFoldKernel.accuracy_batch."""
+        NbFoldKernel.accuracy_batch. So the values, the memo and
+        `evaluations` are those of one call per mask, and the benchmark's
+        tracer sees each call."""
         todo: dict[bytes, bytes] = {}  # packed key -> mask bits
         nonempty = [mask.bits for mask in masks if 1 in mask.bits]
         if nonempty:
@@ -215,13 +217,17 @@ def run_search(input_mask: FeatureMask, resume, init, step, stop, budget_seconds
     trace.
 
     An input that selects nothing is refused, and a one-feature universe,
-    whose only non-empty mask is the input, is returned as is. Otherwise the
-    clock starts before the snapshot is taken: `resume`, or `init()` when
-    that is None, so a fresh search's time covers its initialization. The
-    snapshot keeps its global best as `best_mask` and `best_fitness`, and
-    its `records` are its only record of progress: one per step taken, each
-    with the best fitness so far (`best`) and the elapsed milliseconds at its
-    end; a resume's clock goes on from its last record's. Each round checks
+    whose only non-empty mask is the input, is returned as is, with status
+    "single-feature", no step and no evaluation. Otherwise the clock starts
+    before the snapshot is taken: `resume`, or `init()` when that is None,
+    so a fresh search's time covers its initialization. The snapshot keeps
+    its global best as `best_mask` and `best_fitness`, and its `records`
+    are its only record of progress: one per step taken, each with the best
+    fitness so far (`best`) and the elapsed milliseconds at its end; a
+    resume's clock goes on from its last record's. The step count is their
+    number and MBO's stagnation test reads them, so a checkpoint cannot
+    claim a step its records do not list, nor a termination reason before
+    the search has ended. Each round checks
     `stop(snapshot)` (a termination reason or None) before the budget, then
     runs `step(snapshot, clock)`, one tour or iteration in place, with
     `clock()` giving the elapsed seconds, and hands the snapshot to `on_step`.

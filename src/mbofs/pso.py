@@ -3,9 +3,15 @@
 Particles start as perturbations of the input mask (one exact copy included,
 so the global best can never fall below the input). Velocities follow the
 standard inertia + cognitive + social update with linear inertia decay; each
-bit is resampled to 1 with probability sigmoid(velocity). An iteration draws
-every particle's move from its own stream first, updates the swarm as (P, M)
-arrays and scores all new positions in one fitness batch.
+bit is resampled to 1 with probability sigmoid(velocity). The search ends
+after `max_iterations` iterations (the config's `pso_iterations`) or on the
+budget.
+
+An iteration draws every particle's move from its own stream first: one
+random(out=...) fills the particle's (3, M) slice of a (P, 3, M) buffer, the
+same values as three random(M) calls. It then updates the swarm as (P, M)
+arrays and scores all new positions in one fitness batch. The per-particle
+loop this replaced is kept in tests/test_pso.py as the oracle.
 """
 
 from __future__ import annotations

