@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import hashlib
-import re
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-_TOKEN_RE = re.compile(r"[^0-9a-z]+")
+# A byte table that keeps the bytes of [0-9a-z] and turns every other byte into
+# a space. Every byte of a non-ASCII character's UTF-8 form is >= 0x80, so each
+# such character separates tokens, as a character outside [0-9a-z] does.
+_TOKEN_BYTES = b"0123456789abcdefghijklmnopqrstuvwxyz"
+_SEPARATE = bytes(b if b in _TOKEN_BYTES else 0x20 for b in range(256))
 
 # Minimal built-in English stopword list; external files override it.
 DEFAULT_STOPWORDS = frozenset(
@@ -50,7 +56,7 @@ class Corpus:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    terms: dict[str, int]  # term -> contiguous index, first-appearance order
+    terms: dict[str, int]  # term -> index; indices count up in insertion order
     counts: sp.csr_matrix  # documents x terms token counts, column indices sorted
 
     @property
@@ -63,10 +69,7 @@ class Vocabulary:
         return np.bincount(self.counts.indices, minlength=self.n_terms)
 
     def term_list(self) -> list[str]:
-        out = [""] * len(self.terms)
-        for t, i in self.terms.items():
-            out[i] = t
-        return out
+        return list(self.terms)
 
 
 @dataclass(frozen=True)
@@ -114,12 +117,12 @@ class CorpusStats:
 
 
 def tokenize(text: str, stopwords=DEFAULT_STOPWORDS) -> list[str]:
-    """Lowercase, split on non-alphanumeric runs, drop length<2 and stopwords."""
-    return [
-        tok
-        for tok in _TOKEN_RE.split(text.lower())
-        if len(tok) >= 2 and tok not in stopwords
-    ]
+    """The runs of ASCII letters and digits in the lowercased text, of two or
+    more characters and not stopwords. Any other character, an accented letter
+    included, separates tokens: "Cafés" gives "caf"."""
+    words = text.lower().encode("utf-8", "surrogatepass").translate(_SEPARATE)
+    return [tok for tok in words.decode("ascii").split()
+            if len(tok) >= 2 and tok not in stopwords]
 
 
 def _unreadable(path, exc: OSError | UnicodeDecodeError) -> CorpusError:
@@ -128,9 +131,9 @@ def _unreadable(path, exc: OSError | UnicodeDecodeError) -> CorpusError:
 
 
 def load_stopwords(path) -> frozenset[str]:
-    """One token per line, UTF-8."""
+    """One token per line, UTF-8 with or without a byte-order mark."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(path, exc) from exc
     return frozenset(tok.strip().lower() for tok in lines if tok.strip())
@@ -140,14 +143,15 @@ def load_corpus(path, format: str = "tsv") -> Corpus:
     """The documents at `path`, in the format the config's `corpus_format`
     names: "tsv", one `label<TAB>text` line per document, or "dirs",
     `path/<class>/<file>` with one UTF-8 document per file, in sorted order.
-    An unreadable or non-UTF-8 file raises CorpusError naming that file."""
+    A TSV file may open with a UTF-8 byte-order mark. An unreadable or
+    non-UTF-8 file raises CorpusError naming that file."""
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"corpus path does not exist: {path}")
     docs = []
     try:
         if format == "tsv":
-            with path.open(encoding="utf-8") as fh:
+            with path.open(encoding="utf-8-sig") as fh:
                 for lineno, line in enumerate(fh, 1):
                     line = line.rstrip("\n")
                     if not line:
@@ -176,15 +180,17 @@ def load_corpus(path, format: str = "tsv") -> Corpus:
 def build_vocabulary(corpus: Corpus, stopwords=DEFAULT_STOPWORDS) -> Vocabulary:
     """The one tokenization pass: the terms and the document-term count
     matrix, which vectorize_tfidf and compute_stats read."""
-    terms: dict[str, int] = {}
-    ids: list[int] = []
+    terms = defaultdict(count().__next__)  # a new term takes the next index
+    ids = array("q")  # numpy reads it in place, with no second copy of the ids
     indptr = [0]
     for doc in corpus.docs:
-        ids.extend(terms.setdefault(tok, len(terms)) for tok in tokenize(doc.text, stopwords))
+        ids.extend(map(terms.__getitem__, tokenize(doc.text, stopwords)))
         indptr.append(len(ids))
+    terms.default_factory = None  # an unknown term is a KeyError again, as in a dict
     if not terms:
         raise CorpusError("vocabulary empty after filtering")
-    counts = sp.csr_matrix((np.ones(len(ids), dtype=np.int64), ids, indptr),
+    counts = sp.csr_matrix((np.ones(len(ids), dtype=np.int64),
+                            np.frombuffer(ids, dtype=np.int64), indptr),
                            shape=(len(corpus.docs), len(terms)))
     counts.sum_duplicates()  # sorts each row's columns and adds repeated tokens
     return Vocabulary(terms=terms, counts=counts)

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 import time
 import typing
 from dataclasses import asdict, dataclass
@@ -36,6 +37,9 @@ CHECKPOINT_VERSION = 6
 # Config fields that change a search's trajectory; a checkpoint is bound to them.
 SEARCH_FIELDS = ("seed", "folds", "ig_cap", "flock_size", "neighbors",
                  "base_fraction", "swarm_size", "pso_iterations")
+# A config comment: a '#' that starts a line or follows whitespace, to the end
+# of the line; a '#' inside a value, as in `corpus_path = c#1.tsv`, is kept.
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 # Least wall time between two checkpoint writes of one search; the last step is
 # always written when the search returns.
 CHECKPOINT_INTERVAL_S = 5.0
@@ -76,15 +80,16 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
-        """Flat key = value lines, UTF-8, '#' comments."""
+        """Flat key = value lines, UTF-8 with or without a byte-order mark, and
+        '#' comments that start a line or follow whitespace."""
         cfg = ExperimentConfig()
         types = {f.name: type(getattr(cfg, f.name)) for f in cfg.__dataclass_fields__.values()}
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise PipelineError("config", str(corpus_mod._unreadable(path, exc))) from exc
         for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
+            line = _COMMENT.sub("", line, count=1).strip()
             if not line:
                 continue
             if "=" not in line:

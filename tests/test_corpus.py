@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -26,6 +27,13 @@ def make_corpus(pairs):
     return Corpus.from_docs(RawDocument(label=l, text=t) for l, t in pairs)
 
 
+def reference_tokenize(text, stopwords):
+    """The earlier tokenizer, kept as the oracle of tokenize: the lowercased
+    text split by the regex engine on runs of characters outside [0-9a-z]."""
+    return [tok for tok in re.split(r"[^0-9a-z]+", text.lower())
+            if len(tok) >= 2 and tok not in stopwords]
+
+
 class TestTokenize:
     def test_stopwords_and_case(self):
         assert tokenize("The cat sat.", {"the"}) == ["cat", "sat"]
@@ -39,6 +47,25 @@ class TestTokenize:
     def test_splits_on_nonalnum_runs(self):
         assert tokenize("foo--bar!!baz42", set()) == ["foo", "bar", "baz42"]
 
+    @pytest.mark.parametrize("text, tokens", [
+        ("300\u212a Kelvin", ["300k", "kelvin"]),  # the Kelvin sign lowercases to ASCII k
+        ("\u0130stanbul", ["stanbul"]),  # İ lowercases to i and a combining dot
+        ("Stra\u00dfe", ["stra"]),  # ß has no ASCII form
+        ("Caf\u00e9s na\u00efve r\u00e9sum\u00e9", ["caf", "na", "ve", "sum"]),
+        ("won 2-1, 40% faster at 220C", ["won", "40", "faster", "at", "220c"]),
+        ("\uff11\uff12\uff13 \u0661\u0662 12", ["12"]),  # full-width and Arabic-Indic digits
+        ("pizza\U0001f355time \U0001f600\U0001f600", ["pizza", "time"]),
+        ("ab\ud800cd", ["ab", "cd"]),  # a lone surrogate
+    ])
+    def test_named_cases_match_reference(self, text, tokens):
+        assert tokenize(text, set()) == reference_tokenize(text, set()) == tokens
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.text(), st.text(alphabet="aZ09 -_.\t\u00e9\u00df\u0130\u212a\U0001f355")),
+           st.frozensets(st.text(alphabet="az09", max_size=3)))
+    def test_matches_reference(self, text, stopwords):
+        assert tokenize(text, stopwords) == reference_tokenize(text, stopwords)
+
 
 class TestLoadCorpus:
     def test_tsv(self, tmp_path):
@@ -47,6 +74,14 @@ class TestLoadCorpus:
         c = load_corpus(p, "tsv")
         assert len(c.docs) == 3
         assert c.classes == ("spam", "ham")
+
+    def test_tsv_byte_order_mark_and_crlf(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_bytes("\ufeffspam\tbuy now\r\nham\thello there\r\nspam\tcheap pills\r\n"
+                      .encode("utf-8"))
+        c = load_corpus(p, "tsv")
+        assert c.classes == ("spam", "ham")
+        assert [d.text for d in c.docs] == ["buy now", "hello there", "cheap pills"]
 
     def test_tsv_malformed(self, tmp_path):
         p = tmp_path / "c.tsv"
@@ -176,7 +211,8 @@ def reference_front_end(corpus, stopwords):
     weighted and normalized in Python. Returns the CSR data, indices and
     indptr, the document frequencies and the statistics."""
     terms = {}
-    doc_terms = [[terms.setdefault(tok, len(terms)) for tok in tokenize(doc.text, stopwords)]
+    doc_terms = [[terms.setdefault(tok, len(terms))
+                  for tok in reference_tokenize(doc.text, stopwords)]
                  for doc in corpus.docs]
     df = np.zeros(len(terms), dtype=np.int64)
     for row in doc_terms:
@@ -263,6 +299,12 @@ def test_load_stopwords(tmp_path):
     p = tmp_path / "stop.txt"
     p.write_text("The\nand\n\n  of \n")
     assert load_stopwords(p) == {"the", "and", "of"}
+
+
+def test_load_stopwords_byte_order_mark(tmp_path):
+    p = tmp_path / "stop.txt"
+    p.write_text("\ufeffcheap\nfree\n", encoding="utf-8")
+    assert load_stopwords(p) == {"cheap", "free"}
 
 
 # A small corpus with case, punctuation, digits, repeated words, stopwords,

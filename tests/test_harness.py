@@ -56,6 +56,25 @@ class TestConfig:
         assert cfg.budget_seconds == 30.0
         assert cfg.folds == 5  # untouched default
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_text(
+            "#folds = 9\n"
+            "  # an indented comment\n"
+            "corpus_path = c#1.tsv\n"
+            "out_dir = runs/a#b\t# a comment after a tab\n"
+            "seed = 7 #a comment after a space\n",
+            encoding="utf-8",
+        )
+        cfg = ExperimentConfig.from_file(p)
+        assert (cfg.corpus_path, cfg.out_dir, cfg.seed, cfg.folds) == ("c#1.tsv", "runs/a#b", 7, 5)
+
+    def test_byte_order_mark(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_text("\ufefffolds = 3\nseed = 2\n", encoding="utf-8")
+        cfg = ExperimentConfig.from_file(p)
+        assert (cfg.folds, cfg.seed) == (3, 2)
+
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text("not_a_key = 1\n")
