@@ -12,9 +12,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .classifiers import ClassifierError
 from .harness import (
-    CheckpointError,
     ExperimentConfig,
     PipelineError,
     RunReport,
@@ -24,7 +22,6 @@ from .harness import (
     render_report,
     run_experiment,
 )
-from .heuristic import HeuristicError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,7 +129,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (PipelineError, CheckpointError, ClassifierError, HeuristicError) as exc:
+    except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -143,17 +143,18 @@ def load_corpus(path, format: str = "tsv") -> Corpus:
     """The documents at `path`, in the format the config's `corpus_format`
     names: "tsv", one `label<TAB>text` line per document, or "dirs",
     `path/<class>/<file>` with one UTF-8 document per file, in sorted order.
-    A TSV file may open with a UTF-8 byte-order mark. An unreadable or
-    non-UTF-8 file raises CorpusError naming that file."""
+    A TSV file may open with a UTF-8 byte-order mark, and its lines end in LF
+    or CRLF; a lone CR stays in the text, where it separates tokens. An
+    unreadable or non-UTF-8 file raises CorpusError naming that file."""
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"corpus path does not exist: {path}")
     docs = []
     try:
         if format == "tsv":
-            with path.open(encoding="utf-8-sig") as fh:
+            with path.open(encoding="utf-8-sig", newline="\n") as fh:
                 for lineno, line in enumerate(fh, 1):
-                    line = line.rstrip("\n")
+                    line = line.removesuffix("\n").removesuffix("\r")
                     if not line:
                         continue
                     if "\t" not in line:

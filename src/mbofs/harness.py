@@ -46,8 +46,9 @@ CHECKPOINT_INTERVAL_S = 5.0
 
 
 class PipelineError(Exception):
-    """Reads `[stage] message`; its args stay (stage, message), so it survives the
-    pickling that brings a forked search's error back."""
+    """The one error a run, a load or a check raises to the CLI. Reads `[stage]
+    message`; its args stay (stage, message), so it survives the pickling that
+    brings a forked search's error back."""
 
     def __init__(self, stage: str, message: str):
         super().__init__(stage, message)
@@ -56,8 +57,13 @@ class PipelineError(Exception):
         return "[%s] %s" % self.args
 
 
-class CheckpointError(Exception):
-    pass
+@contextlib.contextmanager
+def _stage(stage: str, *errors):
+    """Raises any of `errors` raised inside as PipelineError(stage, its message)."""
+    try:
+        yield
+    except errors as exc:
+        raise PipelineError(stage, str(exc)) from exc
 
 
 @dataclass
@@ -118,10 +124,8 @@ class ExperimentConfig:
             raise PipelineError("config", f"unknown method {self.method!r}")
         if self.eval_classifier not in ("nb", "dt", "best"):
             raise PipelineError("config", f"unknown eval_classifier {self.eval_classifier!r}")
-        try:  # every engine's fields, whatever the method
+        with _stage("config", HeuristicError):  # every engine's fields, whatever the method
             self.engine_configs()
-        except HeuristicError as exc:
-            raise PipelineError("config", str(exc)) from exc
 
     def engine_configs(self) -> dict[str, MboConfig | PsoConfig]:
         """Each search engine's config; each one checks the range of its own fields."""
@@ -178,10 +182,8 @@ def evaluate_masks(
     one evaluation step: their fold trees and NB folds run from one work
     queue (classifiers.cross_val_accuracies)."""
     kinds = ("nb", "dt") if classifier == "best" else (classifier,)
-    try:
+    with _stage("evaluate", classifiers.ClassifierError):
         step = classifiers.cross_val_accuracies(matrix, masks, kinds, k, seed)
-    except classifiers.ClassifierError as exc:
-        raise PipelineError("evaluate", str(exc)) from exc
     out = []
     for reports, seconds in step:
         best = max(kinds, key=lambda kind: reports[kind].mean_accuracy)  # first on ties
@@ -284,9 +286,9 @@ def _decode(hint, value):
 
 
 def _leaves(value, name=None):
-    """(field name, value) of each field of a snapshot that holds no dataclass
-    or list: the masks' bits, the velocity arrays and the numbers."""
-    if dataclasses.is_dataclass(value):
+    """(field name, value) of each field of a snapshot that holds a mask or no
+    dataclass or list: the masks, the velocity arrays and the numbers."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, FeatureMask):
         for f in dataclasses.fields(value):
             yield from _leaves(getattr(value, f.name), f.name)
     elif isinstance(value, (list, tuple)):
@@ -299,11 +301,13 @@ def _leaves(value, name=None):
 def _resume_problem(snapshot, universe: int, config: ExperimentConfig) -> str | None:
     """Why the config's search could not have made a decoded snapshot, or None:
     a mask or velocity not over the IG-reduced universe, a flock or swarm of
-    another size, a tour whose change is not the schedule's, a fitness outside
+    another size, a tour whose change is not the schedule's, an empty best,
+    bird or pbest mask (a PSO position may be empty), a fitness outside
     [0, 1], a velocity outside [-V_MAX, V_MAX] (NaN too, for both), or an
     elapsed time that is not finite and >= 0."""
     leaves = list(_leaves(snapshot))
-    if {len(v) for _, v in leaves if isinstance(v, (bytes, np.ndarray))} - {universe}:
+    if {len(getattr(v, "bits", v)) for _, v in leaves
+            if isinstance(v, (FeatureMask, np.ndarray))} - {universe}:
         return f"masks and velocities must have {universe} entries"
     if isinstance(snapshot, MboSnapshot):
         if snapshot.flock.size != config.flock_size:
@@ -316,6 +320,8 @@ def _resume_problem(snapshot, universe: int, config: ExperimentConfig) -> str | 
     elif len(snapshot.particles) != config.swarm_size:
         return f"the swarm must have {config.swarm_size} particles"
     for name, value in leaves:
+        if name in ("mask", "best_mask", "pbest_mask") and 1 not in value.bits:
+            return f"{name} selects no feature"
         if name in ("fitness", "pbest_fitness", "best_fitness", "best") and not 0 <= value <= 1:
             return f"{name} {value!r} is outside [0, 1]"
         if name == "velocity" and not np.all(np.abs(value) <= V_MAX):
@@ -391,24 +397,24 @@ def run_fingerprint(matrix: DocTermMatrix, config: ExperimentConfig) -> str:
 
 def checkpoint_load(path, fingerprint: str) -> tuple[str, dict]:
     """The (method, payload) of a checkpoint written under `fingerprint`; a
-    file that is not a JSON object, of another format version (1 to 5
-    included) or of another corpus or search config raises CheckpointError."""
+    file that cannot be read, is not a JSON object, or is of another format
+    version (1 to 5 included) or of another corpus or search config raises
+    PipelineError("checkpoint", ...)."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
-        raise CheckpointError(f"unreadable checkpoint: {exc}") from exc
+        raise PipelineError("checkpoint", f"unreadable checkpoint: {exc}") from exc
     if not isinstance(doc, dict):
-        raise CheckpointError("malformed checkpoint: not a JSON object")
+        raise PipelineError("checkpoint", "malformed checkpoint: not a JSON object")
     if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {doc.get('format_version')} != {CHECKPOINT_VERSION}"
-        )
+        raise PipelineError("checkpoint", f"checkpoint version {doc.get('format_version')} "
+                                          f"!= {CHECKPOINT_VERSION}")
     if doc.get("fingerprint") != fingerprint:
-        raise CheckpointError("checkpoint from a different corpus or search config")
+        raise PipelineError("checkpoint", "checkpoint from a different corpus or search config")
     try:
         return doc["method"], doc["payload"]
     except KeyError as exc:
-        raise CheckpointError(f"malformed checkpoint: no {exc} field") from exc
+        raise PipelineError("checkpoint", f"malformed checkpoint: no {exc} field") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +430,7 @@ def _expand_mask(reduced_mask: FeatureMask, ig_columns: np.ndarray, universe: in
 
 def load_input(config: ExperimentConfig) -> tuple[DocTermMatrix, list[str], CorpusStats]:
     """The corpus the config names, as a TF-IDF matrix, its terms and its statistics."""
-    try:
+    with _stage("load", corpus_mod.CorpusError):
         stopwords = (
             corpus_mod.load_stopwords(config.stopwords_path)
             if config.stopwords_path
@@ -434,8 +440,6 @@ def load_input(config: ExperimentConfig) -> tuple[DocTermMatrix, list[str], Corp
         vocab = corpus_mod.build_vocabulary(raw, stopwords)
         matrix = corpus_mod.vectorize_tfidf(raw, vocab)
         return matrix, vocab.term_list(), corpus_mod.compute_stats(raw, vocab)
-    except corpus_mod.CorpusError as exc:
-        raise PipelineError("load", str(exc)) from exc
 
 
 def run_experiment(
@@ -450,28 +454,29 @@ def run_experiment(
     output. A pre-built matrix may be injected (synthetic benchmarks);
     otherwise the corpus is loaded from config.
 
-    Every refusal comes before any search, fork or output, and before the
-    run directory is made: the config, the corpus, IG, a resume checkpoint
-    (loaded, then decoded and checked by _resume_problem once the IG mask
-    is known), the weights, and a class with fewer rows than `folds`. The
-    weights are checked once, for the columns each classifier will read:
-    with `eval_classifier` dt or best, every column for the tree first;
-    then NB's, every column when the evaluation runs NB (nb or best), else
-    the IG columns when a search runs. A refused weight gives one
-    `[evaluate]` or `[search]` error; a signed weight passes the tree, so
-    `method = ig` with `eval_classifier = dt` runs.
+    Each failure it reports is a PipelineError. Every refusal comes before any
+    search, fork or output, and before the run directory is made: the
+    config, the corpus, IG, a resume checkpoint (`[checkpoint]`: loaded,
+    then decoded and checked by _resume_problem once the IG mask is known),
+    the evaluation's weights and a class with fewer rows than `folds`
+    (`[evaluate]`), then the NB fitness of the search this process runs
+    (`[search]`), which checks the IG columns it reads, overflow included.
+    The tree reads every column under `eval_classifier` dt or best, and NB
+    under nb or best; a signed weight passes the tree, so `method = ig` with
+    `eval_classifier = dt` runs.
 
     Every run searches first, then evaluates once, then writes once. With
     `method = all` the searches run side by side (forked.side_by_side): MBO
     here and PSO in a forked child, so the run takes about as long as the
     longer search. The child writes PSO's checkpoints itself and sends back
-    the best mask, the trace and the evaluation count; an error there gives
-    the exit code and error line of the same error in a one-engine run.
-    Once the child is joined, one evaluation step (evaluate_masks) scores
-    every mask, so at most one child is alive at any time. One loop then
-    writes every mask, sidecar and trace file, in method order, and the
-    report. A run that fails in its search or its evaluation writes no mask;
-    checkpoints are still written on the clock during the search."""
+    the best mask, the trace and the evaluation count. A search's own error
+    gives `[search]`, and an error in the child gives the exit code and
+    error line of the same error in a one-engine run. Once the child is
+    joined, one evaluation step (evaluate_masks) scores every mask, so at
+    most one child is alive at any time. One loop then writes every mask,
+    sidecar and trace file, in method order, and the report. A run that
+    fails in its search or its evaluation writes no mask; checkpoints are
+    still written on the clock during the search."""
     config.validate()
     if matrix is None:
         matrix, terms, stats = load_input(config)
@@ -489,15 +494,13 @@ def run_experiment(
     if resume_path:
         resume_method, resume_payload = checkpoint_load(resume_path, fingerprint)
         if resume_method not in ("mbo", "pso") or config.method not in (resume_method, "all"):
-            raise CheckpointError(
-                f"{resume_method!r} checkpoint cannot resume method {config.method!r}")
+            raise PipelineError("checkpoint", f"{resume_method!r} checkpoint cannot resume "
+                                              f"method {config.method!r}")
 
-    try:
-        t0 = time.monotonic()
+    t0 = time.monotonic()
+    with _stage("ig", filter_ig.FilterError):
         scores = filter_ig.ig_scores(matrix)
         ig_mask = filter_ig.cap_mask(scores, cap=config.ig_cap)
-    except filter_ig.FilterError as exc:
-        raise PipelineError("ig", str(exc)) from exc
     ig_scoring_s = time.monotonic() - t0
     ig_columns = np.flatnonzero(ig_mask)
 
@@ -511,32 +514,27 @@ def run_experiment(
         try:
             resume = _decode(engines[resume_method][2], resume_payload)
         except (KeyError, TypeError, ValueError, HeuristicError) as exc:
-            raise CheckpointError(
-                f"malformed {resume_method} checkpoint: {exc!r}") from exc
+            raise PipelineError("checkpoint",
+                                f"malformed {resume_method} checkpoint: {exc!r}") from exc
         problem = _resume_problem(resume, len(ig_columns), config)
         if problem:
-            raise CheckpointError(f"malformed {resume_method} checkpoint: {problem}")
+            raise PipelineError("checkpoint", f"malformed {resume_method} checkpoint: {problem}")
 
-    # The tree reads every column when it evaluates, and NB reads them all when
-    # it evaluates and the IG columns when only a search scores with it: a
-    # weight either refuses stops the run before any search or output
-    if config.eval_classifier in ("dt", "best"):
-        try:
+    # the tree reads every column when it evaluates, and NB too when it
+    # evaluates: a weight either refuses, or a class with fewer rows than
+    # folds, stops the run before any search or output
+    with _stage("evaluate", classifiers.ClassifierError):
+        if config.eval_classifier in ("dt", "best"):
             classifiers._check_tree_weights(matrix.weights)
-        except classifiers.ClassifierError as exc:
-            raise PipelineError("evaluate", str(exc)) from exc
-    nb_stage = ("evaluate" if config.eval_classifier in ("nb", "best")
-                else "search" if config.method != "ig" else None)
-    if nb_stage:
-        try:
-            classifiers._check_nb_weights(
-                matrix.weights if nb_stage == "evaluate" else matrix.weights[:, ig_columns])
-        except classifiers.ClassifierError as exc:
-            raise PipelineError(nb_stage, str(exc)) from exc
-    try:  # a class with fewer rows than folds, refused before any search or output
+        if config.eval_classifier in ("nb", "best"):
+            classifiers._check_nb_weights(matrix.weights)
         classifiers.stratified_folds(matrix.labels, config.folds, config.seed)
-    except classifiers.ClassifierError as exc:
-        raise PipelineError("evaluate", str(exc)) from exc
+    names = [name for name in engines if config.method in (name, "all")]
+    kernels = {}  # the fitness of the search this process runs, until that search starts
+    if names:
+        reduced = matrix.restrict_columns(ig_columns)
+        with _stage("search", classifiers.ClassifierError):  # NB's check of the IG columns
+            kernels[names[0]] = FitnessFn(reduced, k=config.folds, seed=config.seed)
 
     # made once nothing more is refused, so a refused run leaves no directory
     out_dir = Path(config.out_dir)
@@ -544,21 +542,18 @@ def run_experiment(
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file is in the way
         raise PipelineError("output", f"cannot create {out_dir}: {exc.strerror}") from exc
+    input_mask = FeatureMask.ones(len(ig_columns))
 
-    # name -> (mask, seconds spent making it, status, evaluations, last gain)
-    made = {"raw": (np.ones(matrix.n_features, dtype=bool), 0.0, "ok", 0, 0),
-            "ig": (ig_mask, ig_scoring_s, "ok", 0, 0)}
-    traces = {}
-    if config.method != "ig":
-        reduced = matrix.restrict_columns(ig_columns)
-        input_mask = FeatureMask.ones(len(ig_columns))
-
-        def search(name: str):
-            """One engine's search and its checkpoints. It scores with a fitness
-            function of its own, so its memo starts empty and its `evaluations`
-            are those of a run of that engine alone."""
-            select, to_json, _ = engines[name]
-            fitness = FitnessFn(reduced, k=config.folds, seed=config.seed)
+    def search(name: str):
+        """One engine's search and its checkpoints. It scores with a fitness
+        function of its own, so its memo starts empty and its `evaluations`
+        are those of a run of that engine alone; a forked child drops its copy
+        of the parent's before it builds one, so no process holds two."""
+        select, to_json, _ = engines[name]
+        with _stage("search", classifiers.ClassifierError, HeuristicError):
+            fitness = kernels.pop(name, None)
+            kernels.clear()
+            fitness = fitness or FitnessFn(reduced, k=config.folds, seed=config.seed)
             ckpt_path = out_dir / f"checkpoint_{name}.json"
             writer = _CheckpointWriter(
                 lambda snap: checkpoint_save(ckpt_path, name, fingerprint, to_json(snap)))
@@ -571,13 +566,16 @@ def run_experiment(
             # fitness counts as a rise (for PSO, the initial swarm's with it)
             return best, trace, evaluations, last_gain(trace.records, fitness(input_mask))
 
-        names = [name for name in engines if config.method in (name, "all")]
-        found = side_by_side({f"{name} search": functools.partial(search, name) for name in names},
-                             functools.partial(PipelineError, "search"))
-        for name, (best, trace, evaluations, gained) in zip(names, found):
-            made[name] = (_expand_mask(best, ig_columns, matrix.n_features),
-                          trace.elapsed_seconds, trace.termination, evaluations, gained)
-            traces[name] = trace
+    found = side_by_side({f"{name} search": functools.partial(search, name) for name in names},
+                         functools.partial(PipelineError, "search"))
+    # name -> (mask, seconds spent making it, status, evaluations, last gain)
+    made = {"raw": (np.ones(matrix.n_features, dtype=bool), 0.0, "ok", 0, 0),
+            "ig": (ig_mask, ig_scoring_s, "ok", 0, 0)}
+    traces = {}
+    for name, (best, trace, evaluations, gained) in zip(names, found):
+        made[name] = (_expand_mask(best, ig_columns, matrix.n_features),
+                      trace.elapsed_seconds, trace.termination, evaluations, gained)
+        traces[name] = trace
 
     # one evaluation step, once no search child is left: each row's elapsed_s
     # is the making of its mask plus its own evaluation units

@@ -181,7 +181,7 @@ def test_select_refused_run_makes_no_run_directory(config_file, tmp_path, capsys
                      "--out", str(tmp_path / "u")]) == 0
         capsys.readouterr()
         argv = ["--seed", "1", "--resume", str(tmp_path / "u" / "checkpoint_mbo.json")]
-        line = "error: checkpoint from a different corpus or search config"
+        line = "error: [checkpoint] checkpoint from a different corpus or search config"
     assert main(["select", "--method", "mbo", "--config", str(config_file),
                  "--out", str(tmp_path / "fresh"), *argv]) == 2
     _one_error_line(capsys, line)
@@ -423,11 +423,18 @@ def _first_velocity(value):
     ("pso", _first_velocity(float("nan"))),
     ("pso", _first_velocity(6.5)),  # V_MAX = 6
     ("mbo", _edit_json(lambda doc: doc["payload"]["records"][0].update(change=-3))),
+    # no search makes an empty best, bird or personal-best mask
+    ("mbo", _edit_json(lambda doc: doc["payload"].update(
+        best_mask="0" * len(doc["payload"]["best_mask"]), best_fitness=1.0))),
+    ("mbo", _leader_mask(lambda bits: "0" * len(bits))),
+    ("pso", _edit_json(lambda doc: doc["payload"]["particles"][0].update(
+        pbest_mask="0" * len(doc["payload"]["best_mask"])))),
 ], ids=["not-utf8", "json-array", "flock-not-object", "no-state", "mask-not-bits",
         "mask-too-short", "velocity-not-base64", "velocity-too-short", "no-payload",
         "no-particles", "two-particles", "lone-leader", "best-fitness-nan",
         "bird-fitness-negative", "pbest-fitness-above-one", "record-best-inf", "elapsed-nan",
-        "elapsed-negative", "velocity-nan", "velocity-above-vmax", "record-change-off-schedule"])
+        "elapsed-negative", "velocity-nan", "velocity-above-vmax", "record-change-off-schedule",
+        "best-mask-empty", "bird-mask-empty", "pbest-mask-empty"])
 def test_select_resume_malformed_checkpoint(config_file, tmp_path, capsys, method, corrupt):
     assert main(["select", "--method", method, "--config", str(config_file),
                  "--out", str(tmp_path / "u")]) == 0
@@ -437,7 +444,20 @@ def test_select_resume_malformed_checkpoint(config_file, tmp_path, capsys, metho
     assert main(["select", "--method", method, "--config", str(config_file),
                  "--out", str(tmp_path / "r"), "--resume", str(checkpoint)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "checkpoint" in err[0], err
+    assert len(err) == 1 and err[0].startswith("error: [checkpoint] "), err
+    assert not (tmp_path / "r").exists()
+
+
+def test_select_resume_accepts_an_empty_position(config_file, tmp_path, capsys):
+    # a particle may move to the empty mask, which scores 0.0: a resume takes it
+    assert main(["select", "--method", "pso", "--config", str(config_file),
+                 "--out", str(tmp_path / "u")]) == 0
+    checkpoint = tmp_path / "u" / "checkpoint_pso.json"
+    _edit_json(lambda doc: doc["payload"]["particles"][0].update(
+        position="0" * len(doc["payload"]["best_mask"])))(checkpoint)
+    assert main(["select", "--method", "pso", "--config", str(config_file),
+                 "--out", str(tmp_path / "r"), "--resume", str(checkpoint)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("written_by, resumed_as", [("pso", "mbo"), ("mbo", "pso"),
@@ -450,15 +470,16 @@ def test_select_resume_other_engine_checkpoint(config_file, tmp_path, capsys,
     capsys.readouterr()
     assert main(["select", "--method", resumed_as, "--config", str(config_file),
                  "--out", str(tmp_path / "r"), "--resume", str(checkpoint)]) == 2
-    _one_error_line(capsys, f"error: '{written_by}' checkpoint cannot resume method "
-                            f"'{resumed_as}'")
+    _one_error_line(capsys, f"error: [checkpoint] '{written_by}' checkpoint cannot resume "
+                            f"method '{resumed_as}'")
     assert not (tmp_path / "r" / "report.json").exists()
 
 
 @pytest.mark.parametrize("error, line", [
-    (HeuristicError("pso failed"), "error: pso failed"),
+    (HeuristicError("pso failed"), "error: [search] pso failed"),
+    (classifiers.ClassifierError("pso failed"), "error: [search] pso failed"),
     (PipelineError("evaluate", "pso failed"), "error: [evaluate] pso failed"),
-], ids=["heuristic", "pipeline"])
+], ids=["heuristic", "classifier", "pipeline"])
 def test_select_forked_search_error_as_in_process(config_file, tmp_path, capsys, monkeypatch,
                                                   error, line):
     pids = tmp_path / "pids"
@@ -499,7 +520,7 @@ def test_select_parent_search_error_leaves_no_child(config_file, capsys, monkeyp
     monkeypatch.setattr(harness, "pso_select", lambda *args, **kwargs: time.sleep(60))
     started = time.monotonic()
     assert main(["select", "--method", "all", "--config", str(config_file)]) == 2
-    _one_error_line(capsys, "error: mbo failed")
+    _one_error_line(capsys, "error: [search] mbo failed")
     assert multiprocessing.active_children() == []
     assert time.monotonic() - started < 30  # the sleeping child was terminated
 
@@ -520,7 +541,7 @@ def test_select_resume_malformed_checkpoint_before_fork(config_file, tmp_path, c
                      "--out", str(tmp_path / method), "--resume", str(checkpoint)]) == 2
         errors.append(capsys.readouterr().err.splitlines())
     assert errors[0] == errors[1] and len(errors[0]) == 1, errors
-    assert errors[0][0].startswith("error: malformed pso checkpoint: ")
+    assert errors[0][0].startswith("error: [checkpoint] malformed pso checkpoint: ")
     assert forks == []  # refused before any search was started
 
 

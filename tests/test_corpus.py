@@ -83,6 +83,23 @@ class TestLoadCorpus:
         assert c.classes == ("spam", "ham")
         assert [d.text for d in c.docs] == ["buy now", "hello there", "cheap pills"]
 
+    def test_tsv_lone_cr_stays_in_the_text(self, tmp_path):
+        # a lone CR ends no line, so a tab after it makes no extra document
+        p = tmp_path / "c.tsv"
+        p.write_bytes(b"spam\tcheap\rham\toffer\nham\tmeeting notes\r\n")
+        c = load_corpus(p, "tsv")
+        assert [(d.label, d.text) for d in c.docs] == [
+            ("spam", "cheap\rham\toffer"), ("ham", "meeting notes")]
+        assert tokenize(c.docs[0].text) == ["cheap", "ham", "offer"]
+
+    def test_tsv_lone_cr_before_text_without_a_tab(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_bytes(b"spam\tcheap\roffer pills\nham\tmeeting notes\n")
+        c = load_corpus(p, "tsv")
+        assert [(d.label, d.text) for d in c.docs] == [
+            ("spam", "cheap\roffer pills"), ("ham", "meeting notes")]
+        assert tokenize(c.docs[0].text) == ["cheap", "offer", "pills"]
+
     def test_tsv_malformed(self, tmp_path):
         p = tmp_path / "c.tsv"
         p.write_text("spam no tab here\n")

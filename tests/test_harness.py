@@ -14,7 +14,6 @@ import pytest
 
 from mbofs.harness import (
     _decode,
-    CheckpointError,
     ExperimentConfig,
     MethodResult,
     PipelineError,
@@ -137,7 +136,7 @@ class TestCheckpoint:
     def test_fingerprint_mismatch(self, tmp_path):
         p = tmp_path / "ck.json"
         checkpoint_save(p, "mbo", "fp-a", {})
-        with pytest.raises(CheckpointError, match="different corpus or search config"):
+        with pytest.raises(PipelineError, match=r"^\[checkpoint\] checkpoint from a different"):
             checkpoint_load(p, "fp-b")
 
     def test_version_mismatch(self, tmp_path):
@@ -147,14 +146,14 @@ class TestCheckpoint:
         # best kept as b_max/f_max (MBO) and gbest_mask/gbest_fitness (PSO)
         for version in (1, 2, 3, 4, 5, 99):
             p.write_text(json.dumps({"format_version": version, "fingerprint": "fp"}))
-            with pytest.raises(CheckpointError, match="version"):
+            with pytest.raises(PipelineError, match=r"^\[checkpoint\] checkpoint version"):
                 checkpoint_load(p, "fp")
 
     def test_truncated(self, tmp_path):
         p = tmp_path / "ck.json"
         checkpoint_save(p, "mbo", "fp", {"x": 1})
         p.write_text(p.read_text()[:20])
-        with pytest.raises(CheckpointError, match="unreadable"):
+        with pytest.raises(PipelineError, match=r"^\[checkpoint\] unreadable checkpoint"):
             checkpoint_load(p, "fp")
 
     def test_mbo_resume_matches_uninterrupted(self):
@@ -489,6 +488,23 @@ class TestRunExperiment:
                                   "and the matrix stores -0.5")
         assert not (tmp_path / "run").exists()
 
+    def test_nb_overflow_in_the_search_stops_before_the_run_directory(self, tmp_path):
+        # every weight is finite and non-negative, so the evaluation's checks
+        # pass; the search's NB fitness refuses the column whose class mass
+        # overflows, before the run directory is made
+        matrix, informative = make_planted_matrix(n_docs=40, n_features=30, n_informative=5,
+                                                  seed=3)
+        w = matrix.weights
+        in_class_0 = np.repeat(matrix.labels == 0, np.diff(w.indptr))
+        column = max(informative, key=lambda j: np.sum(in_class_0 & (w.indices == j)))
+        w.data[in_class_0 & (w.indices == column)] = 1e308
+        assert np.sum(in_class_0 & (w.indices == column)) >= 2
+        cfg = ExperimentConfig(ig_cap=30, method="mbo", eval_classifier="nb",
+                               out_dir=str(tmp_path / "run"))
+        with pytest.raises(PipelineError, match=r"^\[search\] naive Bayes weights too large"):
+            run_experiment(cfg, matrix=matrix)
+        assert not (tmp_path / "run").exists()
+
     def test_signed_weight_under_dt_without_search_runs(self, tmp_path):
         matrix = self._signed_in_an_ig_column(30)
         cfg = ExperimentConfig(ig_cap=30, method="ig", eval_classifier="dt",
@@ -632,13 +648,13 @@ class TestCheckpointBinding:
         # the same shape and class sizes: only the content tells them apart
         assert np.array_equal(np.bincount(a.labels), np.bincount(b.labels))
         self.run(tmp_path, "a", a)
-        with pytest.raises(CheckpointError, match="different corpus or search config"):
+        with pytest.raises(PipelineError, match=r"^\[checkpoint\] checkpoint from a different"):
             self.run(tmp_path, "b", b, resume=tmp_path / "a" / "checkpoint_mbo.json")
 
     def test_other_seed_refused(self, tmp_path):
         matrix, _ = make_planted_matrix(n_docs=80, n_features=60, n_informative=10, seed=3)
         self.run(tmp_path, "a", matrix)
-        with pytest.raises(CheckpointError, match="different corpus or search config"):
+        with pytest.raises(PipelineError, match=r"^\[checkpoint\] checkpoint from a different"):
             self.run(tmp_path, "b", matrix, resume=tmp_path / "a" / "checkpoint_mbo.json",
                      seed=1)
 

@@ -57,8 +57,10 @@ def test_config_table_gives_each_key_its_default():
 
 def test_every_error_stage_is_named():
     source = "".join(p.read_text(encoding="utf-8") for p in (ROOT / "src").rglob("*.py"))
-    stages = set(re.findall(r'PipelineError\("(\w+)"', source)) | {"search"}
-    assert {"config", "load", "ig", "evaluate", "mask", "report", "output"} <= stages
+    # a stage is raised by name, or mapped from a module's own errors by _stage
+    stages = set(re.findall(r'(?:PipelineError|_stage)\("(\w+)"', source))
+    assert {"config", "load", "ig", "evaluate", "mask", "report", "output", "checkpoint",
+            "search"} <= stages
     assert sorted(s for s in stages if f"`error: [{s}]" not in README) == []
 
 
