@@ -6,7 +6,8 @@ ties break to the lowest class index so results are reproducible bit-for-bit.
 NbFoldKernel scores batches of masks for the search; its accuracies equal
 cross_val_accuracy's NB accuracies bit for bit, because nb_train and
 nb_predict, the reference, round in the same order. NB takes non-negative
-finite weights only; the tree takes any finite weights, signed ones included.
+finite weights only, small enough that no score overflows; the tree takes any
+finite weights, signed ones included.
 No corpus loader makes a weight either refuses: TF-IDF weights are positive
 and finite.
 
@@ -83,12 +84,25 @@ def _mask_columns(mask) -> np.ndarray:
 def _check_nb_weights(weights) -> None:
     """Multinomial NB is defined on non-negative finite weights only; -0.0
     and subnormal weights are fine. (np.min and np.max return NaN if any
-    weight is NaN.)"""
+    weight is NaN.)
+
+    The weights must also be small enough that no score overflows. ALPHA is
+    1, so every log(W(t,c) + ALPHA) and every log(T) of any mask, fold and
+    class lies in [0, L], L = log(total weight + ALPHA*M), and every term of
+    a row's score is at most the row's weight sum times L. A matrix whose
+    largest row sum times L is not finite is refused; the bound is computed
+    with overflow silenced, since an overflow is what it looks for."""
     data = weights.data
     if not (data.min(initial=0.0) >= 0.0 and data.max(initial=0.0) < np.inf):
         bad = data[~((data >= 0.0) & (data < np.inf))][0]
         raise ClassifierError(
             f"naive Bayes needs non-negative finite weights, and the matrix stores {bad}")
+    with np.errstate(over="ignore"):
+        largest = (weights @ np.ones(weights.shape[1])).max(initial=0.0)
+        bound = largest * np.log(data.sum() + ALPHA * weights.shape[1]) if largest else 0.0
+    if not np.isfinite(bound):
+        raise ClassifierError("naive Bayes weights too large: a row's summed weight times "
+                              "the log of the matrix's summed weight overflows")
 
 
 def _check_tree_weights(weights) -> None:
@@ -161,9 +175,9 @@ def _nb_scores(model: NbModel, rows) -> np.ndarray:
     return scores
 
 
-# Cap on the cuts one split-search chunk scores at once, which keeps the
-# scoring buffers of a node at a few MB; its per-run class counts grow with
-# its entries.
+# Cap on the runs one split-search chunk counts, and on the runs whose cuts
+# one chunk scores, at once: a node's counting and scoring buffers stay
+# under a few MB whatever its entries; its (C, runs) int32 counts grow with them.
 _SPLIT_CHUNK_CUTS = 1 << 14
 
 
@@ -177,6 +191,12 @@ class _Entries(NamedTuple):
     the column's run of zeros (row len(y), value 0.0). They are sorted by
     (column, value), so a column's negatives, zeros and positives come in
     threshold order. A column with no entries is all zeros on the node.
+
+    `row` and `col` are int32, scipy's own index dtype for these matrices,
+    whatever the dtype of the matrix's own indices (no corpus comes near
+    2**31 rows or columns): an entry takes 16 bytes, 4 + 4 + 8, where int64
+    indices took 24. On the planted 500x2000 matrix the raw mask's 83,130
+    entries take 1.3 MB, the IG mask's 21,613 take 0.35 MB.
     """
 
     rows: np.ndarray
@@ -187,20 +207,42 @@ class _Entries(NamedTuple):
 
 def _presort(x) -> _Entries:
     """The root of a tree on x (dense or sparse, rows x columns): the one sort.
-    A NaN or infinite weight in x raises ClassifierError."""
-    x = sp.csr_matrix(x, dtype=float, copy=True)
-    x.sum_duplicates()
+    A NaN or infinite weight in x raises ClassifierError.
+
+    A float CSR in canonical form, as a column slice of a DocTermMatrix is,
+    is read where it lies: its nonzeros are copied once, into the entries,
+    and then sorted. Any other x is converted first, and its duplicates
+    summed on a copy; the caller's x is never changed. The peak is the
+    slice, the unsorted entries, lexsort's int64 order and one sorted array:
+    of tracemalloc, with the column slice, 3.7 MB for the planted raw mask
+    (6.1 MB when the slice was copied twice more into int64 entries) and
+    14.4 MB (from 23.3) for the 64,397-term corpus of _grow's docstring.
+    """
+    x = sp.csr_matrix(x, dtype=float)  # no copy of a float CSR
+    if not x.has_canonical_format:
+        x = x.copy()
+        x.sum_duplicates()
     _check_tree_weights(x)
-    coo = x.tocoo()
+    coo = x.tocoo(copy=False)  # x's own col and data, and a new row
     nz = coo.data != 0
     n, m = x.shape
     per_col = np.bincount(coo.col[nz], minlength=m)
-    cols = np.flatnonzero((per_col > 0) & (per_col < n))
-    row = np.concatenate([coo.row[nz], np.full(len(cols), n)])
-    col = np.concatenate([coo.col[nz], cols])
-    value = np.concatenate([coo.data[nz], np.zeros(len(cols))])
+    cols = np.flatnonzero((per_col > 0) & (per_col < n))  # a marker for each
+    k = np.count_nonzero(nz)
+    # the nonzeros, then the markers, written straight into int32 index arrays
+    row = np.full(k + len(cols), n, dtype=np.int32)
+    col = np.empty(k + len(cols), dtype=np.int32)
+    value = np.zeros(k + len(cols))
+    row[:k] = coo.row[nz]
+    col[:k] = coo.col[nz]
+    value[:k] = coo.data[nz]
+    col[k:] = cols
+    del coo, nz
     order = np.lexsort((value, col))
-    return _Entries(np.arange(n), row[order], col[order], value[order])
+    row = row[order]  # sorted one array at a time, each unsorted one freed
+    col = col[order]
+    value = value[order]
+    return _Entries(np.arange(n), row, col, value)
 
 
 def _class_sum(q: np.ndarray) -> np.ndarray:
@@ -215,14 +257,43 @@ def _class_sum(q: np.ndarray) -> np.ndarray:
     return s
 
 
+def _weighted_gini(left: np.ndarray, cuts: np.ndarray, totals: np.ndarray, n: int) -> np.ndarray:
+    """The weighted Gini impurity (nl * gini_l + nr * gini_r) / n of each of
+    a chunk's cuts, from the (C, runs) left counts.
+
+    Each step is the oracle's, in place where it can be: a square is x * x,
+    which is x ** 2 bit for bit, and a product is exact in either order.
+    The chunk's (C, cuts) float buffers go when it returns, before the next
+    chunk is gathered."""
+    lc = left.take(cuts, axis=1).astype(float)
+    rc = totals - lc
+    nl = _class_sum(lc)  # exact: any order gives the same integer
+    nr = n - nl
+    lc /= nl
+    lc *= lc
+    weighted = _class_sum(lc)
+    del lc
+    np.subtract(1.0, weighted, out=weighted)
+    weighted *= nl  # nl * gini_l
+    rc /= nr
+    rc *= rc
+    right = _class_sum(rc)
+    del rc
+    np.subtract(1.0, right, out=right)
+    right *= nr
+    weighted += right
+    weighted /= n
+    return weighted
+
+
 def _best_split(node: _Entries, y: np.ndarray, n_classes: int):
     """Lowest-impurity (impurity, feature, threshold) over the columns of a
     node, or None when every column is constant on it.
 
     The presorted CART split search of SPRINT (Shafer, Agrawal & Mehta,
     VLDB 1996), whose attribute lists are the node's entries: they are in
-    threshold order already, so one bincount counts the classes of every
-    run of equal values in a column, a zero run holds the node's rows the
+    threshold order already, so a bincount counts the classes of every run
+    of equal values in a column, a zero run holds the node's rows the
     column's nonzeros miss, and one cumsum over the runs gives the left
     class counts at every cut between two runs. A node's cost grows with its
     entries, so a tree's grows with the nonzeros times the depth, not with
@@ -239,6 +310,17 @@ def _best_split(node: _Entries, y: np.ndarray, n_classes: int):
     (_gini_best_split), element for element, so the impurities agree bit
     for bit.
 
+    The runs are counted, and their cuts scored, one chunk of at most
+    _SPLIT_CHUNK_CUTS runs at a time. A chunk's runs are one span of the
+    entries, whose keys (class * width + run) and (C, width) bincount are
+    its only int64 arrays; the bincount goes straight into the int32
+    counts. A marker counts in class 0 until its zero run is recounted from
+    the column's nonzeros, so the keys need no class for the markers. Beyond
+    its entries, a node then holds its counts and each run's column and
+    value, 28 bytes a run with 4 classes, and one chunk's buffers: at the
+    root of the planted raw fold-0 tree (66,744 entries, as many runs) 1.9
+    MB, and about 1.8 MB more.
+
     Cuts are listed column by column, lowest threshold first, and a later
     chunk wins only when strictly lower, so the first minimum keeps the
     oracle's tie rules: the lowest threshold within a column, then the
@@ -247,23 +329,34 @@ def _best_split(node: _Entries, y: np.ndarray, n_classes: int):
     row, col, value = node.row, node.col, node.value
     if len(col) == 0:
         return None
-    n = len(node.rows)
+    n, chunk = len(node.rows), _SPLIT_CHUNK_CUTS
     totals = np.bincount(y[node.rows], minlength=n_classes)[:, None]
-    new_run = np.r_[True, (col[1:] != col[:-1]) | (value[1:] != value[:-1])]
-    first = np.flatnonzero(new_run)
-    run_col, run_value = col[first], value[first]
-    key = np.append(y, n_classes)[row]  # a marker counts in class C, dropped here
-    key *= len(first)  # the key of (class, run), built in place
-    key += np.cumsum(new_run)
-    key -= 1
-    counts = np.bincount(key, minlength=(n_classes + 1) * len(first))
-    del key
+    new_run = np.empty(len(col), dtype=bool)
+    new_run[0] = True
+    np.not_equal(col[1:], col[:-1], out=new_run[1:])
+    new_run[1:] |= value[1:] != value[:-1]
+    bounds = np.append(np.flatnonzero(new_run), len(col))  # run r: entries bounds[r]:bounds[r+1]
+    run_col, run_value = col[bounds[:-1]], value[bounds[:-1]]
+    n_runs = len(run_col)
     # the counts, and below their cumsum, are exact integers in [-n, n]
-    counts = counts.reshape(n_classes + 1, -1)[:n_classes].astype(np.int32)
+    counts = np.empty((n_classes, n_runs), dtype=np.int32)
+    label = np.append(y, 0)  # a marker counts in class 0, until its zero run is recounted
+    for start in range(0, n_runs, chunk):
+        stop = min(start + chunk, n_runs)
+        lo, hi = bounds[start], bounds[stop]
+        key = label.take(row[lo:hi])  # take, not []: see _take
+        key *= stop - start  # the key of (class, run in the chunk), built in place
+        key += np.cumsum(new_run[lo:hi])
+        key -= 1
+        counts[:, start:stop] = np.bincount(
+            key, minlength=n_classes * (stop - start)).reshape(n_classes, -1)
+        del key
+    del new_run, bounds
     # a zero run holds the rows the column's nonzeros miss
     col_start = np.flatnonzero(np.r_[True, run_col[1:] != run_col[:-1]])
     zero = np.flatnonzero(run_value == 0.0)
     col_of_zero = np.searchsorted(col_start, zero, side="right") - 1
+    counts[0, zero] = 0  # the markers
     in_col = np.add.reduceat(counts, col_start, axis=1, dtype=np.int32)  # not cast to int64
     counts[:, zero] = totals - in_col[:, col_of_zero]
     # every column's runs hold each of the node's rows once: taking the totals
@@ -271,17 +364,14 @@ def _best_split(node: _Entries, y: np.ndarray, n_classes: int):
     # over all runs the left counts within each column
     counts[:, col_start[1:]] -= totals
     left = np.cumsum(counts, axis=1, out=counts)
-    cuts = np.flatnonzero(run_col[:-1] == run_col[1:])  # between run r and run r+1
     best = None
-    for start in range(0, len(cuts), _SPLIT_CHUNK_CUTS):
-        r = cuts[start:start + _SPLIT_CHUNK_CUTS]
-        lc = left.take(r, axis=1).astype(float)
-        rc = totals - lc
-        nl = _class_sum(lc)  # exact: any order gives the same integer
-        nr = n - nl
-        gini_l = 1.0 - _class_sum((lc / nl) ** 2)
-        gini_r = 1.0 - _class_sum((rc / nr) ** 2)
-        weighted = (nl * gini_l + nr * gini_r) / n
+    for start in range(0, n_runs - 1, chunk):
+        stop = min(start + chunk, n_runs - 1)
+        r = np.flatnonzero(run_col[start:stop] == run_col[start + 1:stop + 1])
+        if len(r) == 0:
+            continue
+        r += start  # the cuts between run r and run r+1
+        weighted = _weighted_gini(left, r, totals, n)
         i = int(np.argmin(weighted))
         if best is None or weighted[i] < best[0]:
             b = r[i]
@@ -303,7 +393,9 @@ def _take(node: _Entries, inside: np.ndarray, n_rows: int) -> _Entries:
     rows = node.rows[inside[node.rows]]
     is_marker = node.row == n_rows
     marker = np.flatnonzero(is_marker)
-    real = inside[node.row] & ~is_marker
+    # take copies the int32 row numbers to int64 at once; indexing with []
+    # casts them in small buffered steps, which took 3 times as long
+    real = inside.take(node.row) & ~is_marker
     n_cols = node.col[-1] + 1 if len(node.col) else 0
     nonzeros = np.bincount(node.col[real], minlength=n_cols)[node.col[marker]]
     real[marker] = (1 <= nonzeros) & (nonzeros < len(rows))
@@ -317,7 +409,8 @@ def _split(node: _Entries, feature: int, threshold: float, n_rows: int):
     A row goes left when its value in `feature` is <= threshold; a row with no
     entry there holds 0.0, so it goes left exactly when 0.0 <= threshold.
     """
-    lo, hi = np.searchsorted(node.col, [feature, feature + 1])
+    # an int32 key: Python ints would make searchsorted copy node.col to int64
+    lo, hi = np.searchsorted(node.col, np.array([feature, feature + 1], dtype=node.col.dtype))
     left_of = np.full(n_rows + 1, 0.0 <= threshold)  # by row
     left_of[node.row[lo:hi]] = node.value[lo:hi] <= threshold
     return _take(node, left_of, n_rows), _take(node, ~left_of, n_rows)
@@ -337,9 +430,12 @@ def _grow(root: list, y: np.ndarray, n_classes: int, depth: int,
     depth. Each node's (feature, threshold, class) is listed in preorder,
     and the DtNodes are built from that list, children before parents.
 
-    On a generated 2500-document corpus of 64,596 terms (487k presorted
-    entries, the abstract's width), one raw fold tree peaks at 47 MB of
-    tracemalloc, 4.0 times its presort's bytes.
+    On a generated 2500-document, 5-class corpus of 64,397 terms (320k
+    presorted entries, the abstract's width), one raw fold tree peaks at
+    19.0 MB of tracemalloc, 3.7 times its presort's 5.1 MB; with int64
+    entries and an int64 bincount of every run at once it peaked at 31.1
+    MB. The planted raw fold-0 tree peaks at 4.7 MB, 3.5 times its
+    presort's bytes.
     """
     preorder = []
     pending = [(root.pop(), depth)]

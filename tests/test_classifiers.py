@@ -360,6 +360,14 @@ def _preorder_digest(node):
     return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
+def _int64_indices(csr):
+    """A copy of the CSR whose indices and indptr are int64: scipy's own
+    constructors would store them as int32."""
+    wide = csr.copy()
+    wide.indices, wide.indptr = csr.indices.astype(np.int64), csr.indptr.astype(np.int64)
+    return wide
+
+
 class TestPlantedTrees:
     """Full-size trees on the benchmark's planted matrix, pinned: the
     per-feature oracle is too slow at this size."""
@@ -389,6 +397,26 @@ class TestPlantedTrees:
         mask = ig if mask_name == "ig" else np.ones(matrix.n_features, dtype=bool)
         presorted = _presort(matrix.weights[:, np.flatnonzero(mask)])
         model = dt_train(matrix, mask, np.flatnonzero(folds != fold), presorted=presorted)
+        assert _preorder_digest(model.root) == want
+
+    @pytest.mark.parametrize("mask_name, fold, want", [
+        ("raw", 0, (151, "72ca2220d81f192c")),
+        ("ig", 0, (171, "1e7e57f9d2ecfda3")),
+    ])
+    def test_int64_indices_do_not_reach_the_trees(self, planted, mask_name, fold, want):
+        """The matrix stored with int64 indices and indptr gives the int32
+        presort of the original, array for array, and the same trees."""
+        matrix, folds, ig = planted
+        mask = ig if mask_name == "ig" else np.ones(matrix.n_features, dtype=bool)
+        cols = np.flatnonzero(mask)
+        wide = _int64_indices(matrix.weights)
+        assert wide.indices.dtype == wide.indptr.dtype == np.int64
+        got = _presort(_int64_indices(matrix.weights[:, cols]))
+        for name, a, b in zip(got._fields, got, _presort(matrix.weights[:, cols])):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        rows = np.flatnonzero(folds != fold)
+        model = dt_train(DocTermMatrix(weights=wide, labels=matrix.labels), mask, rows)
+        assert model.root == dt_train(matrix, mask, rows).root
         assert _preorder_digest(model.root) == want
 
     def test_cv_fold_accuracies(self, planted):
@@ -448,21 +476,36 @@ class TestTreeMemory:
         dt_train(matrix, np.ones(matrix.n_features, dtype=bool), np.arange(160))
         assert depths[0] == 0 and max(depths) >= 5 and len(depths) > 20
 
+    @staticmethod
+    def _traced_peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_planted_tree_peak_is_a_few_presorts(self):
         """The traced peak of the planted raw fold-0 tree, grown from a given
-        presort, is under 6 times the presort's bytes (8.7 times when every
-        ancestor's entries stayed alive, 3.7 times without them)."""
+        presort, stays within about 20% of its 4.70 MB on Python 3.11 (3.5
+        times the presort's 1.33 MB): int64 entries and the root's int64
+        class-run bincount would take it to 7.45 MB."""
         matrix, _ = make_planted_matrix(500, 4, 2000, 50, seed=0)
         rows = np.flatnonzero(stratified_folds(matrix.labels, 5, 0) != 0)
         presorted = _presort(matrix.weights)
-        tracemalloc.start()
-        try:
-            dt_train(matrix, np.ones(matrix.n_features, dtype=bool), rows,
-                     presorted=presorted)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * sum(a.nbytes for a in presorted)
+        assert sum(a.nbytes for a in presorted) == 83_130 * 16 + 500 * 8
+        peak = self._traced_peak(lambda: dt_train(
+            matrix, np.ones(matrix.n_features, dtype=bool), rows, presorted=presorted))
+        assert peak < 5.6e6
+
+    def test_planted_presort_peak_is_pinned(self):
+        """The traced peak of the planted raw mask's presort, made as the
+        evaluation step makes it, from a column slice of the matrix, stays
+        within about 20% of its 3.67 MB on Python 3.11: two more copies of
+        the slice and int64 entries would take it to 6.08 MB."""
+        matrix, _ = make_planted_matrix(500, 4, 2000, 50, seed=0)
+        cols = np.arange(matrix.n_features)
+        assert self._traced_peak(lambda: _presort(matrix.weights[:, cols])) < 4.4e6
 
 
 class TestStratifiedFolds:
@@ -581,7 +624,7 @@ class TestFoldRoot:
         got, want = _take(_presort(csr), inside, n), _presort(csr[rows])
         place = np.full(n + 1, len(rows))
         place[rows] = np.arange(len(rows))
-        got = got._replace(rows=place[got.rows], row=place[got.row])
+        got = got._replace(rows=place[got.rows], row=place[got.row].astype(got.row.dtype))
         for name, a, b in zip(want._fields, got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 

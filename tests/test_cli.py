@@ -11,6 +11,7 @@ from mbofs import classifiers, harness
 from mbofs.cli import main
 from mbofs.harness import PipelineError
 from mbofs.heuristic import HeuristicError
+from mbofs.synth import make_planted_matrix
 
 
 @pytest.fixture
@@ -239,6 +240,26 @@ def test_select_signed_weights_one_error_line(config_file, tmp_path, capsys, mon
     _one_error_line(capsys, "error: [evaluate] naive Bayes needs non-negative finite "
                             "weights, and the matrix stores -1.0")
     assert not (tmp_path / "run" / "mask_ig.txt").exists()
+
+
+@pytest.mark.parametrize("eval_classifier, stage",
+                         [("nb", "evaluate"), ("best", "evaluate"), ("dt", "search")])
+def test_select_nb_score_overflow_one_error_line(config_file, tmp_path, capsys, monkeypatch,
+                                                 eval_classifier, stage):
+    # no loader makes a weight of 1e308, so the loaded matrix is replaced by
+    # one with a single class-0 weight of 1e308: no class mass overflows,
+    # since that row's own fold leaves it out, but the row's NB score would
+    matrix, _ = make_planted_matrix(n_docs=40, n_features=30, n_informative=5, seed=3)
+    w = matrix.weights
+    in_class_0 = np.repeat(matrix.labels == 0, np.diff(w.indptr))
+    w.data[np.flatnonzero(in_class_0 & (w.indices == 2))[0]] = 1e308
+    monkeypatch.setattr(harness, "load_input", lambda config: (matrix, None, None))
+    with config_file.open("a", encoding="utf-8") as fh:
+        fh.write(f"eval_classifier = {eval_classifier}\n")
+    assert main(["select", "--method", "mbo", "--config", str(config_file)]) == 2
+    _one_error_line(capsys, f"error: [{stage}] naive Bayes weights too large: a row's "
+                            "summed weight times the log of the matrix's summed weight overflows")
+    assert not (tmp_path / "run").exists()
 
 
 def test_evaluate_bad_mask_universe(config_file, tmp_path, capsys):

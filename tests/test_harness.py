@@ -489,9 +489,9 @@ class TestRunExperiment:
         assert not (tmp_path / "run").exists()
 
     def test_nb_overflow_in_the_search_stops_before_the_run_directory(self, tmp_path):
-        # every weight is finite and non-negative, so the evaluation's checks
-        # pass; the search's NB fitness refuses the column whose class mass
-        # overflows, before the run directory is made
+        # every weight is finite and non-negative, and the tree evaluates, so
+        # the evaluation's checks pass; the search's NB fitness refuses the
+        # column whose class mass overflows, before the run directory is made
         matrix, informative = make_planted_matrix(n_docs=40, n_features=30, n_informative=5,
                                                   seed=3)
         w = matrix.weights
@@ -499,7 +499,7 @@ class TestRunExperiment:
         column = max(informative, key=lambda j: np.sum(in_class_0 & (w.indices == j)))
         w.data[in_class_0 & (w.indices == column)] = 1e308
         assert np.sum(in_class_0 & (w.indices == column)) >= 2
-        cfg = ExperimentConfig(ig_cap=30, method="mbo", eval_classifier="nb",
+        cfg = ExperimentConfig(ig_cap=30, method="mbo", eval_classifier="dt",
                                out_dir=str(tmp_path / "run"))
         with pytest.raises(PipelineError, match=r"^\[search\] naive Bayes weights too large"):
             run_experiment(cfg, matrix=matrix)

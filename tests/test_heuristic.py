@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 import zlib
 
 import numpy as np
@@ -11,6 +12,7 @@ from mbofs.classifiers import (
     ALPHA,
     ClassifierError,
     NbFoldKernel,
+    _check_nb_weights,
     _nb_scores,
     cross_val_accuracy,
     nb_train,
@@ -351,6 +353,37 @@ class TestWeightDomain:
         assert np.signbit(w.data[0]) and w.data[3] == 5e-324
         for mask in ([True, False, False], [True, True, True], [False, True, True]):
             assert FitnessFn(m, k=2, seed=0)(FeatureMask.from_array(mask)) == _oracle(m, mask, 2, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(nb_problems(), st.sampled_from(["one", "some", "all"]),
+           st.sampled_from([200, 300, 305, 306, 307, 308]), st.floats(1.0, 1.79),
+           st.integers(0, 2**32 - 1))
+    def test_huge_weights_are_refused_or_scored_exactly(self, problem, which, exponent,
+                                                        mantissa, seed):
+        """With one, some or all of its weights set to a huge value, a matrix
+        is either refused by NB's check, and then by nb_train, the kernel and
+        FitnessFn alike, or scored with no RuntimeWarning and equal to the
+        nb_train/nb_predict oracle."""
+        matrix, k, fold_seed, mask = problem
+        data = matrix.weights.data
+        rng = np.random.default_rng(seed)
+        huge = {"one": rng.integers(len(data), size=min(len(data), 1)),
+                "some": rng.random(len(data)) < 0.3, "all": slice(None)}[which]
+        data[huge] = mantissa * 10.0 ** exponent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                _check_nb_weights(matrix.weights)
+            except ClassifierError as err:
+                assert str(err).startswith("naive Bayes weights too large")
+                for refused in (lambda: nb_train(matrix, mask, np.arange(matrix.n_docs)),
+                                lambda: NbFoldKernel(matrix, k, fold_seed),
+                                lambda: FitnessFn(matrix, k=k, seed=fold_seed)):
+                    with pytest.raises(ClassifierError, match="naive Bayes weights too large"):
+                        refused()
+                return
+            got = FitnessFn(matrix, k=k, seed=fold_seed)(FeatureMask.from_array(mask))
+            assert got == _oracle(matrix, mask, k, fold_seed)
 
     def test_overflowing_tables_are_refused(self):
         # a class mass that overflows, and a weight times its log that does
