@@ -3,17 +3,16 @@
 Multinomial Naive Bayes over fractional TF-IDF weights plus a Gini decision
 tree, both operating on mask-restricted columns of a DocTermMatrix. All argmax
 ties break to the lowest class index so results are reproducible bit-for-bit.
-NbFoldKernel scores batches of masks for the search; its accuracies equal
-cross_val_accuracy's NB accuracies bit for bit, because nb_train and
-nb_predict, the reference, round in the same order. NB takes non-negative
-finite weights only, small enough that no score overflows; the tree takes any
-finite weights, signed ones included.
+One NB scorer, NbFoldKernel, scores the search's mask batches and every NB
+fold of an evaluation step, whose work queue runs its fold trees only. NB
+takes non-negative finite weights only, small enough that no score
+overflows; the tree takes any finite weights, signed ones included.
 No corpus loader makes a weight either refuses: TF-IDF weights are positive
 and finite.
 
 The two fast kernels each keep a slow implementation as their test oracle:
-NbFoldKernel has nb_train/nb_predict, and the tree's split search
-(_best_split) has the per-feature _gini_best_split in
+NbFoldKernel has nb_train/nb_predict, which no pipeline code calls, and the
+tree's split search (_best_split) has the per-feature _gini_best_split in
 tests/test_classifiers.py, which a property test compares node for node.
 """
 
@@ -105,6 +104,12 @@ def _check_nb_weights(weights) -> None:
                               "the log of the matrix's summed weight overflows")
 
 
+def _columns(matrix: DocTermMatrix, cols: np.ndarray):
+    """The weights on _mask_columns's `cols`: not a copy when they are all."""
+    w = matrix.weights
+    return w if len(cols) == w.shape[1] else w[:, cols]
+
+
 def _check_tree_weights(weights) -> None:
     """The tree orders any finite weights; NaN and infinite weights are
     refused."""
@@ -157,7 +162,7 @@ def _nb_scores(model: NbModel, rows) -> np.ndarray:
     table, and each product x_ij*log_mass is rounded before it is added. A
     row's a adds its products and its x adds its x_ij, one entry after
     another in stored order: a product with a 0/1 CSR whose row i picks row
-    i's entries. This is NbFoldKernel.accuracy_batch's arithmetic.
+    i's entries. This is NbFoldKernel.fold_accuracies's arithmetic.
     """
     x = sp.csr_matrix(rows)
     position = np.full(x.shape[1], -1)
@@ -209,14 +214,14 @@ def _presort(x) -> _Entries:
     """The root of a tree on x (dense or sparse, rows x columns): the one sort.
     A NaN or infinite weight in x raises ClassifierError.
 
-    A float CSR in canonical form, as a column slice of a DocTermMatrix is,
-    is read where it lies: its nonzeros are copied once, into the entries,
-    and then sorted. Any other x is converted first, and its duplicates
-    summed on a copy; the caller's x is never changed. The peak is the
-    slice, the unsorted entries, lexsort's int64 order and one sorted array:
-    of tracemalloc, with the column slice, 3.7 MB for the planted raw mask
-    (6.1 MB when the slice was copied twice more into int64 entries) and
-    14.4 MB (from 23.3) for the 64,397-term corpus of _grow's docstring.
+    A float CSR in canonical form, as a DocTermMatrix and its column slices
+    are, is read where it lies: its nonzeros are copied once, into the
+    entries, and then sorted. Any other x is converted first, and its
+    duplicates summed on a copy; the caller's x is never changed. The peak
+    is the unsorted entries, lexsort's int64 order and one sorted array, and
+    x itself when it is a column slice: of tracemalloc, 2.7 MB for the
+    planted raw mask, whose weights are read in place, and 14.4 MB for the
+    64,397-term corpus of _grow's docstring, measured with a slice.
     """
     x = sp.csr_matrix(x, dtype=float)  # no copy of a float CSR
     if not x.has_canonical_format:
@@ -479,7 +484,7 @@ def dt_train(
     if len(rows) == 0:
         raise ClassifierError("empty row subset")
     if presorted is None:
-        presorted = _presort(matrix.weights[:, cols])
+        presorted = _presort(_columns(matrix, cols))
     inside = np.zeros(matrix.n_docs + 1, dtype=bool)
     inside[rows] = True
     root = [_take(presorted, inside, matrix.n_docs)]
@@ -535,59 +540,50 @@ def cross_val_accuracies(
     """Stratified k-fold accuracy of each named classifier ("nb", "dt") on the
     columns of each of the masks, with the seconds spent on each mask.
 
-    One evaluation step. Its units are independent, each one fold of one
-    mask under one classifier: the fold trees, the widest mask's first, then
-    the NB folds. With trees among them, each mask's columns are presorted
-    over all rows here, once, and the units run from one two-process work
-    queue (forked.side_by_side, which returns their results in unit order),
-    largest first, so whichever process is free takes the next; the forked
-    child reads the presorts it was forked with.
-    An NB fold takes about a millisecond, so without trees the units run
-    here in turn, with no fork. Each mask's seconds are its presort's and
-    the durations of its own units summed, whichever process ran them. Every
-    report is the same as when the folds run one after another.
+    One evaluation step. Each mask's columns are presorted over all rows
+    here, once, and the fold trees, one fold of one mask each, the widest
+    mask's first, run from one two-process work queue (forked.side_by_side,
+    which returns their results in unit order); the forked child reads the
+    presorts it was forked with. Once they are freed, one NbFoldKernel
+    scores every mask's NB folds in one batch. A mask's seconds are its
+    presort's, its own trees' durations, whichever process ran them, and an
+    even share of the kernel's build and batch. Every report is the same as
+    when the folds run one after another.
     """
     for kind in kinds:
         if kind not in ("nb", "dt"):
             raise ClassifierError(f"unknown classifier: {kind!r}")
     cols = [_mask_columns(mask) for mask in masks]
     fold_of = stratified_folds(matrix.labels, k, seed)
-    seconds = [0.0] * len(masks)
-    presorted = {}  # mask index -> presort of its columns over all rows
-    if "dt" in kinds:
-        for m in range(len(masks)):
-            t0 = time.monotonic()
-            presorted[m] = _presort(matrix.weights[:, cols[m]])
-            seconds[m] += time.monotonic() - t0
+    seconds = np.zeros(len(masks))
+    accs = {kind: np.empty((len(masks), k)) for kind in kinds}  # each mask's folds
+    presorted = []  # each mask's presort, when the trees are asked for
+    for m in range(len(masks)) if "dt" in kinds else ():
+        t0 = time.monotonic()
+        presorted.append(_presort(_columns(matrix, cols[m])))
+        seconds[m] += time.monotonic() - t0
 
-    def unit(m: int, kind: str, fold: int) -> tuple[float, float]:
+    def tree(m: int, fold: int) -> tuple[float, float]:
         t0 = time.monotonic()
         train, test = np.flatnonzero(fold_of != fold), np.flatnonzero(fold_of == fold)
-        if kind == "nb":
-            model, predict = nb_train(matrix, masks[m], train), nb_predict
-        else:
-            model, predict = dt_train(matrix, masks[m], train, presorted=presorted[m]), dt_predict
-        acc = float(np.mean(predict(model, matrix.weights[test]) == matrix.labels[test]))
+        model = dt_train(matrix, masks[m], train, presorted=presorted[m])
+        acc = float(np.mean(dt_predict(model, matrix.weights[test]) == matrix.labels[test]))
         return acc, time.monotonic() - t0
 
-    units = {}  # name -> (mask index, classifier, fold)
-    if "dt" in kinds:
-        for m in sorted(range(len(masks)), key=lambda m: -len(cols[m])):
-            units |= {f"mask {m} fold {fold} tree": (m, "dt", fold) for fold in range(k)}
-    if "nb" in kinds:
-        units |= {f"mask {m} fold {fold} nb": (m, "nb", fold)
-                  for m in range(len(masks)) for fold in range(k)}
-    tasks = {name: functools.partial(unit, *spec) for name, spec in units.items()}
-    done = (side_by_side(tasks, ClassifierError) if "dt" in kinds
-            else [task() for task in tasks.values()])
-
-    accs = [{kind: [0.0] * k for kind in kinds} for _ in masks]
-    for (m, kind, fold), (acc, s) in zip(units.values(), done):
-        accs[m][kind][fold] = acc
+    units = [(m, fold) for m in sorted(range(len(presorted)), key=lambda m: -len(cols[m]))
+             for fold in range(k)]
+    done = side_by_side({f"mask {m} fold {fold} tree": functools.partial(tree, m, fold)
+                         for m, fold in units}, ClassifierError)
+    presorted.clear()
+    for (m, fold), (acc, s) in zip(units, done):
+        accs["dt"][m, fold] = acc
         seconds[m] += s
-    return [({kind: EvalReport(mean_accuracy=float(np.mean(a)), fold_accuracies=tuple(a))
-              for kind, a in by_kind.items()}, s)
-            for by_kind, s in zip(accs, seconds)]
+    if "nb" in kinds and len(masks):
+        t0 = time.monotonic()
+        accs["nb"] = NbFoldKernel(matrix, fold_of).fold_accuracies(np.array(masks, dtype=bool))
+        seconds += (time.monotonic() - t0) / len(masks)
+    return [({kind: EvalReport(float(np.mean(accs[kind][m])), tuple(accs[kind][m].tolist()))
+              for kind in kinds}, float(s)) for m, s in enumerate(seconds)]
 
 
 def cross_val_accuracy(
@@ -597,27 +593,30 @@ def cross_val_accuracy(
     k: int = 5,
     seed: int = 0,
 ) -> EvalReport:
-    """Stratified k-fold accuracy of the classifier on the mask's columns: an
-    evaluation step of one mask (cross_val_accuracies), so the fold trees of
-    "dt" run from the two-process work queue. `mbofs evaluate` (through
-    harness.evaluate_mask), the tests and the benchmark's checks call it."""
+    """Stratified k-fold accuracy of the classifier on the mask's columns, in
+    an evaluation step of one mask (cross_val_accuracies). `mbofs evaluate`
+    (harness.evaluate_mask), the tests and the benchmark's checks call it."""
     ((reports, _),) = cross_val_accuracies(matrix, [mask], (classifier,), k, seed)
     return reports[classifier]
 
 
 class NbFoldKernel:
-    """Stratified k-fold multinomial-NB accuracy of mask batches, on folds
-    fixed up front.
+    """Multinomial-NB accuracy of mask batches on a fixed fold assignment:
+    `fold_of` gives each row's test fold, 0 to k-1, none empty.
 
-    Everything but the column choice is built once for all k folds. The
-    training class mass over all M columns (nb_train's expression, with the
-    fold's own rows as exact +0.0 terms) and its smoothed logs are (M, k*C)
-    tables whose column f*C + c holds fold f and class c; each document's
-    row of `row_priors` is its fold's log priors. accuracy_batch equals
-    cross_val_accuracy's NB accuracy bit for bit, on three premises:
-    - on a mask's columns, fold f's block of `log_mass`, the log of its
-      `mass_t` sum plus ALPHA*|S|, and `row_priors` are nb_train's fold-f
-      model (a test pins it);
+    Everything but the column choice is built once for all k folds, one
+    fold at a time. Fold f's training class mass over all M columns is
+    nb_train's expression, an (M, C) table with the fold's own rows as exact
+    +0.0 terms. `mass_t[f]` keeps its sparse transpose, and its log is read
+    once, at the entries fold f's rows store, into `products`: one CSR table
+    per class over the matrix's own index arrays, each its own data array
+    (scipy copies a CSR's data that views under half of its base). Each
+    document's row of `row_priors` is its fold's log priors. Fold f's
+    accuracy is that of nb_train's model of the rows outside fold f under
+    nb_predict, bit for bit, on four premises:
+    - on a mask's columns, the log of fold f's mass plus ALPHA, the log of
+      its `mass_t[f]` sum plus ALPHA*|S|, and `row_priors` are nb_train's
+      fold-f model (a test pins it);
     - scipy's sparse products add a row's stored entries one after another,
       as _nb_scores does;
     - an unselected entry adds an exact zero, its finite table entry times
@@ -629,66 +628,64 @@ class NbFoldKernel:
       other in the last bits, so CI's avx2 job runs the NB property tests
       too.
     No dense ndarray @ ndarray product runs, so no BLAS thread pool
-    competes with a search in the other process.
+    competes with a search in the other process. The build peaks at 3.8 MB
+    of tracemalloc on the planted 500x2000 matrix, and at 3.5 MB on the
+    400-document, 8757-term corpus of the benchmark's text-wide workload.
     """
 
-    def __init__(self, matrix: DocTermMatrix, k: int = 5, seed: int = 0):
+    def __init__(self, matrix: DocTermMatrix, fold_of):
         _check_nb_weights(matrix.weights)
-        n, n_classes = matrix.n_docs, matrix.n_classes
-        self.fold_of = stratified_folds(matrix.labels, k, seed)
+        w, n_classes = matrix.weights, matrix.n_classes
+        self.fold_of = fold_of = np.asarray(fold_of)
         self.labels = matrix.labels
-        self.n_test = np.bincount(self.fold_of, minlength=k)
-        self.n_classes = n_classes
-        onehot = np.zeros((n, k, n_classes))  # [i, f, c]: a training row of class c in fold f
-        onehot[np.arange(n), :, matrix.labels] = 1.0
-        onehot[np.arange(n), self.fold_of, :] = 0.0
-        onehot = onehot.reshape(n, k * n_classes)
-        mass = np.ascontiguousarray(np.asarray(onehot.T @ matrix.weights).T)
-        self.log_mass = np.log(mass + ALPHA)
-        counts = onehot.sum(axis=0).reshape(k, n_classes)
-        with np.errstate(divide="ignore"):
-            self.row_priors = np.log(counts / counts.sum(axis=1, keepdims=True))[self.fold_of]
-        # each sum accuracy_batch needs is one product of these sparse tables
-        # with a batch's masks
-        w = matrix.weights
-        fold_of_nz = np.repeat(self.fold_of, np.diff(w.indptr))
-        log_mass = self.log_mass.reshape(-1, k, n_classes)[w.indices, fold_of_nz]
-        with np.errstate(over="ignore"):  # an overflow is refused below
-            self.products = sp.vstack(  # row c*N + i: x_ij * log_mass[j, fold(i)*C + c]
-                [sp.csr_matrix((w.data * log_mass[:, c], w.indices, w.indptr), shape=w.shape)
-                 for c in range(n_classes)], format="csr")
-        if not (np.isfinite(mass).all() and np.isfinite(self.products.data).all()):
+        self.n_test = np.bincount(fold_of)
+        onehot = np.eye(n_classes)[matrix.labels]  # (N, C)
+        # row i of products[c] holds x_ij * log(W(j, c) + ALPHA), W the mass
+        # of row i's fold: each sum fold_accuracies needs is one product of
+        # these sparse tables with a batch's masks
+        data = [np.empty(w.nnz) for _ in range(n_classes)]
+        self.mass_t, counts = [], []
+        for f in range(len(self.n_test)):
+            train = onehot * (fold_of != f)[:, None]  # [i, c]: a training row of class c
+            counts.append(train.sum(axis=0))
+            mass = w.T @ train
+            self.mass_t.append(sp.csr_matrix(mass.T))
+            log_mass = np.log(np.add(mass, ALPHA, out=mass), out=mass)
+            at = np.flatnonzero(np.repeat(fold_of == f, np.diff(w.indptr)))  # fold f's entries
+            cols, x = w.indices[at], w.data[at]
+            with np.errstate(over="ignore"):  # an overflow is refused below
+                for c, block in enumerate(data):
+                    block[at] = x * log_mass[cols, c]
+        if not all(np.isfinite(a).all() for a in data + [t.data for t in self.mass_t]):
             raise ClassifierError("naive Bayes weights too large: a class's summed "
                                   "weight, or a weight times its log, overflows")
+        self.products = [sp.csr_matrix((b, w.indices, w.indptr), shape=w.shape) for b in data]
+        counts = np.array(counts)
+        with np.errstate(divide="ignore"):
+            self.row_priors = np.log(counts / counts.sum(axis=1, keepdims=True))[fold_of]
         self.weights = w
-        self.mass_t = sp.csr_matrix(mass.T)
 
-    def _accuracies(self, predicted: np.ndarray) -> np.ndarray:
-        """Per column of an (N, B) array of predicted classes, the mean over
-        folds of the share of test rows whose class is predicted.
-
-        One bincount counts the hits of every (mask, fold) pair, and a
-        share, hits / n_test, is the mean of a fold's 0/1 hits as
-        cross_val_accuracy takes it. Each mask's shares are a row of a
-        C-contiguous (B, k) array, which np.mean reduces along the row as it
-        reduces a 1-D array of k shares (pairwise from k = 8 up), so each
-        mean equals cross_val_accuracy's mean of the k fold accuracies, and
-        the one-mask expression np.mean(np.bincount(fold_of, weights=hits) /
-        n_test), bit for bit.
-        """
+    def _shares(self, predicted: np.ndarray) -> np.ndarray:
+        """The (B, k) fold accuracies of the columns of an (N, B) array of
+        predicted classes. One bincount counts the hits of every (mask,
+        fold) pair, and a share, hits / n_test, is the mean of a fold's 0/1
+        hits. Each mask's shares are a row of a C-contiguous (B, k) array,
+        which np.mean reduces along the row as it reduces a 1-D array of k
+        shares (pairwise from k = 8 up), so accuracy_batch's means equal the
+        reports' and np.mean(np.bincount(fold_of, weights=hits) / n_test),
+        bit for bit."""
         k, batch = len(self.n_test), predicted.shape[1]
         cell = np.arange(0, batch * k, k) + self.fold_of[:, None]  # (N, B): mask b, fold f
         hits = np.bincount(cell[predicted == self.labels[:, None]], minlength=batch * k)
-        return np.mean(hits.reshape(batch, k) / self.n_test, axis=1)
+        return hits.reshape(batch, k) / self.n_test
 
-    def accuracy_batch(self, masks) -> list[float]:
-        """cross_val_accuracy(matrix, mask, "nb", k, seed).mean_accuracy of
-        each row of a (B, M) mask batch, bit for bit.
+    def fold_accuracies(self, masks) -> np.ndarray:
+        """The (B, k) fold accuracies of the rows of a (B, M) mask batch.
 
         Over a mask's columns S, row i (fold f) and class c, the NB score is
         a[i, c] - x[i] * log(T) + prior[i, c], rounded in that order, where
-        a sums x_ij * log_mass[j, f*C + c], x sums x_ij and T is the fold and
-        class's mass summed over S, plus ALPHA * |S|: _nb_scores's arithmetic
+        a sums x_ij * log(W(j, c) + ALPHA), W fold f's mass, x sums x_ij and
+        T is W(., c) summed over S, plus ALPHA * |S|: _nb_scores's arithmetic
         with nb_train's fold-f model. Each sum is one scipy product of a
         sparse table from __init__ (`products`, `weights`, `mass_t`) with
         the batch's (M, B) masks, which adds a row's stored entries one
@@ -696,19 +693,22 @@ class NbFoldKernel:
         np.argmax takes the lowest class on ties, as nb_predict does.
         """
         masks = np.asarray(masks, dtype=bool)
-        batch = len(masks)
-        if not batch:
-            return []
         if not masks.any(axis=1).all():
             raise ClassifierError("empty feature mask")
-        k, n_classes, n = len(self.n_test), self.n_classes, len(self.labels)
+        k, n_classes, batch = len(self.n_test), len(self.products), len(masks)
         # every array below has the batch as its last axis; the (C, N, B)
         # scores, gathered through fold_of, are laid out row by row
         chosen = np.ascontiguousarray(masks.T).astype(float)  # (M, B)
-        a = (self.products @ chosen).reshape(n_classes, n, batch)
-        log_t = np.log(self.mass_t @ chosen + ALPHA * masks.sum(axis=1))  # (k*C, B)
+        total = np.concatenate([t @ chosen for t in self.mass_t])  # (k*C, B)
+        log_t = np.log(total + ALPHA * masks.sum(axis=1))
         scores = log_t.reshape(k, n_classes, batch).swapaxes(0, 1)[:, self.fold_of]
         scores *= self.weights @ chosen  # x, (N, B)
-        np.subtract(a, scores, out=scores)
+        for c, products in enumerate(self.products):
+            np.subtract(products @ chosen, scores[c], out=scores[c])  # a
         scores += self.row_priors.T[:, :, None]
-        return self._accuracies(np.argmax(scores, axis=0)).tolist()
+        return self._shares(np.argmax(scores, axis=0))
+
+    def accuracy_batch(self, masks) -> list[float]:
+        """The mean of each mask's fold accuracies, as cross_val_accuracy's
+        mean_accuracy takes it, bit for bit."""
+        return np.mean(self.fold_accuracies(masks), axis=1).tolist()

@@ -1,7 +1,7 @@
 """Independent tasks run from one two-process work queue.
 
-The `method = all` searches (harness) and the fold trees and NB folds of
-an evaluation step (classifiers) all run through `side_by_side`.
+The `method = all` searches (harness) and an evaluation step's fold trees
+(classifiers) run through `side_by_side`; its NB folds are one kernel batch.
 
 A fork, not a spawned interpreter: the child needs the matrix and the
 imports this process already holds, and a spawned worker took 0.5-0.7 s to

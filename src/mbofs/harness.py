@@ -143,8 +143,8 @@ class ExperimentConfig:
 @dataclass
 class MethodResult:
     """One report row. `elapsed_s` is the seconds spent making the mask plus
-    the durations of its own evaluation units summed, whichever process ran
-    them; the trace files keep the search's times alone."""
+    its fold trees and an even share of the evaluation step's NB kernel
+    (classifiers.cross_val_accuracies); trace files time the search alone."""
 
     name: str  # raw | ig | mbo | pso
     m_prime: int
@@ -179,8 +179,8 @@ def evaluate_masks(
 ) -> list[tuple[float, str, float]]:
     """Each mask's accuracy under the named classifier, or the best of nb/dt
     (tie -> nb), with the seconds its own cross-validations took. The masks are
-    one evaluation step: their fold trees and NB folds run from one work
-    queue (classifiers.cross_val_accuracies)."""
+    one evaluation step (classifiers.cross_val_accuracies): their fold trees
+    run from one work queue, and one NB kernel scores all their NB folds."""
     kinds = ("nb", "dt") if classifier == "best" else (classifier,)
     with _stage("evaluate", classifiers.ClassifierError):
         step = classifiers.cross_val_accuracies(matrix, masks, kinds, k, seed)
@@ -578,7 +578,7 @@ def run_experiment(
         traces[name] = trace
 
     # one evaluation step, once no search child is left: each row's elapsed_s
-    # is the making of its mask plus its own evaluation units
+    # is the making of its mask plus its share of the step
     scored = evaluate_masks(matrix, [mask for mask, *_ in made.values()],
                             config.eval_classifier, config.folds, config.seed)
     methods: list[MethodResult] = []

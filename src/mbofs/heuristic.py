@@ -12,7 +12,7 @@ import numpy as np
 
 # cross_val_accuracy is not called here; the benchmark's tracer
 # (perfbench/layers.py) wraps heuristic.cross_val_accuracy by name
-from .classifiers import NbFoldKernel, cross_val_accuracy  # noqa: F401
+from .classifiers import NbFoldKernel, cross_val_accuracy, stratified_folds  # noqa: F401
 from .corpus import DocTermMatrix
 
 
@@ -149,17 +149,16 @@ class FitnessFn:
 
     Fold seed is fixed for the whole run so every mask is scored on identical
     folds; values are memoized on the mask's packed bits. Empty masks score 0.0
-    so engine selection logic stays total. Every value is
-    cross_val_accuracy(matrix, mask, "nb", k, seed).mean_accuracy, bit for
-    bit: batch scores masks by NbFoldKernel.accuracy_batch, and a call sends a
-    mask the memo lacks through batch. A matrix with a negative or non-finite
-    weight raises ClassifierError.
+    so engine selection logic stays total. Every value is NbFoldKernel's, as
+    cross_val_accuracy(matrix, mask, "nb", k, seed).mean_accuracy is; a call
+    sends a mask the memo lacks through batch. A matrix with a negative or
+    non-finite weight raises ClassifierError.
     """
 
     def __init__(self, matrix: DocTermMatrix, k: int = 5, seed: int = 0):
         self._memo: dict[bytes, float] = {}
         self.evaluations = 0  # masks scored (memo misses), for trace/diagnostics
-        self._nb = NbFoldKernel(matrix, k, seed)
+        self._nb = NbFoldKernel(matrix, stratified_folds(matrix.labels, k, seed))
 
     def __call__(self, mask: FeatureMask) -> float:
         if 1 not in mask.bits:

@@ -15,6 +15,7 @@ from mbofs.classifiers import (
     _check_nb_weights,
     _nb_scores,
     cross_val_accuracy,
+    nb_predict,
     nb_train,
     stratified_folds,
 )
@@ -220,8 +221,7 @@ class TestFitness:
         masks.append(FeatureMask.zeros(matrix.n_features))  # scores 0.0, never evaluated
         fit = FitnessFn(matrix, seed=3)
         for m in masks + masks:  # revisit to hit the cache
-            want = (cross_val_accuracy(matrix, m.to_array(), "nb", 5, 3).mean_accuracy
-                    if m.popcount else 0.0)
+            want = _oracle(matrix, m.to_array(), 5, 3) if m.popcount else 0.0
             assert fit(m) == want
         assert fit.evaluations == len({m.bits for m in masks if m.popcount})
 
@@ -260,9 +260,26 @@ def nb_problems(draw, signed=False):
     return matrix, k, draw(st.integers(0, 1000)), mask
 
 
+def _kernel(matrix, k, seed) -> NbFoldKernel:
+    """The kernel on the stratified folds, as FitnessFn builds it."""
+    return NbFoldKernel(matrix, stratified_folds(matrix.labels, k, seed))
+
+
+def _oracle_folds(matrix, mask, fold_of) -> list[float]:
+    """Each fold's reference NB accuracy: nb_train's model of the rows outside
+    the fold, nb_predict on the fold's rows."""
+    accs = []
+    for fold in range(int(fold_of.max()) + 1):
+        model = nb_train(matrix, mask, np.flatnonzero(fold_of != fold))
+        test = np.flatnonzero(fold_of == fold)
+        accs.append(float(np.mean(nb_predict(model, matrix.weights[test]) == matrix.labels[test])))
+    return accs
+
+
 def _oracle(matrix, mask, k, seed) -> float:
-    """The reference NB accuracy of a mask, which FitnessFn must give."""
-    return cross_val_accuracy(matrix, mask, "nb", k, seed).mean_accuracy
+    """The reference NB accuracy of a mask, the mean of its stratified folds'
+    accuracies, which FitnessFn and cross_val_accuracy must give."""
+    return float(np.mean(_oracle_folds(matrix, mask, stratified_folds(matrix.labels, k, seed))))
 
 
 def _oracle_scores(matrix, mask, k, seed) -> np.ndarray:
@@ -285,6 +302,26 @@ class TestNbKernelOracle:
         matrix, k, seed, mask = problem
         got = FitnessFn(matrix, k=k, seed=seed)(FeatureMask.from_array(mask))
         assert got == _oracle(matrix, mask, k, seed)
+        report = cross_val_accuracy(matrix, mask, "nb", k, seed)
+        folds = _oracle_folds(matrix, mask, stratified_folds(matrix.labels, k, seed))
+        assert report.fold_accuracies == tuple(folds)
+        assert report.mean_accuracy == got
+
+    @settings(max_examples=200, deadline=None)
+    @given(nb_problems(), st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_any_fold_assignment_matches_the_oracle(self, problem, k, seed):
+        # folds drawn at random, not dealt class by class: sizes and class
+        # counts differ from fold to fold, and a fold's training rows may
+        # miss a class
+        matrix, _, _, mask = problem
+        k = min(k, matrix.n_docs)
+        rng = np.random.default_rng(seed)
+        fold_of = rng.integers(0, k, matrix.n_docs)
+        fold_of[rng.permutation(matrix.n_docs)[:k]] = np.arange(k)  # no fold is empty
+        kernel = NbFoldKernel(matrix, fold_of)
+        want = _oracle_folds(matrix, mask, fold_of)
+        assert kernel.fold_accuracies(mask[None]).tolist() == [want]
+        assert kernel.accuracy_batch(mask[None]) == [float(np.mean(want))]
 
     @settings(max_examples=300, deadline=None)
     @given(nb_problems())
@@ -293,16 +330,64 @@ class TestNbKernelOracle:
         # columns, each fold's block of the kernel's tables is nb_train's
         # model of that fold, bit for bit
         matrix, k, seed, mask = problem
-        kernel = NbFoldKernel(matrix, k, seed)
-        cols, c = np.flatnonzero(mask), matrix.n_classes
-        log_total = np.log(kernel.mass_t @ mask.astype(float) + ALPHA * len(cols))
-        for fold in range(k):
+        kernel = _kernel(matrix, k, seed)
+        cols = np.flatnonzero(mask)
+        for fold, mass_t in enumerate(kernel.mass_t):
             model = nb_train(matrix, mask, np.flatnonzero(kernel.fold_of != fold))
-            block = slice(fold * c, (fold + 1) * c)
-            np.testing.assert_array_equal(model.log_mass, kernel.log_mass[cols, block].T)
-            np.testing.assert_array_equal(model.log_total, log_total[block])
+            log_mass = np.log(mass_t[:, cols].toarray() + ALPHA)
+            np.testing.assert_array_equal(model.log_mass, log_mass)
+            log_total = np.log(mass_t @ mask.astype(float) + ALPHA * len(cols))
+            np.testing.assert_array_equal(model.log_total, log_total)
             priors = kernel.row_priors[kernel.fold_of == fold]
             np.testing.assert_array_equal(np.broadcast_to(model.log_priors, priors.shape), priors)
+
+    @staticmethod
+    def _reference_tables(matrix, fold_of):
+        """(products, mass_t, row_priors) built the plain way: the mass as
+        onehot.T @ weights, a log-mass table, and one CSR per class stacked."""
+        n, n_classes, w = matrix.n_docs, matrix.n_classes, matrix.weights
+        k = int(fold_of.max()) + 1
+        onehot = np.zeros((n, k, n_classes))
+        onehot[np.arange(n), :, matrix.labels] = 1.0
+        onehot[np.arange(n), fold_of, :] = 0.0
+        onehot = onehot.reshape(n, k * n_classes)
+        mass = np.ascontiguousarray(np.asarray(onehot.T @ w).T)
+        log_mass = np.log(mass + ALPHA).reshape(-1, k, n_classes)
+        gathered = log_mass[w.indices, np.repeat(fold_of, np.diff(w.indptr))]
+        products = sp.vstack([sp.csr_matrix((w.data * gathered[:, c], w.indices, w.indptr),
+                                            shape=w.shape) for c in range(n_classes)],
+                             format="csr")
+        counts = onehot.sum(axis=0).reshape(k, n_classes)
+        with np.errstate(divide="ignore"):
+            priors = np.log(counts / counts.sum(axis=1, keepdims=True))[fold_of]
+        return products, sp.csr_matrix(mass.T), priors
+
+    def _assert_lean_build_is_the_reference(self, matrix, fold_of):
+        kernel = NbFoldKernel(matrix, fold_of)
+        products, mass_t, priors = self._reference_tables(matrix, fold_of)
+        w = matrix.weights
+        for p in kernel.products:  # the matrix's own index arrays, not copies
+            assert np.shares_memory(p.indptr, w.indptr)
+            assert np.shares_memory(p.indices, w.indices) or w.nnz == 0
+        stacked = [sp.vstack(tables, format="csr") for tables in (kernel.products, kernel.mass_t)]
+        for lean, plain in zip(stacked, (products, mass_t)):
+            assert lean.shape == plain.shape
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(lean, name), getattr(plain, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+        np.testing.assert_array_equal(kernel.row_priors, priors)
+        assert not hasattr(kernel, "log_mass")
+
+    @settings(max_examples=200, deadline=None)
+    @given(nb_problems())
+    def test_lean_build_equals_the_reference_build(self, problem):
+        matrix, k, seed, _ = problem
+        self._assert_lean_build_is_the_reference(
+            matrix, stratified_folds(matrix.labels, k, seed))
+
+    def test_lean_build_equals_the_reference_build_on_the_planted_matrix(self):
+        matrix, _ = make_planted_matrix(500, 4, 2000, 50, seed=0)
+        self._assert_lean_build_is_the_reference(matrix, stratified_folds(matrix.labels, 5, 0))
 
     @settings(max_examples=100, deadline=None)
     @given(nb_problems(signed=True))
@@ -310,7 +395,7 @@ class TestNbKernelOracle:
         matrix, k, seed, mask = problem
         assume(matrix.weights.data.min(initial=0.0) < 0.0)
         for refused in (lambda: nb_train(matrix, mask, np.arange(matrix.n_docs)),
-                        lambda: NbFoldKernel(matrix, k, seed),
+                        lambda: _kernel(matrix, k, seed),
                         lambda: FitnessFn(matrix, k=k, seed=seed),
                         lambda: _oracle(matrix, mask, k, seed)):
             with pytest.raises(ClassifierError, match="non-negative finite weights"):
@@ -336,7 +421,7 @@ class TestWeightDomain:
         m = DocTermMatrix(weights=sp.csr_matrix(x), labels=np.arange(10) % 2)
         message = f"naive Bayes needs non-negative finite weights, and the matrix stores {bad}"
         for refused in (lambda: nb_train(m, [True, True], np.arange(10)),
-                        lambda: NbFoldKernel(m, 2, 0),
+                        lambda: _kernel(m, 2, 0),
                         lambda: FitnessFn(m, k=2, seed=0)):
             with pytest.raises(ClassifierError) as err:
                 refused()
@@ -377,7 +462,7 @@ class TestWeightDomain:
             except ClassifierError as err:
                 assert str(err).startswith("naive Bayes weights too large")
                 for refused in (lambda: nb_train(matrix, mask, np.arange(matrix.n_docs)),
-                                lambda: NbFoldKernel(matrix, k, fold_seed),
+                                lambda: _kernel(matrix, k, fold_seed),
                                 lambda: FitnessFn(matrix, k=k, seed=fold_seed)):
                     with pytest.raises(ClassifierError, match="naive Bayes weights too large"):
                         refused()
@@ -413,7 +498,7 @@ class TestFitnessBatch:
         # value is the reference's
         matrix, k, fold_seed, mask = problem
         rng = np.random.default_rng(seed)
-        kernel = NbFoldKernel(matrix, k, fold_seed)
+        kernel = _kernel(matrix, k, fold_seed)
         fit = FitnessFn(matrix, k=k, seed=fold_seed)
         calls = FitnessFn(matrix, k=k, seed=fold_seed)
         oracle = {}  # mask bits -> the reference's value, computed once per distinct mask
@@ -462,7 +547,7 @@ class TestFitnessBatch:
         # row takes class 0 in the batch as in the reference
         x = np.tile([[0.5, 0.0, 2.0, 1.0]], (12, 1))
         m = DocTermMatrix(weights=sp.csr_matrix(x), labels=np.arange(12) % 2)
-        kernel = NbFoldKernel(m, 3, 1)
+        kernel = _kernel(m, 3, 1)
         child = np.array([True, True, False, True])
         assert kernel.accuracy_batch(child[None]) == [0.5]
         assert kernel.accuracy_batch(np.ones((2, 4), dtype=bool)) == [0.5, 0.5]
@@ -470,7 +555,7 @@ class TestFitnessBatch:
         assert fit.batch([FeatureMask.from_array(child)]) == [0.5] == [_oracle(m, child, 3, 1)]
 
     def test_empty_masks_are_refused_by_the_batch(self, matrix):
-        kernel = NbFoldKernel(matrix, 5, 0)
+        kernel = _kernel(matrix, 5, 0)
         masks = np.ones((3, matrix.n_features), dtype=bool)
         masks[1] = False
         with pytest.raises(ClassifierError, match="empty feature mask"):
@@ -486,7 +571,7 @@ class TestAccuracyBatch:
         # balanced classes, so every fold's class priors tie: a row that has
         # lost every selected nonzero ties in all of its scores
         m, _ = make_planted_matrix(n_docs=120, n_features=80, n_informative=10, seed=4)
-        kernel = NbFoldKernel(m, 5, 0)
+        kernel = _kernel(m, 5, 0)
         assert np.all(kernel.row_priors == kernel.row_priors[0, 0])
         rng = np.random.default_rng(0)
         chain = [np.ones(80, dtype=bool)]
@@ -515,7 +600,7 @@ class TestAccuracyBatch:
         x[labels == 1, 1] = -2.0
         m = DocTermMatrix(weights=sp.csr_matrix(x), labels=labels)
         mask = np.array([True, False])
-        for refused in (lambda: NbFoldKernel(m, 2, 0), lambda: FitnessFn(m, k=2, seed=0),
+        for refused in (lambda: _kernel(m, 2, 0), lambda: FitnessFn(m, k=2, seed=0),
                         lambda: _oracle(m, mask, 2, 0)):
             with pytest.raises(ClassifierError, match="stores -2.0"):
                 refused()
@@ -529,7 +614,7 @@ class TestAccuracyBatch:
         labels = np.array([0] * 6 + [1] * 4)
         for w in 2.0 ** np.arange(36.0, 44.0, 1 / 16):
             m = DocTermMatrix(weights=sp.csr_matrix(np.full((10, 1), w)), labels=labels)
-            kernel = NbFoldKernel(m, 2, 0)
+            kernel = _kernel(m, 2, 0)
             assert kernel.accuracy_batch(np.ones((1, 1), dtype=bool)) == [0.6], w
             assert _oracle(m, [True], 2, 0) == 0.6, w
 
@@ -540,7 +625,7 @@ class TestAccuracyBatch:
         # in a batch must be reduced in that order too.
         m, _ = make_planted_matrix(n_docs=157, n_classes=3, n_features=30, n_informative=5,
                                    seed=1)
-        kernel = NbFoldKernel(m, k, k)
+        kernel = _kernel(m, k, k)
         rng = np.random.default_rng(k)
 
         def one_mask(predicted):
@@ -551,7 +636,7 @@ class TestAccuracyBatch:
         for batch in (1, 2, 16, 41):
             predicted = rng.integers(0, 3, size=(m.n_docs, batch))
             want = [one_mask(column) for column in predicted.T]
-            assert kernel._accuracies(predicted).tolist() == want
+            assert np.mean(kernel._shares(predicted), axis=1).tolist() == want
             # the folds' shares added one after another, which differs from k = 8 up
             shares = [np.bincount(kernel.fold_of, weights=column == m.labels) / kernel.n_test
                       for column in predicted.T]
@@ -580,7 +665,7 @@ class TestAccuracyBatch:
                           shape=(20, 4))
         assert w.nnz == 34 and np.signbit(w.data[1]) and w.data[6] == 5e-324
         matrix = DocTermMatrix(weights=w, labels=labels)
-        kernel = NbFoldKernel(matrix, 2, 0)
+        kernel = _kernel(matrix, 2, 0)
         assert np.all(kernel.row_priors == kernel.row_priors[0, 0])
         masks = np.array([[bool(b >> j & 1) for j in range(4)] for b in range(1, 16)])
         assert kernel.accuracy_batch(masks) == [_oracle(matrix, mask, 2, 0) for mask in masks]
