@@ -15,9 +15,10 @@ from .corpus import (
     vectorize_tfidf,
 )
 from .filter_ig import ig_filter, ig_scores
-from .heuristic import ChangeSchedule, FeatureMask, FitnessFn, RngStream, change_count, flip, generate_neighbor
-from .mbo import MboConfig, mbo_select
-from .pso import PsoConfig, pso_select
+from .harness import ExperimentConfig
+from .heuristic import FeatureMask, FitnessFn, RngStream, change_count, flip, generate_neighbor
+from .mbo import mbo_select
+from .pso import pso_select
 
 __all__ = [
     "Corpus",
@@ -32,15 +33,13 @@ __all__ = [
     "vectorize_tfidf",
     "ig_filter",
     "ig_scores",
-    "ChangeSchedule",
+    "ExperimentConfig",
     "FeatureMask",
     "FitnessFn",
     "RngStream",
     "change_count",
     "flip",
     "generate_neighbor",
-    "MboConfig",
     "mbo_select",
-    "PsoConfig",
     "pso_select",
 ]

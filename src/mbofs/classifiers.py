@@ -199,9 +199,9 @@ class _Entries(NamedTuple):
 
     `row` and `col` are int32, scipy's own index dtype for these matrices,
     whatever the dtype of the matrix's own indices (no corpus comes near
-    2**31 rows or columns): an entry takes 16 bytes, 4 + 4 + 8, where int64
-    indices took 24. On the planted 500x2000 matrix the raw mask's 83,130
-    entries take 1.3 MB, the IG mask's 21,613 take 0.35 MB.
+    2**31 rows or columns): an entry takes 16 bytes, 4 + 4 + 8. On the
+    planted 500x2000 matrix the raw mask's 83,130 entries take 1.3 MB, the
+    IG mask's 21,613 take 0.35 MB.
     """
 
     rows: np.ndarray
@@ -437,10 +437,8 @@ def _grow(root: list, y: np.ndarray, n_classes: int, depth: int,
 
     On a generated 2500-document, 5-class corpus of 64,397 terms (320k
     presorted entries, the abstract's width), one raw fold tree peaks at
-    19.0 MB of tracemalloc, 3.7 times its presort's 5.1 MB; with int64
-    entries and an int64 bincount of every run at once it peaked at 31.1
-    MB. The planted raw fold-0 tree peaks at 4.7 MB, 3.5 times its
-    presort's bytes.
+    19.0 MB of tracemalloc, 3.7 times its presort's 5.1 MB. The planted raw
+    fold-0 tree peaks at 4.7 MB, 3.5 times its presort's bytes.
     """
     preorder = []
     pending = [(root.pop(), depth)]
@@ -602,7 +600,7 @@ def cross_val_accuracy(
 
 class NbFoldKernel:
     """Multinomial-NB accuracy of mask batches on a fixed fold assignment:
-    `fold_of` gives each row's test fold, 0 to k-1, none empty.
+    `fold_of` gives each row's test fold, 0 to k-1, k >= 2 and none empty.
 
     Everything but the column choice is built once for all k folds, one
     fold at a time. Fold f's training class mass over all M columns is
@@ -637,8 +635,14 @@ class NbFoldKernel:
         _check_nb_weights(matrix.weights)
         w, n_classes = matrix.weights, matrix.n_classes
         self.fold_of = fold_of = np.asarray(fold_of)
+        n = matrix.n_docs
+        if not (fold_of.shape == (n,) and fold_of.dtype.kind in "iu"
+                and 0 <= fold_of.min(initial=0) and fold_of.max(initial=0) < n
+                and len(n_test := np.bincount(fold_of)) >= 2 and n_test.all()):
+            raise ClassifierError("fold_of must give each row an integer fold in [0, k), "
+                                  "with k >= 2 and no fold empty")
+        self.n_test = n_test
         self.labels = matrix.labels
-        self.n_test = np.bincount(fold_of)
         onehot = np.eye(n_classes)[matrix.labels]  # (N, C)
         # row i of products[c] holds x_ij * log(W(j, c) + ALPHA), W the mass
         # of row i's fold: each sum fold_accuracies needs is one product of

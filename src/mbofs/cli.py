@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ig-cap", type=int, default=None)
     p.add_argument("--flock-size", type=int, default=None)
     p.add_argument("--neighbors", type=int, default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="out_dir", metavar="OUT", default=None)
     p.add_argument("--resume", default=None, help="checkpoint file to resume from")
 
     p = sub.add_parser("evaluate", help="cross-validate a stored mask")
@@ -71,18 +71,11 @@ def cmd_ingest(args) -> int:
 
 def cmd_select(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    overrides = {
-        "method": args.method,
-        "seed": args.seed,
-        "budget_seconds": args.budget_seconds,
-        "ig_cap": args.ig_cap,
-        "flock_size": args.flock_size,
-        "neighbors": args.neighbors,
-        "out_dir": args.out,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(config, key, value)
+    # each flag given overrides its config key
+    for key in ("method", "seed", "budget_seconds", "ig_cap", "flock_size", "neighbors",
+                "out_dir"):
+        if getattr(args, key) is not None:
+            setattr(config, key, getattr(args, key))
     report = run_experiment(config, resume_path=args.resume)
     print(render_report(report, "table"), end="")
     if any(m.status == "budget" for m in report.methods):

@@ -15,7 +15,6 @@ import scipy.sparse as sp
 from .corpus import DocTermMatrix
 
 IG_TOLERANCE = 1e-12
-DEFAULT_CAP = 2500
 
 
 class FilterError(Exception):
@@ -68,7 +67,7 @@ def ig_scores(matrix: DocTermMatrix) -> IgScores:
     return IgScores(class_entropy=h, gain=gain, ranking=ranking)
 
 
-def ig_filter(matrix: DocTermMatrix, cap: int = DEFAULT_CAP) -> np.ndarray:
+def ig_filter(matrix: DocTermMatrix, cap: int) -> np.ndarray:
     """Boolean mask of informative features, at most `cap` of them."""
     return cap_mask(ig_scores(matrix), cap)
 

@@ -24,10 +24,9 @@ import numpy as np
 from . import classifiers, corpus as corpus_mod, filter_ig
 from .corpus import CorpusStats, DocTermMatrix
 from .forked import side_by_side
-from .heuristic import (ChangeSchedule, FeatureMask, FitnessFn, HeuristicError, change_count,
-                        last_gain)
-from .mbo import MboConfig, MboSnapshot, mbo_select
-from .pso import V_MAX, PsoConfig, PsoSnapshot, pso_select
+from .heuristic import FeatureMask, FitnessFn, HeuristicError, change_count, last_gain
+from .mbo import MboSnapshot, mbo_select
+from .pso import V_MAX, PsoSnapshot, pso_select
 
 # 2: PSO velocities as base64 float64; 3: traces as dataclasses; 4: step counts
 # and elapsed time kept only in the trace; 5: the snapshot holds the records and
@@ -68,6 +67,8 @@ def _stage(stage: str, *errors):
 
 @dataclass
 class ExperimentConfig:
+    """One run's settings; both search engines read theirs from it."""
+
     corpus_path: str = ""
     corpus_format: str = "tsv"  # tsv | dirs
     stopwords_path: str = ""
@@ -124,20 +125,17 @@ class ExperimentConfig:
             raise PipelineError("config", f"unknown method {self.method!r}")
         if self.eval_classifier not in ("nb", "dt", "best"):
             raise PipelineError("config", f"unknown eval_classifier {self.eval_classifier!r}")
-        with _stage("config", HeuristicError):  # every engine's fields, whatever the method
-            self.engine_configs()
-
-    def engine_configs(self) -> dict[str, MboConfig | PsoConfig]:
-        """Each search engine's config; each one checks the range of its own fields."""
-        schedule = ChangeSchedule(base_fraction=self.base_fraction)
-        return {
-            "mbo": MboConfig(flock_size=self.flock_size, neighbors=self.neighbors,
-                             schedule=schedule, budget_seconds=self.budget_seconds,
-                             seed=self.seed),
-            "pso": PsoConfig(swarm_size=self.swarm_size, max_iterations=self.pso_iterations,
-                             schedule=schedule, budget_seconds=self.budget_seconds,
-                             seed=self.seed),
-        }
+        # every engine's fields, whatever the method
+        if not 0 <= self.base_fraction <= 1:  # NaN fails too
+            raise PipelineError("config", "base_fraction must be in [0, 1]")
+        if self.flock_size < 3 or self.flock_size % 2 == 0:  # a leader and two equal wings
+            raise PipelineError("config", "flock_size must be odd and >= 3")
+        if self.neighbors < 3:  # the leader keeps its best and hands two shares down the wings
+            raise PipelineError("config", "neighbors must be >= 3")
+        if self.swarm_size < 1:
+            raise PipelineError("config", "swarm_size must be >= 1")
+        if self.pso_iterations < 1:
+            raise PipelineError("config", "pso_iterations must be >= 1")
 
 
 @dataclass
@@ -312,9 +310,8 @@ def _resume_problem(snapshot, universe: int, config: ExperimentConfig) -> str | 
     if isinstance(snapshot, MboSnapshot):
         if snapshot.flock.size != config.flock_size:
             return f"the flock must have {config.flock_size} birds"
-        schedule = config.engine_configs()["mbo"].schedule
         for n, record in enumerate(snapshot.records):
-            change = change_count(n, universe, schedule)  # the input mask has m' = universe
+            change = change_count(n, universe, config.base_fraction)  # m' = universe
             if record.change != change:
                 return f"tour {n + 1} change {record.change!r} is not the schedule's {change}"
     elif len(snapshot.particles) != config.swarm_size:
@@ -557,7 +554,7 @@ def run_experiment(
             ckpt_path = out_dir / f"checkpoint_{name}.json"
             writer = _CheckpointWriter(
                 lambda snap: checkpoint_save(ckpt_path, name, fingerprint, to_json(snap)))
-            best, trace = select(input_mask, config.engine_configs()[name], fitness,
+            best, trace = select(input_mask, config, fitness,
                                  resume=resume if name == resume_method else None,
                                  on_step=writer)
             writer.flush()

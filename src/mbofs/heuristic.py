@@ -1,6 +1,6 @@
-"""Shared search machinery: bit-vector solutions, neighbor moves, scheduled
-change counts, derived RNG streams, the memoized cross-validation fitness, and
-the search loop both engines run under."""
+"""Shared search machinery: bit-vector solutions, neighbor moves, the per-tour
+change count of the config's `base_fraction`, derived RNG streams, the memoized
+cross-validation fitness, and the search loop both engines run under."""
 
 from __future__ import annotations
 
@@ -109,19 +109,10 @@ class RngStream:
         return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
-@dataclass(frozen=True)
-class ChangeSchedule:
-    base_fraction: float = 0.02
-
-    def __post_init__(self):
-        if not 0 <= self.base_fraction <= 1:  # NaN fails too
-            raise HeuristicError("base_fraction must be in [0, 1]")
-
-
-def change_count(counter: int, m_prime: int, schedule: ChangeSchedule) -> int:
+def change_count(counter: int, m_prime: int, base_fraction: float) -> int:
     """Geometric decay per tour: broad moves early, single flips late; never
     all m' bits, whose flip would empty an all-ones input."""
-    return max(1, min(m_prime - 1, int(schedule.base_fraction * m_prime / 2**counter)))
+    return max(1, min(m_prime - 1, int(base_fraction * m_prime / 2**counter)))
 
 
 def generate_neighbor(mask: FeatureMask, change: int, rng: RngStream) -> FeatureMask:

@@ -10,10 +10,10 @@ steps the best bird swaps places with the leader. The run stops on stagnation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .heuristic import (
-    ChangeSchedule,
     FeatureMask,
     FitnessFn,
     HeuristicError,
@@ -23,6 +23,9 @@ from .heuristic import (
     generate_neighbor,
     run_search,
 )
+
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
 
 STEPS_PER_TOUR = 10
 MAX_TOURS = 100
@@ -54,21 +57,6 @@ class Flock:
 
 
 @dataclass(frozen=True)
-class MboConfig:
-    flock_size: int = 7
-    neighbors: int = 3  # per bird; leader needs a best plus two shares
-    schedule: ChangeSchedule = field(default_factory=ChangeSchedule)
-    budget_seconds: float = 600.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.flock_size < 3 or self.flock_size % 2 == 0:
-            raise HeuristicError("flock_size must be odd and >= 3")
-        if self.neighbors < 3:
-            raise HeuristicError("neighbors must be >= 3")
-
-
-@dataclass(frozen=True)
 class TourRecord:
     change: int
     best: float  # the global best fitness after the tour
@@ -81,12 +69,12 @@ class TourRecord:
 
 
 def initialize_flock(
-    input_mask: FeatureMask, config: MboConfig, rng: RngStream, fitness: FitnessFn
+    input_mask: FeatureMask, config: ExperimentConfig, rng: RngStream, fitness: FitnessFn
 ) -> Flock:
     """Leader = the input mask; followers are schedule-sized perturbations of it,
     scored in one batch and dealt alternately left/right, so the input is
     always in the flock."""
-    change = change_count(0, input_mask.popcount, config.schedule)
+    change = change_count(0, input_mask.popcount, config.base_fraction)
     leader = Bird(mask=input_mask, fitness=fitness(input_mask))
     masks = [generate_neighbor(input_mask, change, rng.child("init", i))
              for i in range(config.flock_size - 1)]
@@ -158,7 +146,7 @@ def _stop_rule(snap: MboSnapshot) -> str | None:
 
 def mbo_select(
     input_mask: FeatureMask,
-    config: MboConfig,
+    config: ExperimentConfig,
     fitness: FitnessFn,
     resume: MboSnapshot | None = None,
     on_step=None,
@@ -168,8 +156,9 @@ def mbo_select(
 
     The returned mask never scores below the input: the global best is
     initialized to the input itself, so a failed search falls back to the
-    prefilter selection.
+    prefilter selection. A bad config raises validate's PipelineError first.
     """
+    config.validate()
     rng = RngStream(config.seed)
     m_prime = input_mask.popcount
 
@@ -180,7 +169,7 @@ def mbo_select(
 
     def tour(snap: MboSnapshot, clock):
         done = len(snap.records)  # tours already flown
-        change = change_count(done, m_prime, config.schedule)
+        change = change_count(done, m_prime, config.base_fraction)
         tour_rng = rng.child("tour", done)
         flock = snap.flock
         for step in range(STEPS_PER_TOUR):

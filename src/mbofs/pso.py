@@ -4,27 +4,26 @@ Particles start as perturbations of the input mask (one exact copy included,
 so the global best can never fall below the input). Velocities follow the
 standard inertia + cognitive + social update with linear inertia decay; each
 bit is resampled to 1 with probability sigmoid(velocity). The search ends
-after `max_iterations` iterations (the config's `pso_iterations`) or on the
-budget.
+after `pso_iterations` iterations or on the budget; like MBO, it reads its
+settings from harness.ExperimentConfig.
 
 An iteration draws every particle's move from its own stream first: one
 random(out=...) fills the particle's (3, M) slice of a (P, 3, M) buffer, the
 same values as three random(M) calls. It then updates the swarm as (P, M)
-arrays and scores all new positions in one fitness batch. The per-particle
-loop this replaced is kept in tests/test_pso.py as the oracle.
+arrays and scores all new positions in one fitness batch. A per-particle
+loop in tests/test_pso.py is its oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .heuristic import (
-    ChangeSchedule,
     FeatureMask,
     FitnessFn,
-    HeuristicError,
     RngStream,
     SearchTrace,
     change_count,
@@ -32,27 +31,14 @@ from .heuristic import (
     run_search,
 )
 
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
 
 W_START = 0.9  # inertia at the first iteration, decaying linearly to W_END
 W_END = 0.4
 C1 = 2.0  # cognitive (pbest) weight
 C2 = 2.0  # social (gbest) weight
 V_MAX = 6.0  # velocities are clamped to [-V_MAX, V_MAX]
-
-
-@dataclass(frozen=True)
-class PsoConfig:
-    swarm_size: int = 30
-    max_iterations: int = 100
-    schedule: ChangeSchedule = field(default_factory=ChangeSchedule)
-    budget_seconds: float = 600.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.swarm_size < 1:
-            raise HeuristicError("swarm_size must be >= 1")
-        if self.max_iterations < 1:
-            raise HeuristicError("pso_iterations must be >= 1")
 
 
 @dataclass
@@ -97,11 +83,11 @@ def _bit_rows(masks: list[FeatureMask]) -> np.ndarray:
 
 
 def _init_swarm(
-    input_mask: FeatureMask, config: PsoConfig, rng: RngStream, fitness: FitnessFn
+    input_mask: FeatureMask, config: ExperimentConfig, rng: RngStream, fitness: FitnessFn
 ) -> list[Particle]:
     """The input mask and swarm_size - 1 perturbations of it, scored in one batch."""
     m = input_mask.universe
-    change = change_count(0, input_mask.popcount, config.schedule)
+    change = change_count(0, input_mask.popcount, config.base_fraction)
     masks = [input_mask] + [generate_neighbor(input_mask, change, rng.child("init", i))
                             for i in range(1, config.swarm_size)]
     return [Particle(position=mask,
@@ -112,13 +98,15 @@ def _init_swarm(
 
 def pso_select(
     input_mask: FeatureMask,
-    config: PsoConfig,
+    config: ExperimentConfig,
     fitness: FitnessFn,
     resume: PsoSnapshot | None = None,
     on_step=None,
 ) -> tuple[FeatureMask, SearchTrace]:
     """Run the swarm from (or resuming toward) the input mask; return the global
-    best mask and the trace. `on_step` gets the live snapshot after each iteration."""
+    best mask and the trace. `on_step` gets the live snapshot after each iteration.
+    A bad config raises validate's PipelineError first."""
+    config.validate()
     rng = RngStream(config.seed)
 
     def init() -> PsoSnapshot:
@@ -129,7 +117,7 @@ def pso_select(
 
     def iteration(snap: PsoSnapshot, clock):
         it = len(snap.records)  # iterations already run
-        frac = it / max(config.max_iterations - 1, 1)
+        frac = it / max(config.pso_iterations - 1, 1)
         w = W_START + (W_END - W_START) * frac
         particles = snap.particles
         n, m = len(particles), input_mask.universe
@@ -161,6 +149,6 @@ def pso_select(
                 snap.best_mask = p.pbest_mask
         snap.records.append(IterationRecord(snap.best_fitness, clock() * 1000.0))
 
-    stop = lambda s: "max-iterations" if len(s.records) >= config.max_iterations else None
+    stop = lambda s: "max-iterations" if len(s.records) >= config.pso_iterations else None
     return run_search(input_mask, resume, init, iteration, stop, config.budget_seconds,
                       on_step)

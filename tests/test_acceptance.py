@@ -33,7 +33,6 @@ from mbofs.harness import (
     run_experiment,
 )
 from mbofs.heuristic import (
-    ChangeSchedule,
     FeatureMask,
     FitnessFn,
     RngStream,
@@ -44,7 +43,6 @@ from mbofs.heuristic import (
 from mbofs.mbo import (
     MAX_TOURS,
     STEPS_PER_TOUR,
-    MboConfig,
     MboSnapshot,
     find_best_bird,
     fly,
@@ -52,7 +50,7 @@ from mbofs.mbo import (
     mbo_select,
     reorder,
 )
-from mbofs.pso import V_MAX, PsoConfig, pso_select
+from mbofs.pso import V_MAX, pso_select
 from mbofs.synth import make_planted_matrix
 
 from tests.test_filter_ig import brute_force_ig
@@ -88,7 +86,7 @@ def sweep(planted):
         fitness = FitnessFn(reduced, k=5, seed=seed)
         base = fitness(input_mask)
         best, trace = mbo_select(
-            input_mask, MboConfig(seed=seed, budget_seconds=90),
+            input_mask, ExperimentConfig(seed=seed, budget_seconds=90),
             fitness=fitness,
         )
         runs.append({
@@ -161,7 +159,7 @@ def test_criterion_4_mbo_invariant_suite(planted):
     ig_mask = ig_filter(matrix, cap=500)
     reduced = matrix.restrict_columns(np.flatnonzero(ig_mask))
     input_mask = FeatureMask.ones(reduced.n_features)
-    config = MboConfig(seed=0, budget_seconds=540)
+    config = ExperimentConfig(seed=0, budget_seconds=540)
     fitness = FitnessFn(reduced, k=5, seed=0)
     rng = RngStream(config.seed)
 
@@ -176,7 +174,7 @@ def test_criterion_4_mbo_invariant_suite(planted):
     while not stagnant() and len(trace) < MAX_TOURS:
         if time.monotonic() - start > config.budget_seconds:
             break
-        change = change_count(len(trace), input_mask.popcount, config.schedule)
+        change = change_count(len(trace), input_mask.popcount, config.base_fraction)
         tour_rng = rng.child("tour", len(trace))
         for step in range(STEPS_PER_TOUR):
             before = [b.fitness for b in flock.birds()]
@@ -230,7 +228,7 @@ def test_criterion_8_pso_baseline_integrity(planted, tmp_path):
     ig_mask = ig_filter(matrix, cap=500)
     reduced = matrix.restrict_columns(np.flatnonzero(ig_mask))
     input_mask = FeatureMask.ones(reduced.n_features)
-    cfg = PsoConfig(seed=0, swarm_size=15, max_iterations=10, budget_seconds=300)
+    cfg = ExperimentConfig(seed=0, swarm_size=15, pso_iterations=10, budget_seconds=300)
 
     peaks = []  # the snapshot is live state, so record at callback time
     fitness = FitnessFn(reduced, k=5, seed=0)
@@ -239,7 +237,7 @@ def test_criterion_8_pso_baseline_integrity(planted, tmp_path):
         on_step=lambda s: peaks.append(max(np.abs(p.velocity).max() for p in s.particles)))
     g = [r.best for r in trace1.records]
     non_decreasing = all(a <= b for a, b in zip(g, g[1:]))
-    clamped = len(peaks) == cfg.max_iterations and max(peaks) <= V_MAX + 1e-12
+    clamped = len(peaks) == cfg.pso_iterations and max(peaks) <= V_MAX + 1e-12
     best2, trace2 = pso_select(
         input_mask, cfg, fitness=FitnessFn(reduced, k=5, seed=0))
     deterministic = best1 == best2 and g == [r.best for r in trace2.records]
@@ -291,7 +289,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
     # checkpoint save / kill / resume reproduces the uninterrupted final mask
     matrix, _ = make_planted_matrix(n_docs=80, n_features=60, n_informative=10, seed=3)
     mask = FeatureMask.ones(60)
-    mcfg = MboConfig(seed=5, flock_size=5, budget_seconds=120)
+    mcfg = ExperimentConfig(seed=5, flock_size=5, budget_seconds=120)
     full_best, _ = mbo_select(mask, mcfg, fitness=FitnessFn(matrix, seed=5))
     snaps = []
 

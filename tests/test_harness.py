@@ -33,8 +33,8 @@ from mbofs import classifiers, harness
 from mbofs.corpus import CorpusStats
 from mbofs.filter_ig import cap_mask, ig_scores
 from mbofs.heuristic import FeatureMask, FitnessFn
-from mbofs.mbo import MboConfig, MboSnapshot, mbo_select
-from mbofs.pso import PsoConfig, PsoSnapshot, pso_select
+from mbofs.mbo import MboSnapshot, mbo_select
+from mbofs.pso import PsoSnapshot, pso_select
 from mbofs.synth import make_planted_matrix
 
 
@@ -158,7 +158,7 @@ class TestCheckpoint:
 
     def test_mbo_resume_matches_uninterrupted(self):
         matrix, _ = make_planted_matrix(n_docs=80, n_features=60, n_informative=10, seed=3)
-        cfg = MboConfig(seed=5, flock_size=5, budget_seconds=120)
+        cfg = ExperimentConfig(seed=5, flock_size=5, budget_seconds=120)
         mask = FeatureMask.ones(60)
 
         full_best, full_trace = mbo_select(mask, cfg, fitness=FitnessFn(matrix, seed=5))
@@ -186,7 +186,7 @@ class TestCheckpoint:
 
     def test_pso_resume_matches_uninterrupted(self):
         matrix, _ = make_planted_matrix(n_docs=80, n_features=60, n_informative=10, seed=3)
-        cfg = PsoConfig(seed=5, swarm_size=8, max_iterations=6, budget_seconds=120)
+        cfg = ExperimentConfig(seed=5, swarm_size=8, pso_iterations=6, budget_seconds=120)
         mask = FeatureMask.ones(60)
 
         full_best, full_trace = pso_select(mask, cfg, fitness=FitnessFn(matrix, seed=5))
@@ -227,10 +227,10 @@ def test_snapshot_codec_roundtrip_exact():
     matrix, _ = make_planted_matrix(n_docs=60, n_features=40, n_informative=8, seed=3)
     mask = FeatureMask.ones(40)
     docs = {}
-    mbo_select(mask, MboConfig(seed=1, flock_size=5, budget_seconds=60),
+    mbo_select(mask, ExperimentConfig(seed=1, flock_size=5, budget_seconds=60),
                fitness=FitnessFn(matrix, seed=1),
                on_step=lambda snap: docs.update(mbo=mbo_snapshot_to_json(snap)))
-    pso_select(mask, PsoConfig(seed=1, swarm_size=4, max_iterations=3),
+    pso_select(mask, ExperimentConfig(seed=1, swarm_size=4, pso_iterations=3),
                fitness=FitnessFn(matrix, seed=1),
                on_step=lambda snap: docs.update(pso=pso_snapshot_to_json(snap)))
     for name, to_json, cls in [("mbo", mbo_snapshot_to_json, MboSnapshot),

@@ -20,8 +20,8 @@ from mbofs.classifiers import (
     stratified_folds,
 )
 from mbofs.corpus import DocTermMatrix
+from mbofs.harness import ExperimentConfig
 from mbofs.heuristic import (
-    ChangeSchedule,
     FeatureMask,
     FitnessFn,
     HeuristicError,
@@ -162,28 +162,30 @@ class TestGenerateNeighbor:
         assert a == b
 
 
+BASE_FRACTION = ExperimentConfig().base_fraction  # the pipeline's default, 0.02
+
+
 class TestChangeCount:
     def test_base_value(self):
-        assert change_count(0, 2000, ChangeSchedule()) == 40
+        assert change_count(0, 2000, BASE_FRACTION) == 40
 
     def test_floors_at_one(self):
-        assert change_count(6, 2000, ChangeSchedule()) == 1
-        assert change_count(50, 2000, ChangeSchedule()) == 1
+        assert change_count(6, 2000, BASE_FRACTION) == 1
+        assert change_count(50, 2000, BASE_FRACTION) == 1
 
     def test_m_prime_one(self):
         for counter in range(10):
-            assert change_count(counter, 1, ChangeSchedule()) == 1
+            assert change_count(counter, 1, BASE_FRACTION) == 1
 
     def test_full_fraction_leaves_one_bit(self):
         # flipping all m' bits of an all-ones input would leave it empty
-        assert change_count(0, 30, ChangeSchedule(1.0)) == 29
-        assert change_count(1, 30, ChangeSchedule(1.0)) == 15
+        assert change_count(0, 30, 1.0) == 29
+        assert change_count(1, 30, 1.0) == 15
 
     @given(st.integers(0, 20), st.integers(1, 10000))
     def test_non_increasing_and_positive(self, counter, m_prime):
-        sched = ChangeSchedule()
-        c0 = change_count(counter, m_prime, sched)
-        c1 = change_count(counter + 1, m_prime, sched)
+        c0 = change_count(counter, m_prime, BASE_FRACTION)
+        c1 = change_count(counter + 1, m_prime, BASE_FRACTION)
         assert c0 >= c1 >= 1
 
 
@@ -409,6 +411,17 @@ class TestNbKernelOracle:
         got = FitnessFn(m, k=3, seed=1)(FeatureMask.from_array(mask))
         assert got == _oracle(m, mask, 3, 1)
         assert got == 0.5  # ties go to class 0
+
+    @pytest.mark.parametrize("fold_of", [
+        np.arange(60) % 2 * 2, np.zeros(60, dtype=int), np.r_[-1, np.arange(59) % 3],
+        np.arange(60) % 3 * 1.0, np.arange(59) % 3,
+    ], ids=["folds-0-and-2", "all-in-fold-0", "negative-fold", "float-folds", "short"])
+    def test_bad_fold_assignments_are_refused(self, fold_of):
+        # unrefused, folds 0 and 2 alone gave fold 1 the share 0/0 (NaN), one
+        # fold trained on no rows, and -1 raised numpy's own ValueError
+        matrix, _ = make_planted_matrix(n_docs=60, n_features=40, n_informative=8, seed=3)
+        with pytest.raises(ClassifierError, match=r"^fold_of must give each row an integer"):
+            NbFoldKernel(matrix, fold_of)
 
 
 class TestWeightDomain:

@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 
-from mbofs.heuristic import ChangeSchedule, FeatureMask, FitnessFn, HeuristicError, RngStream, change_count
+from mbofs.harness import ExperimentConfig, PipelineError
+from mbofs.heuristic import FeatureMask, FitnessFn, HeuristicError, RngStream, change_count
 from mbofs.mbo import (
     MAX_TOURS,
     STEPS_PER_TOUR,
     Bird,
     Flock,
-    MboConfig,
     find_best_bird,
     fly,
     initialize_flock,
     mbo_select,
     reorder,
 )
+from mbofs.pso import pso_select
 from mbofs.synth import make_planted_matrix
 from tests.conftest import SlowFirstBatch
 
@@ -40,20 +41,17 @@ def small_matrix():
 class TestInitializeFlock:
     def test_structure(self):
         mask = FeatureMask.ones(40)
-        flock = initialize_flock(mask, MboConfig(flock_size=7), RngStream(0), density_fitness)
+        flock = initialize_flock(mask, ExperimentConfig(flock_size=7), RngStream(0),
+                                 density_fitness)
         assert flock.size == 7
         assert len(flock.left) == len(flock.right) == 3
         assert flock.leader.mask == mask
 
-    def test_even_size_rejected(self):
-        with pytest.raises(HeuristicError, match="odd"):
-            MboConfig(flock_size=4)
-
     def test_followers_are_perturbations(self):
         mask = FeatureMask.ones(50)
-        cfg = MboConfig(flock_size=5)
+        cfg = ExperimentConfig(flock_size=5)
         flock = initialize_flock(mask, cfg, RngStream(1), density_fitness)
-        change = change_count(0, mask.popcount, cfg.schedule)
+        change = change_count(0, mask.popcount, cfg.base_fraction)
         for bird in (*flock.left, *flock.right):
             hamming = int((bird.mask.to_array() != mask.to_array()).sum())
             assert hamming == change
@@ -63,7 +61,7 @@ class TestFly:
     def test_per_bird_fitness_non_decreasing(self, small_matrix):
         fit = FitnessFn(small_matrix, seed=0)
         flock = initialize_flock(
-            FeatureMask.ones(60), MboConfig(flock_size=5), RngStream(2), fit
+            FeatureMask.ones(60), ExperimentConfig(flock_size=5), RngStream(2), fit
         )
         for step in range(3):
             before = [b.fitness for b in flock.birds()]
@@ -76,7 +74,7 @@ class TestFly:
     def test_cached_fitness_consistent(self, small_matrix):
         fit = FitnessFn(small_matrix, seed=0)
         flock = initialize_flock(
-            FeatureMask.ones(60), MboConfig(flock_size=5), RngStream(4), fit
+            FeatureMask.ones(60), ExperimentConfig(flock_size=5), RngStream(4), fit
         )
         flock = fly(flock, 3, RngStream(4).child("s", 0), fit, 3)
         for bird in flock.birds():
@@ -128,13 +126,13 @@ class TestMboSelect:
         fit = FitnessFn(small_matrix, seed=0)
         mask = FeatureMask.ones(60)
         best, trace = mbo_select(
-            mask, MboConfig(seed=1, budget_seconds=60), fitness=fit
+            mask, ExperimentConfig(seed=1, budget_seconds=60), fitness=fit
         )
         assert trace.records[-1].best >= fit(mask)
         assert fit(best) == trace.records[-1].best
 
     def test_trace_non_decreasing(self, small_matrix):
-        cfg = MboConfig(seed=2, budget_seconds=60)
+        cfg = ExperimentConfig(seed=2, budget_seconds=60)
         _, trace = mbo_select(
             FeatureMask.ones(60), cfg, fitness=FitnessFn(small_matrix, seed=cfg.seed)
         )
@@ -153,13 +151,13 @@ class TestMboSelect:
         m = DocTermMatrix(weights=sp.csr_matrix(x), labels=y)
         mask = FeatureMask.from_bitstring("11000")
         fit = FitnessFn(m, seed=0)
-        best, trace = mbo_select(mask, MboConfig(seed=0), fitness=fit)
+        best, trace = mbo_select(mask, ExperimentConfig(seed=0), fitness=fit)
         assert trace.termination == "stagnation"
         assert len(trace.records) == 3
         assert fit(best) == 1.0
 
     def test_deterministic(self, small_matrix):
-        cfg = MboConfig(seed=9, budget_seconds=60)
+        cfg = ExperimentConfig(seed=9, budget_seconds=60)
         mask = FeatureMask.ones(60)
         b1, t1 = mbo_select(mask, cfg, fitness=FitnessFn(small_matrix, seed=cfg.seed))
         b2, t2 = mbo_select(mask, cfg, fitness=FitnessFn(small_matrix, seed=cfg.seed))
@@ -172,20 +170,42 @@ class TestMboSelect:
     def test_elapsed_time_covers_initialization(self, small_matrix):
         # the first batch (initialization's) outlasts the whole budget
         fit = SlowFirstBatch(small_matrix, seed=0)
-        _, trace = mbo_select(FeatureMask.ones(60), MboConfig(seed=0, budget_seconds=0.1),
+        _, trace = mbo_select(FeatureMask.ones(60), ExperimentConfig(seed=0, budget_seconds=0.1),
                                   fitness=fit)
         assert trace.elapsed_seconds >= 0.2
         assert (trace.termination, trace.records) == ("budget", [])
 
+    @pytest.mark.parametrize("select, field, value", [
+        (mbo_select, "flock_size", 4), (mbo_select, "neighbors", 2),
+        (mbo_select, "base_fraction", 1.5),
+        (pso_select, "swarm_size", 0), (pso_select, "pso_iterations", 0)])
+    def test_bad_config_refused_before_any_fitness_call(self, select, field, value):
+        # a direct library call is checked as the pipeline's config is
+        calls = []
+
+        class Recording(DensityFitness):
+            def batch(self, masks):
+                calls.append(len(masks))
+                return super().batch(masks)
+
+            def __call__(self, mask):
+                calls.append(1)
+                return super().__call__(mask)
+
+        config = ExperimentConfig(**{field: value})
+        with pytest.raises(PipelineError, match=rf"^\[config\] {field}"):
+            select(FeatureMask.ones(40), config, Recording())
+        assert calls == []
+
     def test_empty_input_rejected(self, small_matrix):
         with pytest.raises(HeuristicError):
-            mbo_select(FeatureMask.zeros(60), MboConfig(seed=0),
+            mbo_select(FeatureMask.zeros(60), ExperimentConfig(seed=0),
                        fitness=FitnessFn(small_matrix, seed=0))
 
     def test_single_feature_input_returned_as_is(self, small_matrix):
         # a one-feature universe has no other non-empty mask to move to
         fitness = FitnessFn(small_matrix.restrict_columns(np.array([0])), seed=0)
-        best, trace = mbo_select(FeatureMask.ones(1), MboConfig(seed=0), fitness=fitness)
+        best, trace = mbo_select(FeatureMask.ones(1), ExperimentConfig(seed=0), fitness=fitness)
         assert best == FeatureMask.ones(1)
         assert (trace.termination, trace.records, fitness.evaluations) == (
             "single-feature", [], 0)

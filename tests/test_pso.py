@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mbofs.harness import _decode, pso_snapshot_to_json
+from mbofs.harness import ExperimentConfig, _decode, pso_snapshot_to_json
 from mbofs.heuristic import (
     FeatureMask,
     FitnessFn,
@@ -18,7 +18,6 @@ from mbofs.pso import (
     W_START,
     IterationRecord,
     Particle,
-    PsoConfig,
     PsoSnapshot,
     pso_select,
     sigmoid,
@@ -57,7 +56,7 @@ class TestPsoSelect:
     def run(self, matrix, seed=0, iters=8, on_step=None, **kw):
         fit = FitnessFn(matrix, seed=seed)
         mask = FeatureMask.ones(matrix.n_features)
-        cfg = PsoConfig(seed=seed, max_iterations=iters, swarm_size=10,
+        cfg = ExperimentConfig(seed=seed, pso_iterations=iters, swarm_size=10,
                         budget_seconds=120, **kw)
         best, trace = pso_select(mask, cfg, fitness=fit, on_step=on_step)
         return fit, mask, best, trace, cfg
@@ -100,7 +99,7 @@ class TestPsoSelect:
 
     def test_budget_termination(self, small_matrix):
         fit = FitnessFn(small_matrix, seed=0)
-        cfg = PsoConfig(seed=0, max_iterations=100, swarm_size=10,
+        cfg = ExperimentConfig(seed=0, pso_iterations=100, swarm_size=10,
                         budget_seconds=1e-9)
         _, trace = pso_select(FeatureMask.ones(60), cfg, fitness=fit)
         assert trace.termination == "budget"
@@ -109,20 +108,20 @@ class TestPsoSelect:
     def test_elapsed_time_covers_initialization(self, small_matrix):
         # the first batch (initialization's) outlasts the whole budget
         fit = SlowFirstBatch(small_matrix, seed=0)
-        _, trace = pso_select(FeatureMask.ones(60), PsoConfig(seed=0, budget_seconds=0.1),
+        _, trace = pso_select(FeatureMask.ones(60), ExperimentConfig(seed=0, budget_seconds=0.1),
                                   fitness=fit)
         assert trace.elapsed_seconds >= 0.2
         assert (trace.termination, trace.records) == ("budget", [])
 
     def test_empty_input_rejected(self, small_matrix):
         with pytest.raises(HeuristicError):
-            pso_select(FeatureMask.zeros(60), PsoConfig(seed=0),
+            pso_select(FeatureMask.zeros(60), ExperimentConfig(seed=0),
                        fitness=FitnessFn(small_matrix, seed=0))
 
     def test_single_feature_input_returned_as_is(self, small_matrix):
         # a one-feature universe has no other non-empty mask to move to
         fitness = FitnessFn(small_matrix.restrict_columns(np.array([0])), seed=0)
-        best, trace = pso_select(FeatureMask.ones(1), PsoConfig(seed=0), fitness=fitness)
+        best, trace = pso_select(FeatureMask.ones(1), ExperimentConfig(seed=0), fitness=fitness)
         assert best == FeatureMask.ones(1)
         assert (trace.termination, trace.records, fitness.evaluations) == (
             "single-feature", [], 0)
@@ -131,7 +130,7 @@ class TestPsoSelect:
 def _reference_swarm(input_mask, config, fitness) -> PsoSnapshot:
     """The initial swarm and global best, each particle scored by its own call."""
     rng = RngStream(config.seed).child("swarm")
-    change = change_count(0, input_mask.popcount, config.schedule)
+    change = change_count(0, input_mask.popcount, config.base_fraction)
     particles = []
     for i in range(config.swarm_size):
         mask = input_mask if i == 0 else generate_neighbor(input_mask, change,
@@ -142,13 +141,13 @@ def _reference_swarm(input_mask, config, fitness) -> PsoSnapshot:
     return PsoSnapshot(particles, particles[best].pbest_mask, particles[best].pbest_fitness, [])
 
 
-def _reference_iteration(snap: PsoSnapshot, config: PsoConfig, fitness) -> None:
+def _reference_iteration(snap: PsoSnapshot, config: ExperimentConfig, fitness) -> None:
     """One PSO iteration a particle at a time: its three draws, its update and
     its fitness call, then the next particle; the oracle for pso_select's
     batched iteration."""
     rng = RngStream(config.seed)
     it = len(snap.records)
-    frac = it / max(config.max_iterations - 1, 1)
+    frac = it / max(config.pso_iterations - 1, 1)
     w = W_START + (W_END - W_START) * frac
     gbest_bits = snap.best_mask.to_array().astype(float)
     for i, p in enumerate(snap.particles):
@@ -183,13 +182,13 @@ def _swarm_state(snap: PsoSnapshot):
 
 class TestPsoOracle:
     def test_matches_per_particle_reference(self, small_matrix):
-        config = PsoConfig(seed=6, max_iterations=8, swarm_size=10, budget_seconds=120)
+        config = ExperimentConfig(seed=6, pso_iterations=8, swarm_size=10, budget_seconds=120)
         input_mask = FeatureMask.from_array(np.random.default_rng(1).random(60) < 0.7)
         reference_fitness = FitnessFn(small_matrix, seed=6)
         reference = _reference_swarm(input_mask, config, reference_fitness)
         first_pbests = [p.pbest_fitness for p in reference.particles]
         want = []
-        for _ in range(config.max_iterations):
+        for _ in range(config.pso_iterations):
             _reference_iteration(reference, config, reference_fitness)
             want.append(_swarm_state(reference))
         assert [p.pbest_fitness for p in reference.particles] != first_pbests  # pbests moved
