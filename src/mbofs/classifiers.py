@@ -180,8 +180,8 @@ def _nb_scores(model: NbModel, rows) -> np.ndarray:
     return scores
 
 
-# Cap on the runs one split-search chunk counts, and on the runs whose cuts
-# one chunk scores, at once: a node's counting and scoring buffers stay
+# Cap on the entries one split-search chunk counts, and on the runs whose
+# cuts one chunk scores, at once: a node's counting and scoring buffers stay
 # under a few MB whatever its entries; its (C, runs) int32 counts grow with them.
 _SPLIT_CHUNK_CUTS = 1 << 14
 
@@ -191,17 +191,18 @@ class _Entries(NamedTuple):
 
     `rows` lists the node's rows (indices into the tree's labels y) in
     ascending order. Entry i says that row `row[i]` holds `value[i]` in column
-    `col[i]`. The entries are every nonzero of the node's rows plus, for each
-    column where some of those rows hold zero and some do not, one marker for
-    the column's run of zeros (row len(y), value 0.0). They are sorted by
-    (column, value), so a column's negatives, zeros and positives come in
-    threshold order. A column with no entries is all zeros on the node.
+    `col[i]`. The entries are the nonzeros of the node's rows, and nothing
+    else: a column's zeros on the node are the rows its entries miss, a run
+    implied by the entries' count and never stored. They are sorted by
+    (column, value), so a column's negatives come before its positives, and
+    its zeros, when it has any, lie between the two. A column with no entries
+    is all zeros on the node.
 
     `row` and `col` are int32, scipy's own index dtype for these matrices,
     whatever the dtype of the matrix's own indices (no corpus comes near
     2**31 rows or columns): an entry takes 16 bytes, 4 + 4 + 8. On the
-    planted 500x2000 matrix the raw mask's 83,130 entries take 1.3 MB, the
-    IG mask's 21,613 take 0.35 MB.
+    planted 500x2000 matrix the raw mask's 81,130 entries take 1.3 MB, the
+    IG mask's 21,113 take 0.34 MB.
     """
 
     rows: np.ndarray
@@ -211,17 +212,18 @@ class _Entries(NamedTuple):
 
 
 def _presort(x) -> _Entries:
-    """The root of a tree on x (dense or sparse, rows x columns): the one sort.
-    A NaN or infinite weight in x raises ClassifierError.
+    """The root of a tree on x (dense or sparse, rows x columns): the one sort
+    of its nonzeros, stored or summed zeros dropped. A NaN or infinite weight
+    in x raises ClassifierError.
 
     A float CSR in canonical form, as a DocTermMatrix and its column slices
     are, is read where it lies: its nonzeros are copied once, into the
     entries, and then sorted. Any other x is converted first, and its
     duplicates summed on a copy; the caller's x is never changed. The peak
     is the unsorted entries, lexsort's int64 order and one sorted array, and
-    x itself when it is a column slice: of tracemalloc, 2.7 MB for the
-    planted raw mask, whose weights are read in place, and 14.4 MB for the
-    64,397-term corpus of _grow's docstring, measured with a slice.
+    x itself when it is a column slice: of tracemalloc, 2.6 MB for the
+    planted raw mask, whose weights are read in place, and 14.0 MB for the
+    64,567-term corpus of _grow's docstring, measured with a slice.
     """
     x = sp.csr_matrix(x, dtype=float)  # no copy of a float CSR
     if not x.has_canonical_format:
@@ -230,24 +232,15 @@ def _presort(x) -> _Entries:
     _check_tree_weights(x)
     coo = x.tocoo(copy=False)  # x's own col and data, and a new row
     nz = coo.data != 0
-    n, m = x.shape
-    per_col = np.bincount(coo.col[nz], minlength=m)
-    cols = np.flatnonzero((per_col > 0) & (per_col < n))  # a marker for each
-    k = np.count_nonzero(nz)
-    # the nonzeros, then the markers, written straight into int32 index arrays
-    row = np.full(k + len(cols), n, dtype=np.int32)
-    col = np.empty(k + len(cols), dtype=np.int32)
-    value = np.zeros(k + len(cols))
-    row[:k] = coo.row[nz]
-    col[:k] = coo.col[nz]
-    value[:k] = coo.data[nz]
-    col[k:] = cols
+    row = coo.row[nz].astype(np.int32, copy=False)
+    col = coo.col[nz].astype(np.int32, copy=False)
+    value = coo.data[nz]
     del coo, nz
     order = np.lexsort((value, col))
     row = row[order]  # sorted one array at a time, each unsorted one freed
     col = col[order]
     value = value[order]
-    return _Entries(np.arange(n), row, col, value)
+    return _Entries(np.arange(x.shape[0]), row, col, value)
 
 
 def _class_sum(q: np.ndarray) -> np.ndarray:
@@ -262,16 +255,15 @@ def _class_sum(q: np.ndarray) -> np.ndarray:
     return s
 
 
-def _weighted_gini(left: np.ndarray, cuts: np.ndarray, totals: np.ndarray, n: int) -> np.ndarray:
+def _weighted_gini(left: np.ndarray, totals: np.ndarray, n: int) -> np.ndarray:
     """The weighted Gini impurity (nl * gini_l + nr * gini_r) / n of each of
-    a chunk's cuts, from the (C, runs) left counts.
+    a chunk's cuts, from their (C, cuts) integer left counts.
 
     Each step is the oracle's, in place where it can be: a square is x * x,
     which is x ** 2 bit for bit, and a product is exact in either order.
-    The chunk's (C, cuts) float buffers go when it returns, before the next
-    chunk is gathered."""
-    lc = left.take(cuts, axis=1).astype(float)
-    rc = totals - lc
+    The right counts come from the integer left counts, the same floats, so
+    the left side's (C, cuts) float buffer goes before the right side's."""
+    lc = left.astype(float)
     nl = _class_sum(lc)  # exact: any order gives the same integer
     nr = n - nl
     lc /= nl
@@ -280,6 +272,7 @@ def _weighted_gini(left: np.ndarray, cuts: np.ndarray, totals: np.ndarray, n: in
     del lc
     np.subtract(1.0, weighted, out=weighted)
     weighted *= nl  # nl * gini_l
+    rc = np.subtract(totals, left, dtype=float)
     rc /= nr
     rc *= rc
     right = _class_sum(rc)
@@ -296,40 +289,37 @@ def _best_split(node: _Entries, y: np.ndarray, n_classes: int):
     node, or None when every column is constant on it.
 
     The presorted CART split search of SPRINT (Shafer, Agrawal & Mehta,
-    VLDB 1996), whose attribute lists are the node's entries: they are in
-    threshold order already, so a bincount counts the classes of every run
-    of equal values in a column, a zero run holds the node's rows the
-    column's nonzeros miss, and one cumsum over the runs gives the left
-    class counts at every cut between two runs. A node's cost grows with its
-    entries, so a tree's grows with the nonzeros times the depth, not with
-    rows x columns.
+    VLDB 1996), whose attribute lists are the node's entries, with the
+    sparsity-aware split finding of XGBoost (Chen & Guestrin, KDD 2016): a
+    column's zeros are implied, never stored. The entries are in threshold
+    order already, so a bincount counts the classes of every run of equal
+    values in a column, and one cumsum over the runs gives `cum`, the
+    classes of the entries before each run. A cut below a column's zeros
+    has on its left the prefix sum from the column's first run; a cut above
+    them, the node's totals less the suffix sum to the column's end. A
+    column with fewer entries than the node has rows holds zeros, and has
+    cuts (last negative, 0) and (0, first positive) where a column without
+    zeros has one. A node's cost grows with its entries, so a tree's grows
+    with the nonzeros times the depth, not with rows x columns.
 
-    The counts are class-major: a (C, runs) int32 array, whose gathered
-    cuts form a (C, cuts) array with one contiguous row per class. Every
-    step of the scoring then runs along the cuts, C rows at a time, instead
-    of reducing a short class axis one cut at a time. The counts are summed
-    as integers, in place, and the left counts of a chunk of cuts are turned
-    to float when it is scored: each is an integer below 2**53, the float a
-    float cumsum would give. Each cut is still scored with the arithmetic
-    of the per-feature oracle in tests/test_classifiers.py
-    (_gini_best_split), element for element, so the impurities agree bit
-    for bit.
-
-    The runs are counted, and their cuts scored, one chunk of at most
-    _SPLIT_CHUNK_CUTS runs at a time. A chunk's runs are one span of the
-    entries, whose keys (class * width + run) and (C, width) bincount are
-    its only int64 arrays; the bincount goes straight into the int32
-    counts. A marker counts in class 0 until its zero run is recounted from
-    the column's nonzeros, so the keys need no class for the markers. Beyond
-    its entries, a node then holds its counts and each run's column and
-    value, 28 bytes a run with 4 classes, and one chunk's buffers: at the
-    root of the planted raw fold-0 tree (66,744 entries, as many runs) 1.9
-    MB, and about 1.8 MB more.
-
-    Cuts are listed column by column, lowest threshold first, and a later
-    chunk wins only when strictly lower, so the first minimum keeps the
-    oracle's tie rules: the lowest threshold within a column, then the
+    The counts are class-major: a (C, runs + 1) int32 array, exact below
+    2**31 entries, whose gathered cuts form a (C, cuts) array with one
+    contiguous row per class, so every step of the scoring runs along the
+    cuts. Left counts are integers below 2**53, and each cut is scored with
+    the arithmetic of the per-feature oracle in tests/test_classifiers.py
+    (_gini_best_split), element for element: the impurities agree bit for
+    bit. Cuts are listed column by column, lowest threshold first, and a
+    later chunk wins only when strictly lower, so the first minimum keeps
+    the oracle's tie rules: the lowest threshold within a column, then the
     lowest column.
+
+    The entries are counted, and the runs' cuts scored, one chunk of at most
+    _SPLIT_CHUNK_CUTS at a time: a chunk's keys (class * width + run), its
+    (C, width) bincount and its cuts' positions and columns are its only
+    int64 arrays. Beyond its entries, a node holds each run's value, counts
+    and three flags, 27 bytes a run with 4 classes: at the root of the
+    planted raw fold-0 tree (64,744 entries, as many runs) 1.75 MB, and a
+    chunk's buffers 1.7 MB more (0.3 MB at a chunk of 1024).
     """
     row, col, value = node.row, node.col, node.value
     if len(col) == 0:
@@ -340,71 +330,81 @@ def _best_split(node: _Entries, y: np.ndarray, n_classes: int):
     new_run[0] = True
     np.not_equal(col[1:], col[:-1], out=new_run[1:])
     new_run[1:] |= value[1:] != value[:-1]
-    bounds = np.append(np.flatnonzero(new_run), len(col))  # run r: entries bounds[r]:bounds[r+1]
-    run_col, run_value = col[bounds[:-1]], value[bounds[:-1]]
-    n_runs = len(run_col)
-    # the counts, and below their cumsum, are exact integers in [-n, n]
-    counts = np.empty((n_classes, n_runs), dtype=np.int32)
-    label = np.append(y, 0)  # a marker counts in class 0, until its zero run is recounted
-    for start in range(0, n_runs, chunk):
-        stop = min(start + chunk, n_runs)
-        lo, hi = bounds[start], bounds[stop]
-        key = label.take(row[lo:hi])  # take, not []: see _take
-        key *= stop - start  # the key of (class, run in the chunk), built in place
-        key += np.cumsum(new_run[lo:hi])
-        key -= 1
-        counts[:, start:stop] = np.bincount(
-            key, minlength=n_classes * (stop - start)).reshape(n_classes, -1)
+    run_value = value[new_run]
+    n_runs = len(run_value)
+    run_col = col[new_run]
+    first = np.ones(n_runs + 1, dtype=bool)  # a column's first run, or the end
+    np.not_equal(run_col[1:], run_col[:-1], out=first[1:-1])
+    edges = np.flatnonzero(first)  # column g: runs edges[g]:edges[g+1]
+    n_cols = len(edges) - 1
+    features = run_col[edges[:-1]]
+    del run_col
+    cum = np.zeros((n_classes, n_runs + 1), dtype=np.int32)
+    run = 0  # cum[:, run + 1] counts the chunk's first run begun in it
+    for lo in range(0, len(col), chunk):
+        starts = new_run[lo:lo + chunk]
+        width = np.count_nonzero(starts) + 1
+        key = y.take(row[lo:lo + chunk])  # take, not []: see _take
+        key *= width  # the key of (class, run in the chunk), built in place
+        key += np.cumsum(starts)  # run 0: the rest of a run begun before the chunk
+        counts = np.bincount(key, minlength=n_classes * width).reshape(n_classes, width)
         del key
-    del new_run, bounds
-    # a zero run holds the rows the column's nonzeros miss
-    col_start = np.flatnonzero(np.r_[True, run_col[1:] != run_col[:-1]])
-    zero = np.flatnonzero(run_value == 0.0)
-    col_of_zero = np.searchsorted(col_start, zero, side="right") - 1
-    counts[0, zero] = 0  # the markers
-    in_col = np.add.reduceat(counts, col_start, axis=1, dtype=np.int32)  # not cast to int64
-    counts[:, zero] = totals - in_col[:, col_of_zero]
-    # every column's runs hold each of the node's rows once: taking the totals
-    # off each column's first run (but the first column's) makes one cumsum
-    # over all runs the left counts within each column
-    counts[:, col_start[1:]] -= totals
-    left = np.cumsum(counts, axis=1, out=counts)
+        cum[:, run] += counts[:, 0]
+        cum[:, run + 1:run + width] = counts[:, 1:]
+        run += width - 1
+    del new_run, counts
+    np.cumsum(cum, axis=1, out=cum)  # cum[:, b]: the classes of the entries of runs < b
+    # Above its zeros, a cut's left counts are cum at it less base[:, g], cum
+    # at its column g's end less the totals; below them, cum at it less
+    # base[:, n_cols + g], cum at the column's first run.
+    base = cum.take(np.concatenate((edges[1:], edges[:-1])), axis=1)
+    zeros = (base[:, :n_cols] - base[:, n_cols:]).sum(axis=0) < n  # fewer entries than rows
+    base[:, :n_cols] -= totals
+    # cut[r, 0], just before run r, is above its column's zeros, and cut[r, 1],
+    # just after it, below them. There is a cut before each positive run and
+    # after each negative one, but a column without zeros has none before its
+    # first positive run and none after its last run.
+    cut = np.stack((run_value > 0, run_value < 0), axis=1)
+    positive, negative = cut.T
+    after_negative = np.flatnonzero(positive[1:] & negative[:-1]) + 1
+    positive[after_negative] = zeros[np.searchsorted(edges, after_negative, side="right") - 1]
+    positive[edges[:-1]] &= zeros
+    negative[edges[1:] - 1] &= zeros
+    flat = cut.reshape(-1)  # cut[r, j] is flat[2r + j], at cum[:, r + j]
     best = None
-    for start in range(0, n_runs - 1, chunk):
-        stop = min(start + chunk, n_runs - 1)
-        r = np.flatnonzero(run_col[start:stop] == run_col[start + 1:stop + 1])
-        if len(r) == 0:
+    for start in range(0, n_runs, chunk):
+        keys = np.flatnonzero(flat[2 * start:2 * (start + chunk)])  # flat[2 start + keys]
+        if len(keys) == 0:
             continue
-        r += start  # the cuts between run r and run r+1
-        weighted = _weighted_gini(left, r, totals, n)
+        columns = np.cumsum(first[start:start + chunk]) + (np.searchsorted(edges, start) - 1)
+        left = cum.take(start + ((keys + 1) >> 1), axis=1)
+        left -= base.take(columns.take(keys >> 1) + (keys & 1) * n_cols, axis=1)
+        del columns
+        weighted = _weighted_gini(left, totals, n)
         i = int(np.argmin(weighted))
         if best is None or weighted[i] < best[0]:
-            b = r[i]
-            best = (float(weighted[i]), int(run_col[b]), (run_value[b] + run_value[b + 1]) / 2.0)
-    return best
+            best = (float(weighted[i]), 2 * start + int(keys[i]))
+    if best is None:
+        return None
+    r, j = divmod(best[1], 2)
+    g, other = int(np.searchsorted(edges, r, side="right")) - 1, r + 2 * j - 1
+    # the value across the cut from run r: 0.0 when the column's zeros lie there
+    across = 0.0 if not edges[g] <= other < edges[g + 1] or (
+        zeros[g] and (run_value[other] > 0) != (run_value[r] > 0)) else run_value[other]
+    return best[0], int(features[g]), (run_value[r] + across) / 2.0
 
 
 def _take(node: _Entries, inside: np.ndarray, n_rows: int) -> _Entries:
-    """The entries of a node on the rows where `inside` (by row, n_rows + 1
-    long) is True, still sorted.
+    """The entries of a node on the rows where `inside` (by row, one flag for
+    each of the tree's n_rows rows) is True, still sorted.
 
-    The rows take their nonzeros, counted per column with one bincount, and
-    the node's marker of a column is kept exactly when 1 <= nonzeros <
-    len(rows): the column holds both zeros and nonzeros on those rows. A
-    column that is all zeros there drops out, and one with no zeros there
-    keeps no empty zero run. The entries are then gathered once, still in
-    (column, value) order.
-    """
+    The rows keep their own nonzeros, gathered once in (column, value)
+    order, and nothing else: a column's zeros there are the rows its kept
+    entries miss, and a column with none is all zeros there."""
     rows = node.rows[inside[node.rows]]
-    is_marker = node.row == n_rows
-    marker = np.flatnonzero(is_marker)
     # take copies the int32 row numbers to int64 at once; indexing with []
     # casts them in small buffered steps, which took 3 times as long
-    real = inside.take(node.row) & ~is_marker
-    n_cols = node.col[-1] + 1 if len(node.col) else 0
-    nonzeros = np.bincount(node.col[real], minlength=n_cols)[node.col[marker]]
-    real[marker] = (1 <= nonzeros) & (nonzeros < len(rows))
-    take = np.flatnonzero(real)
+    take = np.flatnonzero(inside.take(node.row))
     return _Entries(rows, node.row[take], node.col[take], node.value[take])
 
 
@@ -416,7 +416,7 @@ def _split(node: _Entries, feature: int, threshold: float, n_rows: int):
     """
     # an int32 key: Python ints would make searchsorted copy node.col to int64
     lo, hi = np.searchsorted(node.col, np.array([feature, feature + 1], dtype=node.col.dtype))
-    left_of = np.full(n_rows + 1, 0.0 <= threshold)  # by row
+    left_of = np.full(n_rows, 0.0 <= threshold)  # by row
     left_of[node.row[lo:hi]] = node.value[lo:hi] <= threshold
     return _take(node, left_of, n_rows), _take(node, ~left_of, n_rows)
 
@@ -435,10 +435,10 @@ def _grow(root: list, y: np.ndarray, n_classes: int, depth: int,
     depth. Each node's (feature, threshold, class) is listed in preorder,
     and the DtNodes are built from that list, children before parents.
 
-    On a generated 2500-document, 5-class corpus of 64,397 terms (320k
-    presorted entries, the abstract's width), one raw fold tree peaks at
-    19.0 MB of tracemalloc, 3.7 times its presort's 5.1 MB. The planted raw
-    fold-0 tree peaks at 4.7 MB, 3.5 times its presort's bytes.
+    On a generated 2500-document, 5-class corpus of 64,567 terms (318k
+    presorted entries, the abstract's width), the raw fold-0 tree peaks at
+    17.7 MB of tracemalloc, 3.5 times its presort's 5.1 MB. The planted raw
+    fold-0 tree peaks at 4.5 MB, 3.5 times its presort's bytes.
     """
     preorder = []
     pending = [(root.pop(), depth)]
@@ -483,7 +483,7 @@ def dt_train(
         raise ClassifierError("empty row subset")
     if presorted is None:
         presorted = _presort(_columns(matrix, cols))
-    inside = np.zeros(matrix.n_docs + 1, dtype=bool)
+    inside = np.zeros(matrix.n_docs, dtype=bool)
     inside[rows] = True
     root = [_take(presorted, inside, matrix.n_docs)]
     return DtModel(root=_grow(root, matrix.labels, matrix.n_classes, 0, max_depth, min_split),

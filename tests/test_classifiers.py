@@ -322,6 +322,48 @@ class TestTreeOracle:
         walked = [_walk(want, row) for row in x[:, mask]]
         assert dt_predict(model, matrix.weights).tolist() == walked
 
+    @pytest.mark.parametrize("chunk", [1, classifiers._SPLIT_CHUNK_CUTS])
+    @pytest.mark.parametrize("columns, labels, want", [
+        pytest.param([[1, 2, 3, 4, 5, 6]], [0, 0, 0, 1, 1, 1], (0, 3.5),
+                     id="positive-only-no-zeros"),
+        pytest.param([[0, 0, 0, 1, 2, 3]], [0, 0, 0, 1, 1, 1], (0, 0.5),
+                     id="positive-only-with-zeros"),
+        pytest.param([[-3, -2, -1, 0, 0, 0]], [1, 1, 1, 0, 0, 0], (0, -0.5),
+                     id="negative-only-with-zeros"),
+        pytest.param([[-2, -1, 0, 0, 1, 2]], [0, 0, 1, 1, 1, 1], (0, -0.5),
+                     id="negative-to-positive-with-zeros-cut-below"),
+        pytest.param([[-2, -1, 0, 0, 1, 2]], [0, 0, 0, 0, 1, 1], (0, 0.5),
+                     id="negative-to-positive-with-zeros-cut-above"),
+        pytest.param([[-3, -2, -1, 1, 2, 3]], [0, 0, 0, 1, 1, 1], (0, 0.0),
+                     id="negative-to-positive-no-zeros"),
+        pytest.param([[0] * 6, [0, 0, 0, 1, 2, 3], [0] * 6], [0, 0, 2, 1, 1, 1], (1, 0.5),
+                     id="all-zero-columns"),
+        pytest.param([[0] * 4, [2] * 4, [-1] * 4], [0, 1, 0, 1], None,
+                     id="all-zero-and-constant-only"),
+        pytest.param([[-1, 0, 0, 1]], [0, 1, 1, 0], (0, -0.5),
+                     id="tie-between-the-two-zero-cuts"),
+        pytest.param([[0, 0, 0, 2, 2, 2], [-2, -2, -2, 0, 0, 0]], [0, 0, 1, 1, 1, 0], (0, 1.0),
+                     id="tie-across-columns-zeros-left-first"),
+        pytest.param([[-2, -2, -2, 0, 0, 0], [0, 0, 0, 2, 2, 2]], [0, 0, 1, 1, 1, 0], (0, -1.0),
+                     id="tie-across-columns-zeros-right-first"),
+        pytest.param([[1, 1, 1, 3, 3, 3], [0, 0, 0, 2, 2, 2]], [0, 0, 1, 1, 1, 0], (0, 2.0),
+                     id="tie-across-columns-no-zeros-first"),
+        pytest.param([[0, 1, 2, 3]], [0, 1, 1, 0], (0, 0.5),
+                     id="tie-zero-cut-before-positive-cut"),
+        pytest.param([[-3, -2, -1, 0]], [0, 1, 1, 0], (0, -2.5),
+                     id="tie-negative-cut-before-zero-cut"),
+    ])
+    def test_zero_cuts_match_per_feature_loop(self, monkeypatch, chunk, columns, labels, want):
+        """_best_split against the per-feature loop on hand-made columns, one
+        for each way a column's zeros meet its cuts, and on exact impurity
+        ties within a column, across columns and, one cut a chunk, across
+        chunks: the winning (feature, threshold) is the one written here."""
+        monkeypatch.setattr(classifiers, "_SPLIT_CHUNK_CUTS", chunk)
+        x, y = np.array(columns, dtype=float).T, np.array(labels)
+        got = _best_split(_presort(x), y, 3)
+        assert got == _reference_split(x, y, 3)
+        assert (got if got is None else got[1:]) == want
+
     def test_dt_train_matches_reference_cart_at_many_classes(self, monkeypatch):
         """dt_train equals the benchmark's brute-force CART, node for node, on
         small problems with 8..12 classes and features valued 0, 1 or 2, where
@@ -379,10 +421,18 @@ class TestPlantedTrees:
 
     @pytest.mark.parametrize("mask_name, fold, want", [
         ("raw", 0, (151, "72ca2220d81f192c")),
+        ("raw", 1, (155, "bec8d0e623e293b2")),
+        ("raw", 2, (157, "12de5340498d3aaf")),
+        ("raw", 3, (155, "a7381c213aabbf45")),
         ("raw", 4, (145, "a8f1edc33d05d025")),
         ("ig", 0, (171, "1e7e57f9d2ecfda3")),
+        ("ig", 1, (181, "a6f9c9d2df195c1c")),
+        ("ig", 2, (159, "1181c2af20c9ce4b")),
+        ("ig", 3, (163, "a126518c0b669173")),
+        ("ig", 4, (149, "29fb0815c93c422e")),
     ])
     def test_tree_digest(self, planted, mask_name, fold, want):
+        """Every fold tree of the planted raw and IG masks, pinned."""
         matrix, folds, ig = planted
         mask = ig if mask_name == "ig" else np.ones(matrix.n_features, dtype=bool)
         model = dt_train(matrix, mask, np.flatnonzero(folds != fold))
@@ -495,22 +545,40 @@ class TestTreeMemory:
 
     def test_planted_tree_peak_is_a_few_presorts(self):
         """The traced peak of the planted raw fold-0 tree, grown from a given
-        presort, stays within about 20% of its 4.70 MB on Python 3.11 (3.5
-        times the presort's 1.33 MB): int64 entries and the root's int64
-        class-run bincount would take it to 7.45 MB."""
+        presort, stays within about 20% of its 4.54 MB on Python 3.11 (3.5
+        times the presort's 1.30 MB, its nonzeros alone): int64 entries and
+        the root's int64 class-run bincount would take it to 7.45 MB."""
         matrix, _ = make_planted_matrix(500, 4, 2000, 50, seed=0)
         rows = np.flatnonzero(stratified_folds(matrix.labels, 5, 0) != 0)
         presorted = _presort(matrix.weights)
-        assert sum(a.nbytes for a in presorted) == 83_130 * 16 + 500 * 8
+        assert sum(a.nbytes for a in presorted) == 81_130 * 16 + 500 * 8
         peak = self._traced_peak(lambda: dt_train(
             matrix, np.ones(matrix.n_features, dtype=bool), rows, presorted=presorted))
         assert peak < 5.6e6
+
+    def test_split_temporaries_are_chunk_sized(self, monkeypatch):
+        """At _SPLIT_CHUNK_CUTS = 1024, the traced peak of the split search
+        at the planted raw fold-0 root (64,744 entries, as many runs) stays
+        within about 15% of its 2.06 MB on Python 3.11: 1.75 MB that grows
+        with the runs (27 bytes a run) and buffers for 1024 entries or runs
+        at a time. One more entries-long int64 array would add 0.52 MB, one
+        more (C, runs) int32 array 1.04 MB. The split is the default chunk's."""
+        matrix, _ = make_planted_matrix(500, 4, 2000, 50, seed=0)
+        inside = stratified_folds(matrix.labels, 5, 0) != 0
+        root = _take(_presort(matrix.weights), inside, matrix.n_docs)
+        assert len(root.row) == 64_744
+        want = _best_split(root, matrix.labels, 4)
+        monkeypatch.setattr(classifiers, "_SPLIT_CHUNK_CUTS", 1024)
+        got = []
+        peak = self._traced_peak(lambda: got.append(_best_split(root, matrix.labels, 4)))
+        assert got == [want]
+        assert peak < 2.4e6
 
     def test_planted_presort_peak_is_pinned(self):
         """The traced peak of a presort made from a column slice of the
         matrix, as the evaluation step makes a narrower mask's, here of
         every column of the planted matrix, stays within about 20% of its
-        3.67 MB on Python 3.11: two more copies of the slice and int64
+        3.58 MB on Python 3.11: two more copies of the slice and int64
         entries would take it to 6.08 MB."""
         matrix, _ = make_planted_matrix(500, 4, 2000, 50, seed=0)
         cols = np.arange(matrix.n_features)
@@ -520,9 +588,9 @@ class TestTreeMemory:
     def test_raw_presort_reads_the_weights_in_place(self, monkeypatch, make):
         """The raw mask's presort, as the evaluation step and dt_train make
         it, reads the matrix's weights where they lie: its traced peak, the
-        presort's argument included, stays within about 20% of its 2.71 MB
+        presort's argument included, stays within about 20% of its 2.62 MB
         on Python 3.11. A column slice of every column copied the whole
-        matrix first, 1.0 MB more (3.69 MB)."""
+        matrix first, 1.0 MB more (3.58 MB)."""
         matrix, _ = make_planted_matrix(500, 4, 2000, 50, seed=0)
         raw = np.ones(matrix.n_features, dtype=bool)
         presort, peaks = classifiers._presort, []
