@@ -5,8 +5,8 @@ tree, both operating on mask-restricted columns of a DocTermMatrix. All argmax
 ties break to the lowest class index so results are reproducible bit-for-bit.
 One NB scorer, NbFoldKernel, scores the search's mask batches and every NB
 fold of an evaluation step, whose work queue runs its fold trees only. NB
-takes non-negative finite weights only, small enough that no score
-overflows; the tree takes any finite weights, signed ones included.
+takes non-negative finite weights only, small enough that no class mass or
+score overflows; the tree takes any finite weights, signed ones included.
 No corpus loader makes a weight either refuses: TF-IDF weights are positive
 and finite.
 
@@ -85,23 +85,28 @@ def _check_nb_weights(weights) -> None:
     and subnormal weights are fine. (np.min and np.max return NaN if any
     weight is NaN.)
 
-    The weights must also be small enough that no score overflows. ALPHA is
-    1, so every log(W(t,c) + ALPHA) and every log(T) of any mask, fold and
-    class lies in [0, L], L = log(total weight + ALPHA*M), and every term of
-    a row's score is at most the row's weight sum times L. A matrix whose
-    largest row sum times L is not finite is refused; the bound is computed
-    with overflow silenced, since an overflow is what it looks for."""
+    The weights must also be small enough that no class mass, table entry
+    or score overflows. With S the summed weight, R the largest row sum and
+    L = log(S + ALPHA*M), a class mass of any fold and columns is at most S,
+    and a weight times its log, or a term of a row's score, at most R*L.
+    Sums of n terms, in any order, round within a relative n * 2**-53 of
+    exact, so the matrix is refused unless 2 * (S + R*L) is finite: 730
+    weights of 2.46e305 have a finite S, but overflow in a class mass that
+    scipy adds left to right, with no warning. The bound is computed with
+    overflow silenced, since an overflow is what it looks for."""
     data = weights.data
     if not (data.min(initial=0.0) >= 0.0 and data.max(initial=0.0) < np.inf):
         bad = data[~((data >= 0.0) & (data < np.inf))][0]
         raise ClassifierError(
             f"naive Bayes needs non-negative finite weights, and the matrix stores {bad}")
     with np.errstate(over="ignore"):
+        total = data.sum()
         largest = (weights @ np.ones(weights.shape[1])).max(initial=0.0)
-        bound = largest * np.log(data.sum() + ALPHA * weights.shape[1]) if largest else 0.0
+        score = largest * np.log(total + ALPHA * weights.shape[1]) if largest else 0.0  # R*L
+        bound = 2.0 * (total + score)
     if not np.isfinite(bound):
-        raise ClassifierError("naive Bayes weights too large: a row's summed weight times "
-                              "the log of the matrix's summed weight overflows")
+        raise ClassifierError("naive Bayes weights too large: a class's summed weight or a "
+                              "row's score could overflow")
 
 
 def _columns(matrix: DocTermMatrix, cols: np.ndarray):
@@ -394,9 +399,9 @@ def _best_split(node: _Entries, y: np.ndarray, n_classes: int):
     return best[0], int(features[g]), (run_value[r] + across) / 2.0
 
 
-def _take(node: _Entries, inside: np.ndarray, n_rows: int) -> _Entries:
+def _take(node: _Entries, inside: np.ndarray) -> _Entries:
     """The entries of a node on the rows where `inside` (by row, one flag for
-    each of the tree's n_rows rows) is True, still sorted.
+    each of the tree's rows) is True, still sorted.
 
     The rows keep their own nonzeros, gathered once in (column, value)
     order, and nothing else: a column's zeros there are the rows its kept
@@ -418,14 +423,14 @@ def _split(node: _Entries, feature: int, threshold: float, n_rows: int):
     lo, hi = np.searchsorted(node.col, np.array([feature, feature + 1], dtype=node.col.dtype))
     left_of = np.full(n_rows, 0.0 <= threshold)  # by row
     left_of[node.row[lo:hi]] = node.value[lo:hi] <= threshold
-    return _take(node, left_of, n_rows), _take(node, ~left_of, n_rows)
+    return _take(node, left_of), _take(node, ~left_of)
 
 
-def _grow(root: list, y: np.ndarray, n_classes: int, depth: int,
-          max_depth: int, min_split: int) -> DtNode:
-    """The tree grown from `root`, a one-item list of the root's entries at
-    `depth`, which _grow takes out of the list: no caller's reference then
-    keeps them alive while the tree grows.
+def _grow(root: list, y: np.ndarray, n_classes: int, max_depth: int,
+          min_split: int) -> DtNode:
+    """The tree grown from `root`, a one-item list of the root's entries,
+    which _grow takes out of the list: no caller's reference then keeps
+    them alive while the tree grows.
 
     The nodes grow depth first, left before right, from an explicit stack.
     A split node's entries are dropped once its two children are filtered
@@ -441,7 +446,7 @@ def _grow(root: list, y: np.ndarray, n_classes: int, depth: int,
     fold-0 tree peaks at 4.5 MB, 3.5 times its presort's bytes.
     """
     preorder = []
-    pending = [(root.pop(), depth)]
+    pending = [(root.pop(), 0)]
     while pending:
         node, depth = pending.pop()
         counts = np.bincount(y[node.rows], minlength=n_classes)
@@ -485,8 +490,8 @@ def dt_train(
         presorted = _presort(_columns(matrix, cols))
     inside = np.zeros(matrix.n_docs, dtype=bool)
     inside[rows] = True
-    root = [_take(presorted, inside, matrix.n_docs)]
-    return DtModel(root=_grow(root, matrix.labels, matrix.n_classes, 0, max_depth, min_split),
+    root = [_take(presorted, inside)]
+    return DtModel(root=_grow(root, matrix.labels, matrix.n_classes, max_depth, min_split),
                    feature_indices=cols)
 
 
@@ -618,9 +623,9 @@ class NbFoldKernel:
     - scipy's sparse products add a row's stored entries one after another,
       as _nb_scores does;
     - an unselected entry adds an exact zero, its finite table entry times
-      0.0, so the kernel refuses weights that are negative or not finite,
-      or so large that a table entry overflows (a NaN entry times 0.0 is
-      NaN);
+      0.0 (a NaN entry times 0.0 is NaN): _check_nb_weights refuses weights
+      that are negative or not finite, or so large that a table entry
+      could overflow;
     - np.log gives the same bits for the same input whatever the array's
       length or layout. numpy's AVX2 and AVX-512 logs differ from each
       other in the last bits, so CI's avx2 job runs the NB property tests
@@ -657,12 +662,8 @@ class NbFoldKernel:
             log_mass = np.log(np.add(mass, ALPHA, out=mass), out=mass)
             at = np.flatnonzero(np.repeat(fold_of == f, np.diff(w.indptr)))  # fold f's entries
             cols, x = w.indices[at], w.data[at]
-            with np.errstate(over="ignore"):  # an overflow is refused below
-                for c, block in enumerate(data):
-                    block[at] = x * log_mass[cols, c]
-        if not all(np.isfinite(a).all() for a in data + [t.data for t in self.mass_t]):
-            raise ClassifierError("naive Bayes weights too large: a class's summed "
-                                  "weight, or a weight times its log, overflows")
+            for c, block in enumerate(data):
+                block[at] = x * log_mass[cols, c]
         self.products = [sp.csr_matrix((b, w.indices, w.indptr), shape=w.shape) for b in data]
         counts = np.array(counts)
         with np.errstate(divide="ignore"):

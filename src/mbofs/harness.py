@@ -456,8 +456,8 @@ def run_experiment(
     config, the corpus, IG, a resume checkpoint (`[checkpoint]`: loaded,
     then decoded and checked by _resume_problem once the IG mask is known),
     the evaluation's weights and a class with fewer rows than `folds`
-    (`[evaluate]`), then the NB fitness of the search this process runs
-    (`[search]`), which checks the IG columns it reads, overflow included.
+    (`[evaluate]`), then NB's weight check (classifiers._check_nb_weights)
+    of the IG columns every search's fitness reads (`[search]`).
     The tree reads every column under `eval_classifier` dt or best, and NB
     under nb or best; a signed weight passes the tree, so `method = ig` with
     `eval_classifier = dt` runs.
@@ -527,11 +527,10 @@ def run_experiment(
             classifiers._check_nb_weights(matrix.weights)
         classifiers.stratified_folds(matrix.labels, config.folds, config.seed)
     names = [name for name in engines if config.method in (name, "all")]
-    kernels = {}  # the fitness of the search this process runs, until that search starts
     if names:
         reduced = matrix.restrict_columns(ig_columns)
-        with _stage("search", classifiers.ClassifierError):  # NB's check of the IG columns
-            kernels[names[0]] = FitnessFn(reduced, k=config.folds, seed=config.seed)
+        with _stage("search", classifiers.ClassifierError):
+            classifiers._check_nb_weights(reduced.weights)
 
     # made once nothing more is refused, so a refused run leaves no directory
     out_dir = Path(config.out_dir)
@@ -542,15 +541,13 @@ def run_experiment(
     input_mask = FeatureMask.ones(len(ig_columns))
 
     def search(name: str):
-        """One engine's search and its checkpoints. It scores with a fitness
-        function of its own, so its memo starts empty and its `evaluations`
-        are those of a run of that engine alone; a forked child drops its copy
-        of the parent's before it builds one, so no process holds two."""
+        """One engine's search and its checkpoints. It builds a fitness
+        function of its own, after any fork, on the IG columns whose weights
+        were checked above, so its memo starts empty and its `evaluations`
+        are those of a run of that engine alone."""
         select, to_json, _ = engines[name]
         with _stage("search", classifiers.ClassifierError, HeuristicError):
-            fitness = kernels.pop(name, None)
-            kernels.clear()
-            fitness = fitness or FitnessFn(reduced, k=config.folds, seed=config.seed)
+            fitness = FitnessFn(reduced, k=config.folds, seed=config.seed)
             ckpt_path = out_dir / f"checkpoint_{name}.json"
             writer = _CheckpointWriter(
                 lambda snap: checkpoint_save(ckpt_path, name, fingerprint, to_json(snap)))

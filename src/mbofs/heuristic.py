@@ -142,8 +142,8 @@ class FitnessFn:
     folds; values are memoized on the mask's packed bits. Empty masks score 0.0
     so engine selection logic stays total. Every value is NbFoldKernel's, as
     cross_val_accuracy(matrix, mask, "nb", k, seed).mean_accuracy is; a call
-    sends a mask the memo lacks through batch. A matrix with a negative or
-    non-finite weight raises ClassifierError.
+    sends a mask the memo lacks through batch. A matrix whose weights
+    _check_nb_weights refuses raises ClassifierError.
     """
 
     def __init__(self, matrix: DocTermMatrix, k: int = 5, seed: int = 0):

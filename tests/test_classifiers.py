@@ -148,7 +148,7 @@ class TestDecisionTree:
 def _dt_build(x, y, n_classes, max_depth, min_split):
     """The Gini tree on x (dense or sparse, rows x columns) and its labels y,
     grown from x's own presort."""
-    return _grow([_presort(x)], np.asarray(y), n_classes, 0, max_depth, min_split)
+    return _grow([_presort(x)], np.asarray(y), n_classes, max_depth, min_split)
 
 
 def _gini_best_split(values: np.ndarray, labels: np.ndarray, n_classes: int):
@@ -565,7 +565,7 @@ class TestTreeMemory:
         more (C, runs) int32 array 1.04 MB. The split is the default chunk's."""
         matrix, _ = make_planted_matrix(500, 4, 2000, 50, seed=0)
         inside = stratified_folds(matrix.labels, 5, 0) != 0
-        root = _take(_presort(matrix.weights), inside, matrix.n_docs)
+        root = _take(_presort(matrix.weights), inside)
         assert len(root.row) == 64_744
         want = _best_split(root, matrix.labels, 4)
         monkeypatch.setattr(classifiers, "_SPLIT_CHUNK_CUTS", 1024)
@@ -744,14 +744,13 @@ class TestFoldRoot:
     def test_equals_presort_of_the_rows(self, problem):
         """The root dt_train filters from the presort of all rows is the
         sub-matrix's own sort, array for array, once its rows are numbered
-        by their place in the subset: a monotone relabelling, under which the
-        marker row stays last."""
+        by their place in the subset: a monotone relabelling."""
         csr, _, rows = problem
         n = csr.shape[0]
-        inside = np.zeros(n + 1, dtype=bool)
+        inside = np.zeros(n, dtype=bool)
         inside[rows] = True
-        got, want = _take(_presort(csr), inside, n), _presort(csr[rows])
-        place = np.full(n + 1, len(rows))
+        got, want = _take(_presort(csr), inside), _presort(csr[rows])
+        place = np.full(n, len(rows))
         place[rows] = np.arange(len(rows))
         got = got._replace(rows=place[got.rows], row=place[got.row].astype(got.row.dtype))
         for name, a, b in zip(want._fields, got, want):
@@ -775,7 +774,7 @@ class TestFoldRoot:
         presorted = _presort(matrix.weights[:, cols])
         shared = dt_train(matrix, mask, rows, presorted=presorted)
         own = _grow([_presort(matrix.weights[rows][:, cols])], matrix.labels[rows],
-                    matrix.n_classes, 0, 20, 2)
+                    matrix.n_classes, 20, 2)
         assert shared.root == own
 
     @settings(max_examples=50, deadline=None)

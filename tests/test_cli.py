@@ -257,8 +257,8 @@ def test_select_nb_score_overflow_one_error_line(config_file, tmp_path, capsys, 
     with config_file.open("a", encoding="utf-8") as fh:
         fh.write(f"eval_classifier = {eval_classifier}\n")
     assert main(["select", "--method", "mbo", "--config", str(config_file)]) == 2
-    _one_error_line(capsys, f"error: [{stage}] naive Bayes weights too large: a row's "
-                            "summed weight times the log of the matrix's summed weight overflows")
+    _one_error_line(capsys, f"error: [{stage}] naive Bayes weights too large: a class's "
+                            "summed weight or a row's score could overflow")
     assert not (tmp_path / "run").exists()
 
 

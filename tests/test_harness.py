@@ -473,14 +473,20 @@ class TestRunExperiment:
         assert cap_mask(ig_scores(matrix), cap)[columns[at]]
         return matrix
 
+    @staticmethod
+    def _no_search(monkeypatch):
+        """Fails the test if a search starts, forked (side_by_side) or not."""
+        for name in ("mbo_select", "pso_select", "side_by_side"):
+            monkeypatch.setattr(harness, name, lambda *args, **kw: pytest.fail("search ran"))
+
+    @pytest.mark.parametrize("method", ["mbo", "pso", "all"])
     def test_signed_weight_under_dt_evaluation_stops_before_any_output(self, tmp_path,
-                                                                      monkeypatch):
-        # the search's NB fitness reads the IG columns: the run stops before
-        # it evaluates or writes anything
+                                                                      monkeypatch, method):
+        # every search's NB fitness reads the IG columns: the run stops before
+        # it searches, forks, evaluates or writes anything
         matrix = self._signed_in_an_ig_column(30)
-        for engine in ("mbo_select", "pso_select"):
-            monkeypatch.setattr(harness, engine, lambda *args, **kw: pytest.fail("search ran"))
-        cfg = ExperimentConfig(ig_cap=30, method="mbo", eval_classifier="dt",
+        self._no_search(monkeypatch)
+        cfg = ExperimentConfig(ig_cap=30, method=method, eval_classifier="dt",
                                out_dir=str(tmp_path / "run"))
         with pytest.raises(PipelineError) as err:
             run_experiment(cfg, matrix=matrix)
@@ -488,10 +494,14 @@ class TestRunExperiment:
                                   "and the matrix stores -0.5")
         assert not (tmp_path / "run").exists()
 
-    def test_nb_overflow_in_the_search_stops_before_the_run_directory(self, tmp_path):
+    @pytest.mark.parametrize("method", ["mbo", "pso", "all"])
+    def test_nb_overflow_in_the_search_stops_before_the_run_directory(self, tmp_path,
+                                                                     monkeypatch, method):
         # every weight is finite and non-negative, and the tree evaluates, so
-        # the evaluation's checks pass; the search's NB fitness refuses the
-        # column whose class mass overflows, before the run directory is made
+        # the evaluation's checks pass; NB's check of the IG columns refuses
+        # the column whose class mass overflows, before the run directory is
+        # made and before any search or fork
+        self._no_search(monkeypatch)
         matrix, informative = make_planted_matrix(n_docs=40, n_features=30, n_informative=5,
                                                   seed=3)
         w = matrix.weights
@@ -499,7 +509,7 @@ class TestRunExperiment:
         column = max(informative, key=lambda j: np.sum(in_class_0 & (w.indices == j)))
         w.data[in_class_0 & (w.indices == column)] = 1e308
         assert np.sum(in_class_0 & (w.indices == column)) >= 2
-        cfg = ExperimentConfig(ig_cap=30, method="mbo", eval_classifier="dt",
+        cfg = ExperimentConfig(ig_cap=30, method=method, eval_classifier="dt",
                                out_dir=str(tmp_path / "run"))
         with pytest.raises(PipelineError, match=r"^\[search\] naive Bayes weights too large"):
             run_experiment(cfg, matrix=matrix)

@@ -484,11 +484,28 @@ class TestWeightDomain:
             assert got == _oracle(matrix, mask, k, fold_seed)
 
     def test_overflowing_tables_are_refused(self):
-        # a class mass that overflows, and a weight times its log that does
+        # a class mass that would overflow, and a weight times its log that
+        # would: _check_nb_weights refuses both matrices, as FitnessFn builds
         for w in (1.5e308, 1e307):
             m = DocTermMatrix(weights=sp.csr_matrix(np.full((8, 1), w)), labels=np.arange(8) % 2)
             with pytest.raises(ClassifierError, match="naive Bayes weights too large"):
                 FitnessFn(m, k=2, seed=0)
+
+    def test_a_class_mass_rounded_past_the_largest_float_is_refused(self):
+        # 730 weights of MAX / 730 sum to a finite total pairwise, and a row's
+        # weight times the log of that total is finite, but added left to
+        # right, as fold 0's class-0 mass is, they overflow: NB's weight
+        # check refuses them, and so the kernel does
+        x = np.full(730, np.finfo(float).max / 730)
+        with np.errstate(over="ignore"):
+            assert np.isfinite(x.sum()) and np.cumsum(x)[-1] == np.inf
+        assert np.isfinite(x[0] * np.log(x.sum() + ALPHA))
+        m = DocTermMatrix(weights=sp.csr_matrix(np.r_[x, 0.0, 0.0][:, None]),
+                          labels=np.r_[np.zeros(730, dtype=int), 1, 1])
+        for refused in (lambda: _check_nb_weights(m.weights),
+                        lambda: NbFoldKernel(m, np.r_[np.ones(730, dtype=int), 0, 0])):
+            with pytest.raises(ClassifierError, match="naive Bayes weights too large"):
+                refused()
 
 
 def _flipped(mask: FeatureMask, rng, most: int) -> FeatureMask:
